@@ -23,6 +23,7 @@ from lohe_sync import (
     fit_algebraic_limit,
     fit_rate,
     integrate,
+    sync_distance_sq,
     sync_limits_two,
 )
 
@@ -32,10 +33,11 @@ def run_point(lam: float, k: float, z0: complex, dt: float, t_end: float):
     regime = classify_two(k, omega)
     config = ModelConfig(coupling=k, frequencies=(omega, -omega))
     series = integrate("two", z0, config, dt, t_end, sample_stride=10)
-    dist = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - series.z.real)))
+    z = series.z[:, 0, 1]
+    dist = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - z.real)))
 
     if regime.regime == "periodic":
-        period = detect_period(series.times, np.abs(series.z - series.z[0]))
+        period = detect_period(series.times, np.abs(z - z[0]))
         return regime, f"T = {regime.period:.4f}", f"T = {period:.4f}"
 
     limits = sync_limits_two(regime)
@@ -48,7 +50,7 @@ def run_point(lam: float, k: float, z0: complex, dt: float, t_end: float):
         )
 
     tail = float(dist[-(len(dist) // 4) :].mean())
-    y = 2.0 * (1.0 - (np.exp(-1j * regime.phi) * series.z).real)
+    y = sync_distance_sq(z, regime.phi)
     # stop the fit window before the decay bottoms out at double precision
     # (~35 e-foldings); 14 of them leave a clean straight line
     window = (1.0, min(t_end, 1.0 + 14.0 / regime.rate))

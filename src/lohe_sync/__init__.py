@@ -24,7 +24,6 @@ from .correlations import (
     CorrelationSeries,
     CorrelationState,
     MacroCorrelation,
-    TwoOscillatorSeries,
     full_rhs,
     integrate,
     macro_rhs,
@@ -110,7 +109,6 @@ __all__ = [
     "CorrelationState",
     "MacroCorrelation",
     "CorrelationSeries",
-    "TwoOscillatorSeries",
     "full_rhs",
     "two_rhs",
     "macro_rhs",

@@ -36,16 +36,22 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import GridSpec, ModelConfig
-from .correlations import TwoOscillatorSeries, integrate, random_correlation_matrix
+from .core import ModelConfig
+from .correlations import (
+    CorrelationSeries,
+    integrate,
+    pair_distance,
+    random_correlation_matrix,
+)
 from .diagnostics import (
+    CLASSIFY_MIN_SAMPLES,
     classify_correlation_sync,
     classify_sync,
     detect_period,
     fit_rate,
+    tail_samples,
 )
 from .emit import (
-    as_correlation_series,
     dump_json,
     write_diagnostics_csv,
     write_diagnostics_ndjson,
@@ -60,7 +66,8 @@ from .errors import (
     LoheSyncError,
 )
 from .initial_data import perturbed_gaussians
-from .oracles import classify_two, sync_limits_two, z_exact
+from .oracles import classify_two, sync_distance_sq, sync_limits_two, z_exact
+from .potentials import build_potential
 from .scenario import (
     Scenario,
     build_ensemble,
@@ -79,7 +86,9 @@ __all__ = ["main"]
 
 # classification tolerance for summary reporting; verify checks carry their own
 CLASSIFY_TOL = 1e-3
-CLASSIFY_MIN_SAMPLES = 50
+
+_DIAGNOSTICS_WRITERS = {"ndjson": write_diagnostics_ndjson, "csv": write_diagnostics_csv}
+_SERIES_WRITERS = {"ndjson": write_ode_ndjson, "csv": write_ode_csv}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,36 +128,15 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
     if args.seed is not None:
         sc = replace(sc, seed=args.seed)
     if args.dt is not None or args.t_end is not None:
-        if sc.solver is not None:
-            solver = sc.solver
-            sc = replace(
-                sc,
-                solver=replace(
-                    solver,
-                    dt=args.dt if args.dt is not None else solver.dt,
-                    t_end=args.t_end if args.t_end is not None else solver.t_end,
-                ),
-            )
-        if sc.ode is not None:
-            ode = sc.ode
-            sc = replace(
-                sc,
-                ode=replace(
-                    ode,
-                    dt=args.dt if args.dt is not None else ode.dt,
-                    t_end=args.t_end if args.t_end is not None else ode.t_end,
-                ),
-            )
-        if sc.sweep is not None:
-            sweep = sc.sweep
-            sc = replace(
-                sc,
-                sweep=replace(
-                    sweep,
-                    dt=args.dt if args.dt is not None else sweep.dt,
-                    t_end=args.t_end if args.t_end is not None else sweep.t_end,
-                ),
-            )
+        for section in ("solver", "ode", "sweep"):
+            params = getattr(sc, section)
+            if params is not None:
+                params = replace(
+                    params,
+                    dt=args.dt if args.dt is not None else params.dt,
+                    t_end=args.t_end if args.t_end is not None else params.t_end,
+                )
+                sc = replace(sc, **{section: params})
     if args.format is not None:
         sc = replace(sc, outputs=replace(sc.outputs, formats=(args.format,)))
     return sc
@@ -167,6 +155,15 @@ def _run_dir(args, name: str) -> str:
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+def _write_formats(run_dir: str, stem: str, formats, writers: dict, data) -> None:
+    """<stem>.<format> for every requested format, through its writer."""
+    for fmt, writer in writers.items():
+        if fmt in formats:
+            path = os.path.join(run_dir, f"{stem}.{fmt}")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer(fh, data)
 
 
 def _write_manifest(run_dir: str, sc: Scenario) -> None:
@@ -204,11 +201,10 @@ def _two_oscillator_block(config: ModelConfig, times, pair_z) -> dict | None:
     if regime.regime != "periodic":
         limits = sync_limits_two(regime)
         block["distance_limit"] = limits.distance_limit
-        dist = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(pair_z).real)))
-        tail = max(2, len(dist) // 4)
-        block["distance_tail_measured"] = float(dist[-tail:].mean())
+        dist = pair_distance(pair_z)
+        block["distance_tail_measured"] = float(dist[-tail_samples(len(dist)) :].mean())
         if regime.regime == "underdamped_sync" and len(times) >= 8:
-            y = 2.0 * (1.0 - (np.exp(-1j * regime.phi) * np.asarray(pair_z)).real)
+            y = sync_distance_sq(pair_z, regime.phi)
             try:
                 fit = fit_rate(times, np.maximum(y, 1e-300))
                 block["sync_rate_fitted"] = fit.rate
@@ -237,16 +233,7 @@ def cmd_simulate(sc: Scenario, args) -> int:
 
     records = trajectory.diagnostics_stream
     if sc.outputs.diagnostics:
-        if "ndjson" in sc.outputs.formats:
-            with open(
-                os.path.join(run_dir, "diagnostics.ndjson"), "w", encoding="utf-8", newline=""
-            ) as fh:
-                write_diagnostics_ndjson(fh, records)
-        if "csv" in sc.outputs.formats:
-            with open(
-                os.path.join(run_dir, "diagnostics.csv"), "w", encoding="utf-8", newline=""
-            ) as fh:
-                write_diagnostics_csv(fh, records)
+        _write_formats(run_dir, "diagnostics", sc.outputs.formats, _DIAGNOSTICS_WRITERS, records)
     if sc.outputs.final_snapshot:
         write_snapshot(os.path.join(run_dir, "final.slw"), trajectory.final)
 
@@ -313,48 +300,37 @@ def cmd_ode(sc: Scenario, args) -> int:
 
     run_dir = _run_dir(args, sc.name)
     _write_manifest(run_dir, sc)
-    if "ndjson" in sc.outputs.formats:
-        with open(
-            os.path.join(run_dir, "correlations.ndjson"), "w", encoding="utf-8", newline=""
-        ) as fh:
-            write_ode_ndjson(fh, series)
-    if "csv" in sc.outputs.formats:
-        with open(
-            os.path.join(run_dir, "correlations.csv"), "w", encoding="utf-8", newline=""
-        ) as fh:
-            write_ode_csv(fh, series)
+    _write_formats(run_dir, "correlations", sc.outputs.formats, _SERIES_WRITERS, series)
 
-    lifted = as_correlation_series(series)
     summary: dict = {
         "scenario": sc.name,
         "seed": sc.seed,
         "kind": "ode",
         "system": sc.ode.system,
         "model": {
-            "n": lifted.n_oscillators,
+            "n": series.n_oscillators,
             "coupling": sc.coupling,
             "frequencies": list(grid_free_config.frequencies),
         },
         "dt": sc.ode.dt,
         "t_end": sc.ode.t_end,
-        "samples": len(lifted.times),
+        "samples": len(series.times),
     }
     if series.richardson_error is not None:
         summary["richardson_error"] = series.richardson_error
-    if len(lifted.times) >= CLASSIFY_MIN_SAMPLES:
-        result = classify_correlation_sync(lifted, CLASSIFY_TOL)
+    if len(series.times) >= CLASSIFY_MIN_SAMPLES:
+        result = classify_correlation_sync(series, CLASSIFY_TOL)
         summary["classification"] = {"kind": result.kind, "evidence": result.evidence}
     else:
-        n = lifted.n_oscillators
-        iu = np.triu_indices(n, k=1)
-        dist = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - lifted.z[-1].real)))
+        iu = np.triu_indices(series.n_oscillators, k=1)
+        dist = pair_distance(series.z[-1])
         summary["classification"] = _instant_classification(
             float(dist[iu].max()) if iu[0].size else 0.0,
-            float(np.sqrt(max(0.0, lifted.zeta_norm_sq[-1]))),
+            float(np.sqrt(max(0.0, series.zeta_norm_sq[-1]))),
         )
-    summary["lyapunov_final"] = float(lifted.lyapunov[-1])
-    summary["lyapunov_monotone"] = bool(np.all(np.diff(lifted.lyapunov) <= 1e-12))
-    two = _two_oscillator_block(grid_free_config, lifted.times, lifted.z[:, 0, 1])
+    summary["lyapunov_final"] = float(series.lyapunov[-1])
+    summary["lyapunov_monotone"] = bool(np.all(np.diff(series.lyapunov) <= 1e-12))
+    two = _two_oscillator_block(grid_free_config, series.times, series.z[:, 0, 1])
     if two is not None:
         summary["two_oscillator"] = two
     _write(os.path.join(run_dir, "summary.json"), dump_json(summary))
@@ -406,17 +382,8 @@ def cmd_oracle(sc: Scenario, args) -> int:
         times = times[:: sc.ode.sample_stride]
         if times[-1] != sc.ode.t_end:
             times = np.append(times, sc.ode.t_end)
-        series = TwoOscillatorSeries(times=times, z=np.asarray(z_exact(sc.ode.z0, times, regime)))
-        if "ndjson" in sc.outputs.formats:
-            with open(
-                os.path.join(run_dir, "z_exact.ndjson"), "w", encoding="utf-8", newline=""
-            ) as fh:
-                write_ode_ndjson(fh, series)
-        if "csv" in sc.outputs.formats:
-            with open(
-                os.path.join(run_dir, "z_exact.csv"), "w", encoding="utf-8", newline=""
-            ) as fh:
-                write_ode_csv(fh, series)
+        series = CorrelationSeries.from_pair(times, z_exact(sc.ode.z0, times, regime))
+        _write_formats(run_dir, "z_exact", sc.outputs.formats, _SERIES_WRITERS, series)
         wrote_series = True
     doc["series_written"] = wrote_series
     _write(os.path.join(run_dir, "oracle.json"), dump_json(doc))
@@ -452,7 +419,11 @@ def cmd_verify(sc: Scenario, args) -> int:
 
 
 def _sweep_point(task: tuple) -> dict:
-    (coupling, omega, n, seed, mode, dt, t_end) = task
+    """One sweep cell. pde cells run on the scenario's grid, potential and
+    [initial] family (perturbed_gaussians when it has none), with the cell's
+    n and seed substituted."""
+    (sc, coupling, omega, n, seed) = task
+    dt, t_end = sc.sweep.dt, sc.sweep.t_end
     row: dict = {
         "coupling": coupling,
         "omega": omega,
@@ -471,9 +442,14 @@ def _sweep_point(task: tuple) -> dict:
         config = ModelConfig(coupling=coupling, frequencies=frequencies)
         n_steps = int(round(t_end / dt))
         stride = max(1, n_steps // 200)
-        if mode == "pde":
-            grid = GridSpec(dim=1, points=256, length=20.0)
-            initial = perturbed_gaussians(grid, n, seed)
+        if sc.sweep.mode == "pde":
+            grid = build_grid(sc)
+            potential = build_potential(grid, sc.potential_kind, **sc.potential_params)
+            config = replace(config, potential=potential)
+            if sc.initial_kind is None:
+                initial = perturbed_gaussians(grid, n, seed)
+            else:
+                initial = build_ensemble(replace(sc, n=n, seed=seed), grid)
             trajectory = evolve(
                 initial, config, SolverParams(dt=dt, t_end=t_end, snapshot_stride=stride)
             )
@@ -488,8 +464,8 @@ def _sweep_point(task: tuple) -> dict:
         zeta_sq = series.zeta_norm_sq
         row["zeta_norm_final"] = float(np.sqrt(max(0.0, zeta_sq[-1])))
         iu = np.triu_indices(n, k=1)
-        dist = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - series.r)))
-        tail = max(2, len(series.times) // 4)
+        dist = pair_distance(series.z)
+        tail = tail_samples(len(series.times))
         row["distance_tail"] = float(dist[-tail:, iu[0], iu[1]].max(axis=0).mean())
 
         if coupling > 0 and n == 2 and omega >= 0:
@@ -508,9 +484,7 @@ def _sweep_point(task: tuple) -> dict:
             row["rate_fitted"] = float(min(rates)) if rates else None
         elif n == 2 and row.get("regime") == "underdamped_sync":
             regime = classify_two(coupling, omega)
-            y = np.maximum(
-                2.0 * (1.0 - (np.exp(-1j * regime.phi) * series.z[:, 0, 1]).real), 1e-300
-            )
+            y = np.maximum(sync_distance_sq(series.z[:, 0, 1], regime.phi), 1e-300)
             row["rate_fitted"] = fit_rate(series.times, y).rate
     except DivergenceError as exc:
         row["status"] = "divergence"
@@ -526,7 +500,7 @@ def cmd_sweep(sc: Scenario, args) -> int:
         raise ConfigurationError("sweep needs a [sweep] section")
     spec = sc.sweep
     tasks = [
-        (k, w, n, seed, spec.mode, spec.dt, spec.t_end)
+        (sc, k, w, n, seed)
         for k in sorted(spec.coupling)
         for w in sorted(spec.omega)
         for n in sorted(spec.n)

@@ -133,18 +133,23 @@ def k_squared(grid: GridSpec) -> np.ndarray:
 def spectral_gradient(grid: GridSpec, values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Gradient of a periodic field, one array per axis.
 
+    values may be a single field of grid.shape or a stack (n, *grid.shape);
+    the transform runs over the trailing grid.dim axes.
+
     The Nyquist mode is dropped: under the one-sided i k multiplier it would
     turn the (real) Nyquist cosine into a spurious imaginary component, which
     ruins currents of real fields. Dropping it keeps gradients of real fields
     real and is exact for any resolved signal.
     """
-    fhat = np.fft.fftn(values)
+    values = np.asarray(values)
+    axes = tuple(range(values.ndim - grid.dim, values.ndim))
+    fhat = np.fft.fftn(values, axes=axes)
     k = _axis_wavenumbers(grid.points, grid.length).copy()
     k[grid.points // 2] = 0.0
-    out = []
-    for axis in range(grid.dim):
-        out.append(np.fft.ifftn(1j * _axis_shaped(k, axis, grid.dim) * fhat))
-    return tuple(out)
+    return tuple(
+        np.fft.ifftn(1j * _axis_shaped(k, axis, grid.dim) * fhat, axes=axes)
+        for axis in range(grid.dim)
+    )
 
 
 def spectral_laplacian(grid: GridSpec, values: np.ndarray) -> np.ndarray:

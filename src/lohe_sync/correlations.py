@@ -14,7 +14,8 @@ checked against each other.
 Derivatives are exposed in real/imaginary split form (r, s), matching the
 emitted file schemas; the integrator works on the complex matrix and mirrors
 the lower triangle from the upper one every step, so r_jk - r_kj and
-s_jk + s_kj are exactly zero along trajectories.
+s_jk + s_kj are exactly zero along trajectories. The two-oscillator system
+is stepped as the single complex z_01 and returned as its 2 x 2 series.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ __all__ = [
     "CorrelationState",
     "MacroCorrelation",
     "CorrelationSeries",
-    "TwoOscillatorSeries",
     "full_rhs",
     "two_rhs",
     "macro_rhs",
     "fg_rhs",
     "zeta_norm_rhs",
     "random_correlation_matrix",
+    "pair_distance",
+    "rk4_step",
     "integrate",
     "step_count",
 ]
@@ -60,6 +62,23 @@ def step_count(dt: float, t_end: float) -> int:
     if abs(steps - n) > 1e-6 * max(1.0, abs(steps)):
         raise ConfigurationError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
     return n
+
+
+def rk4_step(y, deriv, dt: float):
+    """One classical RK4 step of dy/dt = deriv(y). y is an array of any shape
+    or a Python complex; every fixed-step integration in the package goes
+    through this one combination."""
+    k1 = deriv(y)
+    k2 = deriv(y + 0.5 * dt * k1)
+    k3 = deriv(y + 0.5 * dt * k2)
+    k4 = deriv(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def pair_distance(z):
+    """||psi_j - psi_k|| implied by the correlation z_jk of unit-norm fields,
+    sqrt(2 (1 - Re z_jk)), elementwise over any array of correlations."""
+    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(z).real)))
 
 
 def _mirror(z: np.ndarray) -> np.ndarray:
@@ -278,11 +297,25 @@ def random_correlation_matrix(
 
 @dataclass
 class CorrelationSeries:
-    """Sampled trajectory of the pairwise system: times (S,), z (S, N, N)."""
+    """Sampled trajectory of the pairwise system: times (S,), z (S, N, N).
+
+    The two-oscillator system is the N = 2 case; from_pair builds it from
+    samples of the single correlation z = <psi_1, psi_2>.
+    """
 
     times: np.ndarray
     z: np.ndarray
     richardson_error: float | None = None
+
+    @classmethod
+    def from_pair(cls, times, z) -> "CorrelationSeries":
+        z = np.asarray(z)
+        pair = np.empty((len(z), 2, 2), dtype=np.complex128)
+        pair[:, 0, 0] = 1.0
+        pair[:, 1, 1] = 1.0
+        pair[:, 0, 1] = z
+        pair[:, 1, 0] = np.conj(z)
+        return cls(times=np.asarray(times), z=pair)
 
     @property
     def n_oscillators(self) -> int:
@@ -318,96 +351,43 @@ class CorrelationSeries:
         w = self.macroscopic
         return 0.5 * np.mean((1.0 - w.real) ** 2 + w.imag**2, axis=1)
 
-    def pair_distance(self, j: int, k: int) -> np.ndarray:
-        """||psi_j - psi_k||(t) implied by the correlations."""
-        return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - self.z[:, j, k].real)))
-
     def state_at(self, index: int) -> CorrelationState:
         return CorrelationState(time=float(self.times[index]), z=self.z[index].copy())
 
 
-@dataclass
-class TwoOscillatorSeries:
-    """Sampled scalar pair correlation z(t) for the two-oscillator system."""
+def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
+    """Fixed-step RK4 from y0, sampled every sample_stride steps plus the end.
 
-    times: np.ndarray
-    z: np.ndarray
-    richardson_error: float | None = None
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.z.real
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.z.imag
-
-    @property
-    def distance(self) -> np.ndarray:
-        return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - self.z.real)))
-
-    def sync_distance_sq(self, phi: float) -> np.ndarray:
-        """||e^{i phi} psi_1 - psi_2||^2 = 2 (1 - Re(e^{-i phi} z))."""
-        return 2.0 * (1.0 - (np.exp(-1j * phi) * self.z).real)
-
-
-def _rk4_matrix(z0, deriv, dt, n_steps, sample_stride, self_check_every=0):
-    z = z0.copy()
-    samples = [z.copy()]
+    y0 is an N x N correlation matrix, whose lower triangle is mirrored from
+    the upper one after every step, or a Python complex (the pair system).
+    """
+    matrix = isinstance(y0, np.ndarray)
+    y = y0.copy() if matrix else y0
+    samples = [y]
     sample_steps = [0]
     for step in range(1, n_steps + 1):
-        k1 = deriv(z)
-        k2 = deriv(z + 0.5 * dt * k1)
-        k3 = deriv(z + 0.5 * dt * k2)
-        k4 = deriv(z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _mirror(z)
+        y = rk4_step(y, deriv, dt)
+        if matrix:
+            _mirror(y)
         if step % sample_stride == 0 or step == n_steps:
-            if not np.all(np.isfinite(z.view(np.float64))):
+            if not np.all(np.isfinite(y)):
                 raise DivergenceError(
                     "correlation integration produced non-finite values",
                     step_index=step,
                     time=step * dt,
                     partial={"times": np.array(sample_steps) * dt, "values": np.array(samples)},
                 )
-            if self_check_every and (step // sample_stride) % self_check_every == 0:
-                drift = np.max(np.abs(z - z.conj().T))
+            if matrix and self_check_every and (step // sample_stride) % self_check_every == 0:
+                drift = np.max(np.abs(y - y.conj().T))
                 if drift > 1e-12:
                     raise ContractViolationError(
                         f"Hermitian drift {drift:.2e} at step {step}"
                     )
             if step % sample_stride == 0:
-                samples.append(z.copy())
+                samples.append(y)
                 sample_steps.append(step)
     if sample_steps[-1] != n_steps:
-        samples.append(z.copy())
-        sample_steps.append(n_steps)
-    return np.array(sample_steps), np.array(samples)
-
-
-def _rk4_scalar(z0, deriv, dt, n_steps, sample_stride):
-    z = complex(z0)
-    samples = [z]
-    sample_steps = [0]
-    for step in range(1, n_steps + 1):
-        k1 = deriv(z)
-        k2 = deriv(z + 0.5 * dt * k1)
-        k3 = deriv(z + 0.5 * dt * k2)
-        k4 = deriv(z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % sample_stride == 0 or step == n_steps:
-            if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-                raise DivergenceError(
-                    "correlation integration produced non-finite values",
-                    step_index=step,
-                    time=step * dt,
-                    partial={"times": np.array(sample_steps) * dt, "values": np.array(samples)},
-                )
-            if step % sample_stride == 0:
-                samples.append(z)
-                sample_steps.append(step)
-    if sample_steps[-1] != n_steps:
-        samples.append(z)
+        samples.append(y)
         sample_steps.append(n_steps)
     return np.array(sample_steps), np.array(samples)
 
@@ -427,44 +407,34 @@ def integrate(
     t_end: float,
     sample_stride: int = 1,
     self_check: bool = False,
-):
+) -> CorrelationSeries:
     """Fixed-step RK4 integration of one of the reduced systems.
 
-    system is "full" (N x N pairwise), "two" (scalar pair correlation; the
-    config must hold two frequencies), or "fg" (pairwise system under
-    identical oscillators, stepped in the decay variables F = 1 - z).
-    initial is a CorrelationState or raw matrix for "full"/"fg", a complex
-    number for "two". Samples land every sample_stride steps plus the final
-    time. self_check = True repeats the run at twice the step and attaches a
+    system is "full" (N x N pairwise), "two" (the pair correlation z_01,
+    stepped as one complex number; the config must hold two frequencies), or
+    "fg" (pairwise system under identical oscillators, stepped in the decay
+    variables F = 1 - z). initial is a CorrelationState or raw matrix for
+    "full"/"fg", a complex number for "two"; every system returns an N x N
+    series. Samples land every sample_stride steps plus the final time.
+    self_check = True repeats the run at twice the step and attaches a
     Richardson estimate of the terminal error.
     """
     if sample_stride < 1:
         raise ConfigurationError("sample_stride must be >= 1")
     n_steps = step_count(dt, t_end)
+    k = config.coupling
 
     if system == "two":
         omega = _two_omega(config)
-        k = config.coupling
-        steps, samples = _rk4_scalar(
-            initial, lambda z: two_rhs(z, omega, k), dt, n_steps, sample_stride
-        )
-        series = TwoOscillatorSeries(times=steps * dt, z=samples)
-        if self_check:
-            if n_steps % 2:
-                warnings.warn("self_check needs an even step count; estimate skipped")
-            elif n_steps >= 2:
-                half = n_steps // 2
-                _, coarse = _rk4_scalar(
-                    initial, lambda z: two_rhs(z, omega, k), 2.0 * dt, half, half
-                )
-                series.richardson_error = abs(samples[-1] - coarse[-1]) / 15.0
-        return series
 
-    if system in ("full", "fg"):
+        def deriv(z):
+            return two_rhs(z, omega, k)
+
+        y0 = complex(initial)
+    elif system in ("full", "fg"):
         state = initial if isinstance(initial, CorrelationState) else CorrelationState(0.0, initial)
         omega = np.asarray(config.frequencies, dtype=float)
         _require_n(config, state.n_oscillators)
-        k = config.coupling
         if system == "fg":
             if np.max(np.abs(omega)) > 0.0:
                 raise ContractViolationError("the f/g reduction requires zero frequencies")
@@ -480,20 +450,26 @@ def integrate(
                 return _dz(z, omega, k)
 
             y0 = state.z
+    else:
+        raise ConfigurationError(f"unknown system {system!r}; expected full, two, or fg")
 
-        check_every = 8 if self_check else 0
-        steps, samples = _rk4_matrix(y0, deriv, dt, n_steps, sample_stride, check_every)
-        if system == "fg":
-            samples = 1.0 - samples
+    check_every = 8 if self_check else 0
+    steps, samples = _rk4_samples(y0, deriv, dt, n_steps, sample_stride, check_every)
+    if system == "fg":
+        samples = 1.0 - samples
+    richardson = None
+    if self_check:
+        if n_steps % 2:
+            warnings.warn("self_check needs an even step count; estimate skipped")
+        elif n_steps >= 2:
+            half = n_steps // 2
+            last = _rk4_samples(y0, deriv, 2.0 * dt, half, half)[1][-1]
+            if system == "fg":
+                last = 1.0 - last
+            richardson = float(np.max(np.abs(samples[-1] - last)) / 15.0)
+    if system == "two":
+        series = CorrelationSeries.from_pair(steps * dt, samples)
+    else:
         series = CorrelationSeries(times=steps * dt, z=samples)
-        if self_check:
-            if n_steps % 2:
-                warnings.warn("self_check needs an even step count; estimate skipped")
-            elif n_steps >= 2:
-                half = n_steps // 2
-                _, coarse = _rk4_matrix(y0, deriv, 2.0 * dt, half, half)
-                last = 1.0 - coarse[-1] if system == "fg" else coarse[-1]
-                series.richardson_error = float(np.max(np.abs(samples[-1] - last)) / 15.0)
-        return series
-
-    raise ConfigurationError(f"unknown system {system!r}; expected full, two, or fg")
+    series.richardson_error = richardson
+    return series

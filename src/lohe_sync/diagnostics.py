@@ -22,12 +22,13 @@ from .core import (
     ModelConfig,
     gram_matrix,
     order_parameter,
-    wavenumbers,
+    spectral_gradient,
 )
-from .correlations import CorrelationSeries, CorrelationState
+from .correlations import CorrelationSeries, CorrelationState, pair_distance
 from .errors import ContractViolationError, SeriesTooShortError
 
 __all__ = [
+    "CLASSIFY_MIN_SAMPLES",
     "EnergyReport",
     "DiagnosticsRecord",
     "SyncClassification",
@@ -42,7 +43,11 @@ __all__ = [
     "energy_bound_check",
     "detect_period",
     "interpolate_series",
+    "tail_samples",
 ]
+
+# fewest samples a tail-window classification accepts
+CLASSIFY_MIN_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -79,34 +84,18 @@ class DiagnosticsRecord:
     madelung_current_l1: np.ndarray
 
 
-def _axis_shaped(k: np.ndarray, axis: int, dim: int) -> np.ndarray:
-    shape = [1] * dim
-    shape[axis] = k.size
-    return k.reshape(shape)
-
-
 def compute_record(state: EnsembleState, config: ModelConfig) -> DiagnosticsRecord:
     """All observables of one snapshot. O(N^2) reductions, N FFT gradients."""
     grid = state.grid
     n = state.n_oscillators
     dv = grid.dv
     psi = state.psi
-    axes = tuple(range(1, psi.ndim))
 
     norms = state.norms()
     raw_gram = gram_matrix(state)
 
-    # spectral gradients of all fields at once, one array per axis; the
-    # Nyquist mode is dropped to match spectral_gradient (real fields must
-    # not pick up imaginary gradient components)
-    psi_hat = np.fft.fftn(psi, axes=axes)
-    ks = [k.copy() for k in wavenumbers(grid)]
-    for k in ks:
-        k[grid.points // 2] = 0.0
-    grads = [
-        np.fft.ifftn(1j * _axis_shaped(ks[a], a, grid.dim) * psi_hat, axes=axes)
-        for a in range(grid.dim)
-    ]
+    # spectral gradients of all fields at once, one array per axis
+    grads = spectral_gradient(grid, psi)
 
     flat = psi.reshape(n, -1)
     grad_gram = np.zeros((n, n), dtype=np.complex128)
@@ -189,13 +178,19 @@ class SyncClassification:
     evidence: dict
 
 
+def tail_samples(n_samples: int) -> int:
+    """Length of the final-quarter window every tail statistic is read from
+    (at least 2 samples)."""
+    return max(2, n_samples // 4)
+
+
 def _classify(times, pair_dist, zeta, tol, min_samples):
     n_samples = len(times)
     if n_samples < min_samples:
         raise SeriesTooShortError(
             f"classification needs at least {min_samples} samples, got {n_samples}"
         )
-    tail = max(2, n_samples // 4)
+    tail = tail_samples(n_samples)
     d_tail = pair_dist[-tail:]
     z_tail = zeta[-tail:]
 
@@ -234,7 +229,7 @@ def _classify(times, pair_dist, zeta, tol, min_samples):
 
 
 def classify_sync(
-    series, tol: float, min_samples: int = 50
+    series, tol: float, min_samples: int = CLASSIFY_MIN_SAMPLES
 ) -> SyncClassification:
     """Tail-window trichotomy over a stream of DiagnosticsRecord.
 
@@ -251,11 +246,11 @@ def classify_sync(
 
 
 def classify_correlation_sync(
-    series: CorrelationSeries, tol: float, min_samples: int = 50
+    series: CorrelationSeries, tol: float, min_samples: int = CLASSIFY_MIN_SAMPLES
 ) -> SyncClassification:
     """Same trichotomy evaluated on a correlation-level trajectory."""
     n = series.n_oscillators
-    dist = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - series.r)))
+    dist = pair_distance(series.z)
     for j in range(n):
         dist[:, j, j] = 0.0
     zeta = np.sqrt(np.maximum(0.0, series.zeta_norm_sq))

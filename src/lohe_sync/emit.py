@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .correlations import CorrelationSeries, TwoOscillatorSeries
+from .correlations import CorrelationSeries
 from .errors import ConfigurationError
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "write_diagnostics_csv",
     "write_sweep_csv",
     "SWEEP_COLUMNS",
-    "as_correlation_series",
 ]
 
 
@@ -71,26 +70,9 @@ def _vector(values: np.ndarray) -> list:
     return [float(v) for v in np.asarray(values)]
 
 
-def two_as_matrix(series: TwoOscillatorSeries) -> CorrelationSeries:
-    z = np.empty((len(series.times), 2, 2), dtype=np.complex128)
-    z[:, 0, 0] = 1.0
-    z[:, 1, 1] = 1.0
-    z[:, 0, 1] = series.z
-    z[:, 1, 0] = np.conj(series.z)
-    return CorrelationSeries(times=np.asarray(series.times), z=z)
-
-
-def as_correlation_series(series) -> CorrelationSeries:
-    if isinstance(series, TwoOscillatorSeries):
-        return two_as_matrix(series)
-    return series
-
-
-def ode_records(series):
+def ode_records(series: CorrelationSeries):
     """The documented correlation-series schema, one dict per sample:
-    {t, r, s, r_tilde, s_tilde, zeta_norm_sq}. The scalar two-oscillator
-    series is lifted to its 2 x 2 matrix form so the schema never forks."""
-    series = as_correlation_series(series)
+    {t, r, s, r_tilde, s_tilde, zeta_norm_sq}."""
     r_t = series.r_tilde
     s_t = series.s_tilde
     zeta = series.zeta_norm_sq
@@ -105,7 +87,7 @@ def ode_records(series):
         }
 
 
-def write_ode_ndjson(fh, series) -> None:
+def write_ode_ndjson(fh, series: CorrelationSeries) -> None:
     for rec in ode_records(series):
         fh.write(json.dumps(rec, ensure_ascii=True, allow_nan=False))
         fh.write("\n")
@@ -115,10 +97,9 @@ def _pairs(n: int):
     return [(j, k) for j in range(n) for k in range(j + 1, n)]
 
 
-def write_ode_csv(fh, series) -> None:
+def write_ode_csv(fh, series: CorrelationSeries) -> None:
     """Flattened correlation series: full r and s matrices row-major, then
     the macroscopic vectors, then ||zeta||^2. One row per sample."""
-    series = as_correlation_series(series)
     n = series.n_oscillators
     cols = ["t"]
     cols += [f"r_{j}_{k}" for j in range(n) for k in range(n)]

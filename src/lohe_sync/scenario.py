@@ -58,7 +58,8 @@ typos fail loudly instead of silently running defaults.
     omega = 0:1:0.1
     n = 2
     seeds = 0
-    mode = ode                   # ode | pde
+    mode = ode                   # ode | pde (pde cells use [grid], the
+                                 # potential and [initial] with each n, seed)
     t_end = 20.0
     dt = 1e-3
 
@@ -534,7 +535,7 @@ def render_scenario(sc: Scenario) -> str:
         ],
     )
     if sc.checks:
-        sec("verify", [("checks", ", ".join(f"{nm}:{tol:g}" for nm, tol in sc.checks))])
+        sec("verify", [("checks", ", ".join(f"{nm}:{tol!r}" for nm, tol in sc.checks))])
     if sc.sweep is not None:
         w = sc.sweep
         sec(

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import EnsembleState, GridSpec, ModelConfig, k_squared
-from .correlations import CorrelationSeries, step_count
+from .correlations import CorrelationSeries, CorrelationState, rk4_step, step_count
 from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import ConfigurationError, DivergenceError
 
@@ -114,8 +114,6 @@ class Trajectory:
 
     def gram_series(self) -> CorrelationSeries:
         """Measured correlations of every stored state, as one series."""
-        from .correlations import CorrelationState
-
         z = np.stack([CorrelationState.from_ensemble(s).z for s in self.states])
         return CorrelationSeries(times=self.times.copy(), z=z)
 
@@ -163,24 +161,16 @@ class _Stepper:
         kinetic = np.fft.ifftn(-0.5j * self.k2 * psi_hat, axes=self.axes)
         return kinetic + self._local_rhs(psi)
 
-    def _rk4(self, psi: np.ndarray, deriv) -> np.ndarray:
-        dt = self.dt
-        k1 = deriv(psi)
-        k2 = deriv(psi + 0.5 * dt * k1)
-        k3 = deriv(psi + 0.5 * dt * k2)
-        k4 = deriv(psi + dt * k3)
-        return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     def advance(self, psi: np.ndarray) -> np.ndarray:
         # blow-up is detected by the caller's isfinite check; silence the
         # transient nan/inf arithmetic warnings on the way there
         with np.errstate(invalid="ignore", over="ignore"):
             if self.scheme == "strang_rk4":
                 psi = np.fft.ifftn(self.half_kinetic * np.fft.fftn(psi, axes=self.axes), axes=self.axes)
-                psi = self._rk4(psi, self._local_rhs)
+                psi = rk4_step(psi, self._local_rhs, self.dt)
                 psi = np.fft.ifftn(self.half_kinetic * np.fft.fftn(psi, axes=self.axes), axes=self.axes)
             else:
-                psi = self._rk4(psi, self._full_rhs)
+                psi = rk4_step(psi, self._full_rhs, self.dt)
             if self.renormalize:
                 norms = np.sqrt(self.dv * np.sum(np.abs(psi) ** 2, axis=self.axes))
                 psi = psi / norms.reshape((-1,) + (1,) * self.grid.dim)

@@ -33,22 +33,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelConfig, gram_matrix
-from .correlations import CorrelationState, integrate
+from .correlations import CorrelationSeries, CorrelationState, integrate, pair_distance
 from .diagnostics import (
     classify_correlation_sync,
     classify_sync,
     detect_period,
     fit_algebraic_limit,
     fit_rate,
+    tail_samples,
 )
 from .errors import ConfigurationError, LoheSyncError
-from .oracles import classify_two, scattering_state, sync_limits_two, z_exact
+from .oracles import (
+    classify_two,
+    scattering_state,
+    sync_distance_sq,
+    sync_limits_two,
+    z_exact,
+)
 from .scenario import Scenario, build_ensemble, build_grid, build_model, build_ode_initial
 from .solver import Trajectory, evolve, propagate_linear
 
-__all__ = ["CheckResult", "VerifyContext", "run_checks", "CHECK_NAMES", "CLASSIFY_MIN_SAMPLES"]
-
-CLASSIFY_MIN_SAMPLES = 50
+__all__ = ["CheckResult", "VerifyContext", "run_checks", "CHECK_NAMES"]
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,8 @@ class VerifyContext:
         self.grid = build_grid(scenario)
         self.config: ModelConfig = build_model(scenario, self.grid)
         self._trajectory: Trajectory | None = None
-        self._ode_series = None
-        self._gram_series = None
+        self._ode_series: CorrelationSeries | None = None
+        self._gram_series: CorrelationSeries | None = None
 
     @property
     def trajectory(self) -> Trajectory:
@@ -83,13 +88,13 @@ class VerifyContext:
         return self._trajectory
 
     @property
-    def gram_series(self):
+    def gram_series(self) -> CorrelationSeries:
         if self._gram_series is None:
             self._gram_series = self.trajectory.gram_series()
         return self._gram_series
 
     @property
-    def ode_series(self):
+    def ode_series(self) -> CorrelationSeries:
         if self._ode_series is None:
             if self.scenario.ode is None:
                 raise ConfigurationError("this check needs an [ode] section")
@@ -122,14 +127,8 @@ class VerifyContext:
         has_pde = self.scenario.solver is not None
         has_ode = self.scenario.ode is not None
         use_pde = has_pde and not (prefer == "ode" and has_ode)
-        if use_pde:
-            series = self.gram_series
-            return series.times, series.z[:, 0, 1]
-        series = self.ode_series
-        z = series.z
-        if z.ndim == 3:
-            return series.times, z[:, 0, 1]
-        return series.times, z
+        series = self.gram_series if use_pde else self.ode_series
+        return series.times, series.z[:, 0, 1]
 
 
 def _check_mass(ctx: VerifyContext, tol: float) -> CheckResult:
@@ -181,18 +180,17 @@ def _check_pde_ode_closure(ctx: VerifyContext, tol: float) -> CheckResult:
 
 def _check_two_exact(ctx: VerifyContext, tol: float) -> CheckResult:
     regime = ctx.regime()
-    errs = []
+    runs = []
     if ctx.scenario.solver is not None:
-        series = ctx.gram_series
-        z = series.z[:, 0, 1]
-        errs.append(float(np.max(np.abs(z - z_exact(z[0], series.times, regime)))))
+        runs.append(ctx.gram_series)
     if ctx.scenario.ode is not None:
-        series = ctx.ode_series
-        z = series.z if series.z.ndim == 1 else series.z[:, 0, 1]
-        errs.append(float(np.max(np.abs(z - z_exact(z[0], series.times, regime)))))
-    if not errs:
+        runs.append(ctx.ode_series)
+    if not runs:
         raise ConfigurationError("two_exact needs a [solver] or [ode] section")
-    err = max(errs)
+    err = max(
+        float(np.max(np.abs(s.z[:, 0, 1] - z_exact(s.z[0, 0, 1], s.times, regime))))
+        for s in runs
+    )
     return CheckResult("two_exact", err <= tol, err, 0.0, tol, "max |z - closed form|")
 
 
@@ -201,8 +199,7 @@ def _check_sync_rate(ctx: VerifyContext, tol: float) -> CheckResult:
     if regime.regime != "underdamped_sync":
         raise ConfigurationError("sync_rate applies below the critical coupling ratio")
     times, z = ctx.pair_z_series(prefer="ode")
-    y = 2.0 * (1.0 - (np.exp(-1j * regime.phi) * z).real)
-    fit = fit_rate(times, np.maximum(y, 1e-300))
+    fit = fit_rate(times, np.maximum(sync_distance_sq(z, regime.phi), 1e-300))
     rel = abs(fit.rate - regime.rate) / regime.rate
     return CheckResult(
         "sync_rate",
@@ -218,14 +215,13 @@ def _check_distance_limit(ctx: VerifyContext, tol: float) -> CheckResult:
     regime = ctx.regime()
     limits = sync_limits_two(regime)
     times, z = ctx.pair_z_series()
-    dist = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - z.real)))
+    dist = pair_distance(z)
     if regime.regime == "critical":
         fitted = fit_algebraic_limit(times, dist)
         measured = fitted.limit
         how = "1/t extrapolation of the tail"
     else:
-        tail = max(2, len(dist) // 4)
-        measured = float(dist[-tail:].mean())
+        measured = float(dist[-tail_samples(len(dist)) :].mean())
         how = "final-quarter mean"
     err = abs(measured - limits.distance_limit)
     return CheckResult(
@@ -251,19 +247,14 @@ def _check_periodicity(ctx: VerifyContext, tol: float) -> CheckResult:
 
 
 def _check_stationary(ctx: VerifyContext, tol: float) -> CheckResult:
-    series = ctx.ode_series
-    z = series.z
-    drift = float(np.max(np.abs(z - z[0] if z.ndim == 1 else z - z[0][None])))
+    z = ctx.ode_series.z
+    drift = float(np.max(np.abs(z - z[0])))
     return CheckResult("stationary", drift <= tol, drift, 0.0, tol, "max |z(t) - z(0)|")
 
 
 def _check_lyapunov_monotone(ctx: VerifyContext, tol: float) -> CheckResult:
-    if ctx.scenario.ode is not None:
-        from .emit import as_correlation_series
-
-        lyap = as_correlation_series(ctx.ode_series).lyapunov
-    else:
-        lyap = ctx.gram_series.lyapunov
+    series = ctx.ode_series if ctx.scenario.ode is not None else ctx.gram_series
+    lyap = series.lyapunov
     worst = float(np.max(np.diff(lyap))) if len(lyap) > 1 else 0.0
     return CheckResult(
         "lyapunov_monotone", worst <= tol, worst, 0.0, tol, "largest uphill step"
@@ -273,9 +264,7 @@ def _check_lyapunov_monotone(ctx: VerifyContext, tol: float) -> CheckResult:
 def _classification_of(ctx: VerifyContext, tol: float):
     if ctx.scenario.solver is not None:
         return classify_sync(ctx.trajectory.diagnostics_stream, tol)
-    from .emit import as_correlation_series
-
-    return classify_correlation_sync(as_correlation_series(ctx.ode_series), tol)
+    return classify_correlation_sync(ctx.ode_series, tol)
 
 
 def _check_classified(ctx: VerifyContext, tol: float, expected: str, name: str) -> CheckResult:

@@ -173,7 +173,7 @@ def test_criterion_04_underdamped_pair(run_pair):
 
     err_pde = float(np.max(np.abs(z - z_exact(complex(z[0]), gs.times, regime))))
     ode = integrate("two", complex(z[0]), cfg, 1e-3, 20.0, sample_stride=20)
-    err_ode = float(np.max(np.abs(ode.z - z_exact(complex(ode.z[0]), ode.times, regime))))
+    err_ode = float(np.max(np.abs(ode.z[:, 0, 1] - z_exact(complex(ode.z[0, 0, 1]), ode.times, regime))))
     line(
         "criterion 4a, closed form",
         err_pde <= 1e-6 and err_ode <= 1e-6,
@@ -225,7 +225,7 @@ def test_criterion_05_critical_pair(run_critical):
 def test_criterion_06_periodic_orbit():
     cfg = ModelConfig(coupling=K, frequencies=(1.0, -1.0))  # lam = 2
     series = integrate("two", 0.3 + 0.2j, cfg, 1e-3, 20.0, sample_stride=1)
-    period = detect_period(series.times, np.abs(series.z - series.z[0]))
+    period = detect_period(series.times, np.abs(series.z[:, 0, 1] - series.z[0, 0, 1]))
     rel = abs(period - PERIOD_LAM2) / PERIOD_LAM2
     line(
         "criterion 6, period",
@@ -233,7 +233,7 @@ def test_criterion_06_periodic_orbit():
         f"detected period {period:.6f} vs 2 pi / sqrt(3) = {PERIOD_LAM2:.6f}, relative error {rel:.2e} <= 1%",
     )
     returns = [
-        abs(interpolate_series(series.times, series.z, n * PERIOD_LAM2) - series.z[0])
+        abs(interpolate_series(series.times, series.z[:, 0, 1], n * PERIOD_LAM2) - series.z[0, 0, 1])
         for n in range(1, 6)
     ]
     line(
@@ -248,7 +248,7 @@ def test_criterion_07_unstable_point_stationary():
     z0 = complex(-np.sqrt(1.0 - lam * lam), lam)  # the repelling fixed point
     cfg = ModelConfig(coupling=K, frequencies=(0.375, -0.375))
     series = integrate("two", z0, cfg, 1e-3, 5.0, sample_stride=1)
-    drift = float(np.max(np.abs(series.z - z0)))
+    drift = float(np.max(np.abs(series.z[:, 0, 1] - z0)))
     line(
         "criterion 7, unstable point",
         drift <= 1e-8,

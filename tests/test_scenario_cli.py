@@ -6,11 +6,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lohe_sync import (
     ConfigurationError,
     EnsembleState,
     GridSpec,
+    SolverParams,
     load_scenario,
     parse_scenario,
     read_snapshot,
@@ -19,6 +22,7 @@ from lohe_sync import (
 )
 from lohe_sync.cli import main
 from lohe_sync.initial_data import gaussian_pair, perturbed_gaussians
+from lohe_sync.scenario import OdeParams, OutputSpec, Scenario, SweepSpec
 
 BASE = """
 [scenario]
@@ -69,6 +73,91 @@ def test_parse_render_round_trip():
     assert again == sc
     # canonical: rendering the reparsed scenario is byte-stable
     assert render_scenario(again) == text
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=10)
+_INTS = st.integers(-(10**6), 10**6)
+
+
+@st.composite
+def _scenarios(draw):
+    """Scenarios with every section filled, restricted to what the grammar can
+    spell: lower-case keys, coherence only beside gram = random, lam only for
+    n = 2, solver t_end a whole number of steps."""
+    n = draw(st.integers(2, 6))
+    frequencies = lam = None
+    spelling = draw(st.sampled_from(("none", "frequencies", "lam") if n == 2 else ("none", "frequencies")))
+    if spelling == "frequencies":
+        frequencies = tuple(draw(st.lists(_FLOATS, min_size=n, max_size=n)))
+    elif spelling == "lam":
+        lam = draw(st.floats(0.0, 1e6))
+    gram = draw(st.sampled_from((None, "random", "ones")))
+    ode = OdeParams(
+        system=draw(st.sampled_from(("full", "two", "fg"))),
+        dt=draw(_FLOATS),
+        t_end=draw(_FLOATS),
+        sample_stride=draw(_INTS),
+        self_check=draw(st.booleans()),
+        z0=draw(st.one_of(st.none(), st.just("unstable"), st.complex_numbers(allow_nan=False, allow_infinity=False))),
+        gram=gram,
+        coherence=draw(_FLOATS) if gram == "random" else 0.0,
+    )
+    dt = draw(st.floats(1e-4, 1.0))
+    solver = SolverParams(
+        dt=dt,
+        t_end=draw(st.integers(0, 1000)) * dt,
+        scheme=draw(st.sampled_from(("strang_rk4", "full_rk4"))),
+        renormalize_each_step=draw(st.booleans()),
+        snapshot_stride=draw(st.integers(1, 1000)),
+    )
+    sweep = SweepSpec(
+        coupling=tuple(draw(st.lists(_FLOATS, min_size=1, max_size=4))),
+        omega=tuple(draw(st.lists(_FLOATS, min_size=1, max_size=4))),
+        n=tuple(draw(st.lists(_INTS, min_size=1, max_size=4))),
+        seeds=tuple(draw(st.lists(_INTS, min_size=1, max_size=4))),
+        mode=draw(st.sampled_from(("ode", "pde"))),
+        dt=draw(_FLOATS),
+        t_end=draw(_FLOATS),
+    )
+    return Scenario(
+        name=draw(_WORDS),
+        seed=draw(_INTS),
+        grid_dim=draw(_INTS),
+        grid_points=draw(_INTS),
+        grid_length=draw(_FLOATS),
+        n=n,
+        coupling=draw(_FLOATS),
+        frequencies=frequencies,
+        lam=lam,
+        potential_kind=draw(st.sampled_from(("zero", "cosine", "barrier"))),
+        potential_params=draw(st.dictionaries(_WORDS, _FLOATS, max_size=3)),
+        initial_kind=draw(st.sampled_from(("perturbed_gaussians", "gaussian_pair", "snapshot"))),
+        initial_params=draw(
+            st.dictionaries(
+                _WORDS.filter(lambda k: k != "kind"),
+                st.text(alphabet="abcxyz0123456789.+-_/ ", max_size=12).map(str.strip),
+                max_size=3,
+            )
+        ),
+        ode=ode,
+        solver=solver,
+        outputs=OutputSpec(
+            formats=tuple(draw(st.lists(st.sampled_from(("ndjson", "csv")), min_size=1, max_size=2))),
+            final_snapshot=draw(st.booleans()),
+            diagnostics=draw(st.booleans()),
+        ),
+        checks=tuple(draw(st.lists(st.tuples(_WORDS, _FLOATS), max_size=4))),
+        sweep=sweep,
+    )
+
+
+@settings(deadline=None)
+@given(sc=_scenarios())
+@example(sc=parse_scenario(BASE.replace("two_exact:1e-4", "two_exact:1.2345678e-9")))
+def test_render_parse_round_trip_generated(sc):
+    # the manifest written beside every run must parse back to the run's scenario
+    assert parse_scenario(render_scenario(sc)) == sc
 
 
 def test_unknown_keys_are_rejected():
@@ -255,6 +344,23 @@ def test_sweep_csv(tmp_path):
     out2 = tmp_path / "o2"
     assert run_cli("sweep", "--scenario", str(cfg), "--out", str(out2), "--threads", "2") == 0
     assert (out / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_pde_sweep_builds_the_scenario_ensemble(tmp_path):
+    # gaussian_pair always builds two fields, so an n = 3 cell cannot run;
+    # 60 steps give enough samples that only the ensemble can fail the cell
+    cfg = tmp_path / "sweep_pde.cfg"
+    cfg.write_text(
+        "[scenario]\nname = swp\n[grid]\npoints = 64\n[initial]\nkind = gaussian_pair\n"
+        "[sweep]\ncoupling = 1.0\nomega = 0.0\nn = 3\nseeds = 0\nmode = pde\n"
+        "dt = 0.01\nt_end = 0.6\n"
+    )
+    out = tmp_path / "o"
+    assert run_cli("sweep", "--scenario", str(cfg), "--out", str(out)) == 0
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["config_error"]
+    assert "3 frequencies but the ensemble has 2 fields" in rows[0]["detail"]
 
 
 def test_simulate_t_end_zero(tmp_path):

@@ -209,3 +209,23 @@ def test_identical_ensemble_stays_identical(grid64):
     ).final
     assert_close(final.psi[0], final.psi[1], 1e-13)
     assert_close(final.psi[0], final.psi[2], 1e-13)
+
+
+@pytest.mark.parametrize("scheme, order", [("strang_rk4", 2.0), ("full_rk4", 4.0)])
+def test_measured_temporal_order(scheme, order):
+    # 1-D/128, cosine potential, detuned kicked pair, t = 2; each run is
+    # compared against the same scheme at dt = 2.5e-4, and the order is
+    # log2 of the error ratio between dt = 2e-3 and dt = 1e-3
+    grid = GridSpec(dim=1, points=128, length=20.0)
+    config = ModelConfig(
+        coupling=1.0, frequencies=(0.375, -0.375), potential=cosine_potential(grid)
+    )
+    initial = gaussian_pair(grid, separation=2.0, sigma=1.5, momentum_kick=1.0)
+
+    def final(dt):
+        params = SolverParams(dt=dt, t_end=2.0, scheme=scheme, snapshot_stride=round(2.0 / dt))
+        return evolve(initial, config, params, collect_diagnostics=False).final.psi
+
+    ref = final(2.5e-4)
+    coarse, fine = (float(np.max(np.abs(final(dt) - ref))) for dt in (2e-3, 1e-3))
+    assert abs(np.log2(coarse / fine) - order) <= 0.3
