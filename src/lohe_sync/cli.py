@@ -65,7 +65,6 @@ from .errors import (
     DivergenceError,
     LoheSyncError,
 )
-from .initial_data import perturbed_gaussians
 from .oracles import classify_two, sync_distance_sq, sync_limits_two, z_exact
 from .potentials import build_potential
 from .scenario import (
@@ -421,7 +420,8 @@ def cmd_verify(sc: Scenario, args) -> int:
 def _sweep_point(task: tuple) -> dict:
     """One sweep cell. pde cells run on the scenario's grid, potential and
     [initial] family (perturbed_gaussians when it has none), with the cell's
-    n and seed substituted."""
+    n and seed substituted, and with the [solver] scheme and renormalize
+    setting when the scenario has one."""
     (sc, coupling, omega, n, seed) = task
     dt, t_end = sc.sweep.dt, sc.sweep.t_end
     row: dict = {
@@ -446,13 +446,12 @@ def _sweep_point(task: tuple) -> dict:
             grid = build_grid(sc)
             potential = build_potential(grid, sc.potential_kind, **sc.potential_params)
             config = replace(config, potential=potential)
-            if sc.initial_kind is None:
-                initial = perturbed_gaussians(grid, n, seed)
-            else:
-                initial = build_ensemble(replace(sc, n=n, seed=seed), grid)
-            trajectory = evolve(
-                initial, config, SolverParams(dt=dt, t_end=t_end, snapshot_stride=stride)
+            kind = sc.initial_kind or "perturbed_gaussians"
+            initial = build_ensemble(replace(sc, n=n, seed=seed, initial_kind=kind), grid)
+            solver = replace(
+                sc.solver or SolverParams(dt, t_end), dt=dt, t_end=t_end, snapshot_stride=stride
             )
+            trajectory = evolve(initial, config, solver)
             series = trajectory.gram_series()
             result = classify_sync(trajectory.diagnostics_stream, CLASSIFY_TOL)
         else:

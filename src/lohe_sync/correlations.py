@@ -125,12 +125,15 @@ class CorrelationState:
         self.z = z
 
     @classmethod
-    def from_ensemble(cls, state: EnsembleState) -> "CorrelationState":
-        z = gram_matrix(state)
-        # measured Gram of near-unit states; rescale the diagonal drift away
+    def from_gram(cls, time: float, z: np.ndarray) -> "CorrelationState":
+        """Correlations from the measured Gram matrix of near-unit states,
+        with the diagonal drift rescaled away."""
         d = np.sqrt(np.abs(np.diag(z)))
-        z = z / np.outer(d, d)
-        return cls(time=state.time, z=z)
+        return cls(time=time, z=z / np.outer(d, d))
+
+    @classmethod
+    def from_ensemble(cls, state: EnsembleState) -> "CorrelationState":
+        return cls.from_gram(state.time, gram_matrix(state))
 
     @property
     def n_oscillators(self) -> int:
@@ -355,11 +358,13 @@ class CorrelationSeries:
         return CorrelationState(time=float(self.times[index]), z=self.z[index].copy())
 
 
-def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
+def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, to_z, self_check_every=0):
     """Fixed-step RK4 from y0, sampled every sample_stride steps plus the end.
 
-    y0 is an N x N correlation matrix, whose lower triangle is mirrored from
-    the upper one after every step, or a Python complex (the pair system).
+    y0 is an N x N matrix, whose lower triangle is mirrored from the upper
+    one after every step, or a Python complex (the pair system). to_z maps
+    the stacked samples, returned or attached to a DivergenceError, back to
+    correlations.
     """
     matrix = isinstance(y0, np.ndarray)
     y = y0.copy() if matrix else y0
@@ -375,7 +380,10 @@ def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
                     "correlation integration produced non-finite values",
                     step_index=step,
                     time=step * dt,
-                    partial={"times": np.array(sample_steps) * dt, "values": np.array(samples)},
+                    partial={
+                        "times": np.array(sample_steps) * dt,
+                        "values": to_z(np.array(samples)),
+                    },
                 )
             if matrix and self_check_every and (step // sample_stride) % self_check_every == 0:
                 drift = np.max(np.abs(y - y.conj().T))
@@ -389,7 +397,7 @@ def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
     if sample_steps[-1] != n_steps:
         samples.append(y)
         sample_steps.append(n_steps)
-    return np.array(sample_steps), np.array(samples)
+    return np.array(sample_steps), to_z(np.array(samples))
 
 
 def _two_omega(config: ModelConfig) -> float:
@@ -423,6 +431,7 @@ def integrate(
         raise ConfigurationError("sample_stride must be >= 1")
     n_steps = step_count(dt, t_end)
     k = config.coupling
+    to_z = np.asarray
 
     if system == "two":
         omega = _two_omega(config)
@@ -444,6 +453,9 @@ def integrate(
                 return -0.5 * k * (2.0 - np.conj(phi)[:, None] - phi[None, :]) * big_f
 
             y0 = 1.0 - state.z
+
+            def to_z(big_f):
+                return 1.0 - big_f
         else:
 
             def deriv(z):
@@ -454,18 +466,14 @@ def integrate(
         raise ConfigurationError(f"unknown system {system!r}; expected full, two, or fg")
 
     check_every = 8 if self_check else 0
-    steps, samples = _rk4_samples(y0, deriv, dt, n_steps, sample_stride, check_every)
-    if system == "fg":
-        samples = 1.0 - samples
+    steps, samples = _rk4_samples(y0, deriv, dt, n_steps, sample_stride, to_z, check_every)
     richardson = None
     if self_check:
         if n_steps % 2:
             warnings.warn("self_check needs an even step count; estimate skipped")
         elif n_steps >= 2:
             half = n_steps // 2
-            last = _rk4_samples(y0, deriv, 2.0 * dt, half, half)[1][-1]
-            if system == "fg":
-                last = 1.0 - last
+            last = _rk4_samples(y0, deriv, 2.0 * dt, half, half, to_z)[1][-1]
             richardson = float(np.max(np.abs(samples[-1] - last)) / 15.0)
     if system == "two":
         series = CorrelationSeries.from_pair(steps * dt, samples)

@@ -157,7 +157,7 @@ def compute_record(state: EnsembleState, config: ModelConfig) -> DiagnosticsReco
         pair_l2=pair_l2,
         pair_h1=pair_h1,
         zeta_norm=op.norm,
-        correlations=CorrelationState.from_ensemble(state),
+        correlations=CorrelationState.from_gram(state.time, raw_gram),
         energies=EnergyReport(
             total=total,
             per_osc=diag_b,

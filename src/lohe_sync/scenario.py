@@ -1,11 +1,14 @@
 """Scenario files: the sectioned key-value grammar the CLI consumes.
 
 A scenario is an INI document. Unknown sections and keys are rejected so
-typos fail loudly instead of silently running defaults.
+typos fail loudly instead of silently running defaults. Every key below is
+one row of a single key table that both parse_scenario and render_scenario
+walk, so a rendered manifest parses back to the scenario it came from; the
+[initial] family keys are rows of the family table build_ensemble reads.
 
     [scenario]
     name = two_osc_lambda075     # required; names output directories
-    seed = 2024                  # optional, default 0
+    seed = 2024                  # default 0
 
     [grid]                       # all optional
     dim = 1                      # 1..3, default 1
@@ -13,55 +16,64 @@ typos fail loudly instead of silently running defaults.
     length = 20.0                # box side, default 20.0
 
     [model]
-    n = 2                        # oscillator count
-    coupling = 1.0               # K >= 0
-    frequencies = 0.375, -0.375  # N values, or for N = 2:
+    n = 2                        # oscillator count, default 2
+    coupling = 1.0               # K >= 0, default 1.0
+    frequencies = 0.375, -0.375  # N values (default all 0), or for N = 2:
     # lam = 0.75                 # shorthand for the mirrored pair (lam*K/2, -lam*K/2)
     potential = zero             # zero | cosine | barrier, default zero
     # potential.amplitude = 1.0  # extra parameters as potential.<name>
     # potential.offset = 1.0
 
     [initial]                    # PDE ensembles
-    kind = gaussian_pair         # perturbed_gaussians | gaussian_pair | overlap_pair |
-                                 # incoherent_pair | plane_waves | snapshot
-    separation = 2.0             # remaining keys are passed to the family builder
-    # path = run/state.slw       # (snapshot kind)
-    # modes = 1, 2, -1           # (plane_waves kind)
+    kind = gaussian_pair         # required: one of the families below
+    separation = 2.0             # the family's own keys, checked when the
+                                 # ensemble is built; absent ones default to:
+      # perturbed_gaussians: sigma = 1.5, epsilon = 0.25, max_mode = 6
+      #                      (n and seed come from the scenario)
+      # gaussian_pair:       separation = 2.0, sigma = 1.5, momentum_kick = 0.0
+      # overlap_pair:        overlap = 0.5 (complex literal), sigma = 1.5
+      # incoherent_pair:     sigma = 1.5
+      # plane_waves:         modes = 1, 2, -1 (required, one per oscillator)
+      # snapshot:            path = run/state.slw (required)
 
     [ode]                        # correlation-level runs
-    system = two                 # two | full | fg
-    dt = 1e-3
-    t_end = 20.0
-    sample_stride = 20
-    self_check = false
+    system = two                 # two | full | fg, default full
+    dt = 1e-3                    # default 1e-3
+    t_end = 20.0                 # required
+    sample_stride = 20           # default 1
+    self_check = false           # default false
     z0 = 0.3+0.2j                # system=two: complex literal, or "unstable"
     # gram = random              # full/fg: random | ones  (random uses the seed)
-    # coherence = 0.5            # bias for gram = random
+    # coherence = 0.5            # bias for gram = random, default 0.0
 
     [solver]                     # PDE stepping
-    scheme = strang_rk4          # strang_rk4 | full_rk4
-    dt = 1e-3
-    t_end = 20.0
-    snapshot_stride = 20
-    renormalize = false
+    scheme = strang_rk4          # strang_rk4 | full_rk4, default strang_rk4
+    dt = 1e-3                    # default 1e-3
+    t_end = 20.0                 # required, a whole number of dt steps
+    snapshot_stride = 20         # default 1
+    renormalize = false          # default false
 
     [outputs]
-    formats = ndjson             # any of ndjson, csv
-    final_snapshot = false
-    diagnostics = true
+    formats = ndjson             # any of ndjson, csv; default ndjson
+    final_snapshot = false       # default false
+    diagnostics = true           # default true
 
     [verify]
-    checks = mass:1e-9, two_exact:1e-6
+    checks = mass:1e-9, two_exact:1e-6   # name:tolerance list, default none
 
     [sweep]
-    coupling = 1.0               # each axis: comma list or start:stop:step
-    omega = 0:1:0.1
-    n = 2
+    coupling = 1.0               # each axis: comma list or start:stop:step;
+    omega = 0:1:0.1              # the axes default to coupling = 1.0,
+    n = 2                        # omega = 0.0, n = 2, seeds = 0
     seeds = 0
-    mode = ode                   # ode | pde (pde cells use [grid], the
-                                 # potential and [initial] with each n, seed)
-    t_end = 20.0
-    dt = 1e-3
+    mode = ode                   # ode | pde, default ode
+    t_end = 20.0                 # default 20.0
+    dt = 1e-3                    # default 1e-3
+
+A pde sweep runs each cell on the scenario's [grid], potential and [initial]
+family (perturbed_gaussians when it has none) with the cell's n and seed. It
+takes scheme and renormalize from [solver] when that section is present;
+dt and t_end always come from [sweep].
 
 Values follow Python literal conventions for floats and complex numbers.
 """
@@ -69,8 +81,8 @@ Values follow Python literal conventions for floats and complex numbers.
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -101,17 +113,6 @@ __all__ = [
     "build_ensemble",
     "build_ode_initial",
 ]
-
-_SECTIONS = ("scenario", "grid", "model", "initial", "ode", "solver", "outputs", "verify", "sweep")
-
-_PDE_KINDS = (
-    "perturbed_gaussians",
-    "gaussian_pair",
-    "overlap_pair",
-    "incoherent_pair",
-    "plane_waves",
-    "snapshot",
-)
 
 
 @dataclass(frozen=True)
@@ -170,76 +171,292 @@ def _fail(section: str, key: str, message: str):
     raise ConfigurationError(f"[{section}] {key}: {message}")
 
 
-def _get_float(sec, section: str, key: str, default=None) -> float:
-    raw = sec.get(key)
-    if raw is None:
-        if default is None:
-            _fail(section, key, "missing required value")
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        _fail(section, key, f"expected a number, got {raw!r}")
+# -- codecs: each decoder turns a value's text into the value, raising
+# ValueError with the message; each encoder writes the text back ----------------
 
 
-def _get_int(sec, section: str, key: str, default=None) -> int:
-    raw = sec.get(key)
-    if raw is None:
-        if default is None:
-            _fail(section, key, "missing required value")
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        _fail(section, key, f"expected an integer, got {raw!r}")
+def _parsed(convert, what: str):
+    """Decoder applying convert, with a readable message when it fails."""
+
+    def decode(raw: str):
+        try:
+            return convert(raw)
+        except (ValueError, KeyError):
+            raise ValueError(f"expected {what}, got {raw!r}") from None
+
+    return decode
 
 
-def _get_bool(sec, section: str, key: str, default: bool) -> bool:
-    raw = sec.get(key)
-    if raw is None:
-        return default
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    _fail(section, key, f"expected a boolean, got {raw!r}")
+def _word(*choices: str):
+    """Decoder for a bare word, restricted to choices when any are given."""
+
+    def decode(raw: str) -> str:
+        word = raw.strip()
+        if choices and word not in choices:
+            raise ValueError(f"expected one of {choices}, got {word!r}")
+        return word
+
+    return decode
 
 
-def _float_list(raw: str, section: str, key: str) -> tuple[float, ...]:
-    toks = [t for t in raw.replace(",", " ").split() if t]
-    try:
-        return tuple(float(t) for t in toks)
-    except ValueError:
-        _fail(section, key, f"expected numbers, got {raw!r}")
+def _tokens(raw: str) -> list[str]:
+    return [t for t in raw.replace(",", " ").split() if t]
 
 
-def _axis_values(raw: str, section: str, key: str, integer=False):
+def _join(encode):
+    return lambda values: ", ".join(encode(v) for v in values)
+
+
+def _complex(raw: str) -> complex:
+    return complex(raw.replace(" ", ""))
+
+
+def _z0(raw: str) -> complex | str:
+    raw = raw.strip()
+    return raw if raw == "unstable" else _complex(raw)
+
+
+def _axis(raw: str, integer: bool = False) -> tuple:
     """One sweep axis: a comma list, or an inclusive start:stop:step range."""
     raw = raw.strip()
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
-            _fail(section, key, "range syntax is start:stop:step")
+            raise ValueError("range syntax is start:stop:step")
         try:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
-            _fail(section, key, f"expected numbers in range, got {raw!r}")
+            raise ValueError(f"expected numbers in range, got {raw!r}") from None
         if step <= 0:
-            _fail(section, key, "range step must be positive")
+            raise ValueError("range step must be positive")
         count = int(np.floor((stop - start) / step + 1e-6)) + 1
         # snap to a 1e-12 lattice so 0:1:0.1 lands on 1.0, not 0.999...9
         vals = tuple(round(start + i * step, 12) for i in range(max(count, 0)))
     else:
-        vals = _float_list(raw, section, key)
+        vals = _FLOATS[0](raw)
     if integer:
-        out = []
         for v in vals:
             if abs(v - round(v)) > 1e-9:
-                _fail(section, key, f"expected integers, got {v}")
-            out.append(int(round(v)))
-        return tuple(out)
+                raise ValueError(f"expected integers, got {v}")
+        return tuple(int(round(v)) for v in vals)
     return vals
+
+
+def _formats(raw: str) -> tuple[str, ...] | None:
+    # an empty list keeps the default
+    return tuple(_word("ndjson", "csv")(fmt) for fmt in _tokens(raw)) or None
+
+
+def _checks(raw: str) -> tuple[tuple[str, float], ...]:
+    checks = []
+    for item in raw.replace("\n", ",").split(","):
+        item = item.strip()
+        if not item:
+            continue
+        if ":" not in item:
+            raise ValueError(f"expected name:tolerance, got {item!r}")
+        name, tol = item.rsplit(":", 1)
+        try:
+            checks.append((name.strip(), float(tol)))
+        except ValueError:
+            raise ValueError(f"bad tolerance in {item!r}") from None
+    return tuple(checks)
+
+
+# floats are written with repr, so every value parses back bit for bit
+_INT = (_parsed(int, "an integer"), str)
+_FLOAT = (_parsed(float, "a number"), repr)
+_TRUTH = configparser.ConfigParser.BOOLEAN_STATES  # true/yes/on/1 and false/no/off/0
+_BOOL = (_parsed(lambda raw: _TRUTH[raw.strip().lower()], "a boolean"), lambda v: str(v).lower())
+_FLOATS = (_parsed(lambda raw: tuple(float(t) for t in _tokens(raw)), "numbers"), _join(repr))
+_INTS = (_parsed(lambda raw: [int(t) for t in _tokens(raw)], "integers"), _join(str))
+_CHECKS = (_checks, lambda checks: ", ".join(f"{name}:{tol!r}" for name, tol in checks))
+_AXIS = (_axis, _join(repr))
+_INT_AXIS = (lambda raw: _axis(raw, integer=True), _join(str))
+_Z0 = (
+    _parsed(_z0, "a complex literal or 'unstable'"),
+    lambda z: z if isinstance(z, str) else repr(z).strip("()"),
+)
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One key: its name in the file, its decoder and encoder, and the
+    attribute it fills (the name unless given). default is the text an absent
+    key decodes from; without one the target's own default applies, or, for a
+    required key, the section is rejected."""
+
+    name: str
+    decode: Callable[[str], object]
+    encode: Callable[[object], str] = str
+    attr: str = ""
+    default: str | None = None
+    required: bool = False
+
+    def __post_init__(self):
+        if not self.attr:
+            object.__setattr__(self, "attr", self.name)
+
+
+@dataclass(frozen=True)
+class _Section:
+    """One [section]. Its keys fill Scenario fields directly, or, with a
+    target, the dataclass held in the Scenario attribute of the section's
+    name. extras admits free-form keys: extras.name is the prefix they share,
+    extras.attr the Scenario dict they land in under the rest of the key."""
+
+    name: str
+    keys: tuple[_Key, ...]
+    target: type | None = None
+    extras: _Key | None = None
+
+
+def _on_grid(builder):
+    return lambda sc, grid, **kw: builder(grid, **kw)
+
+
+def _snapshot_state(grid: GridSpec, path: str) -> EnsembleState:
+    state = read_snapshot(path)
+    if state.grid != grid:
+        raise ConfigurationError(
+            f"snapshot grid does not match the scenario grid ({state.grid} vs {grid})"
+        )
+    return state
+
+
+# [initial] kind -> (builder(sc, grid, **keys), the family's keys); an absent
+# key takes the builder's own default
+_FAMILIES = {
+    "perturbed_gaussians": (
+        lambda sc, grid, **kw: perturbed_gaussians(grid, sc.n, sc.seed, **kw),
+        (
+            _Key("sigma", *_FLOAT),
+            _Key("epsilon", *_FLOAT),
+            _Key("max_mode", _parsed(lambda raw: int(float(raw)), "a number")),
+        ),
+    ),
+    "gaussian_pair": (
+        _on_grid(gaussian_pair),
+        (_Key("separation", *_FLOAT), _Key("sigma", *_FLOAT), _Key("momentum_kick", *_FLOAT)),
+    ),
+    "overlap_pair": (
+        _on_grid(overlap_pair),
+        (_Key("overlap", _parsed(_complex, "a complex literal")), _Key("sigma", *_FLOAT)),
+    ),
+    "incoherent_pair": (_on_grid(incoherent_pair), (_Key("sigma", *_FLOAT),)),
+    "plane_waves": (_on_grid(plane_waves), (_Key("modes", *_INTS, required=True),)),
+    "snapshot": (_on_grid(_snapshot_state), (_Key("path", str, required=True),)),
+}
+
+_SCHEMA = (
+    _Section("scenario", (_Key("name", _word(), required=True), _Key("seed", *_INT))),
+    _Section(
+        "grid",
+        (
+            _Key("dim", *_INT, attr="grid_dim"),
+            _Key("points", *_INT, attr="grid_points"),
+            _Key("length", *_FLOAT, attr="grid_length"),
+        ),
+    ),
+    _Section(
+        "model",
+        (
+            _Key("n", *_INT),
+            _Key("coupling", *_FLOAT),
+            _Key("frequencies", *_FLOATS),
+            _Key("lam", *_FLOAT),
+            _Key("potential", _word(), attr="potential_kind"),
+        ),
+        extras=_Key("potential.", *_FLOAT, attr="potential_params"),
+    ),
+    _Section(
+        "initial",
+        (_Key("kind", _word(*_FAMILIES), attr="initial_kind", required=True),),
+        extras=_Key("", str.strip, attr="initial_params"),
+    ),
+    _Section(
+        "ode",
+        (
+            _Key("system", _word("full", "two", "fg"), default="full"),
+            _Key("dt", *_FLOAT, default="1e-3"),
+            _Key("t_end", *_FLOAT, required=True),
+            _Key("sample_stride", *_INT),
+            _Key("self_check", *_BOOL),
+            _Key("z0", *_Z0),
+            _Key("gram", _word("random", "ones")),
+            _Key("coherence", *_FLOAT),
+        ),
+        target=OdeParams,
+    ),
+    _Section(
+        "solver",
+        (
+            _Key("scheme", _word()),
+            _Key("dt", *_FLOAT, default="1e-3"),
+            _Key("t_end", *_FLOAT, required=True),
+            _Key("snapshot_stride", *_INT),
+            _Key("renormalize", *_BOOL, attr="renormalize_each_step"),
+        ),
+        target=SolverParams,
+    ),
+    _Section(
+        "outputs",
+        (
+            _Key("formats", _formats, _join(str)),
+            _Key("final_snapshot", *_BOOL),
+            _Key("diagnostics", *_BOOL),
+        ),
+        target=OutputSpec,
+    ),
+    _Section("verify", (_Key("checks", *_CHECKS),)),
+    _Section(
+        "sweep",
+        (
+            _Key("coupling", *_AXIS, default="1.0"),
+            _Key("omega", *_AXIS, default="0.0"),
+            _Key("n", *_INT_AXIS, default="2"),
+            _Key("seeds", *_INT_AXIS, default="0"),
+            _Key("mode", _word("ode", "pde")),
+            _Key("dt", *_FLOAT),
+            _Key("t_end", *_FLOAT),
+        ),
+        target=SweepSpec,
+    ),
+)
+
+
+def _decode_section(section: str, keys, raw, extras=None, unknown="unknown key") -> dict:
+    """Attribute -> value for one section's text mapping raw. A key whose
+    decoder returns None is left out, as is an absent key without a table
+    default, so the target's own default applies."""
+    names = {key.name for key in keys}
+    for name in raw:
+        if name not in names and (extras is None or not name.startswith(extras.name)):
+            _fail(section, name, unknown)
+
+    def decode(key: _Key, name: str, text: str):
+        try:
+            return key.decode(text)
+        except ValueError as exc:
+            _fail(section, name, str(exc))
+
+    values = {}
+    for key in keys:
+        text = raw.get(key.name, key.default)
+        if text is None:
+            if key.required:
+                _fail(section, key.name, "missing required value")
+            continue
+        value = decode(key, key.name, text)
+        if value is not None:
+            values[key.attr] = value
+    if extras is not None:
+        values[extras.attr] = {
+            name[len(extras.name) :]: decode(extras, name, raw[name])
+            for name in raw
+            if name not in names
+        }
+    return values
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
@@ -249,213 +466,38 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     except configparser.Error as exc:
         raise ConfigurationError(f"{source}: {exc}") from exc
 
+    names = tuple(spec.name for spec in _SCHEMA)
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in names:
             raise ConfigurationError(
-                f"{source}: unknown section [{section}]; expected one of {_SECTIONS}"
+                f"{source}: unknown section [{section}]; expected one of {names}"
             )
+    if not parser.has_section("scenario"):
+        parser.add_section("scenario")  # so a missing name fails like any required key
 
-    if "scenario" not in parser or "name" not in parser["scenario"]:
-        raise ConfigurationError(f"{source}: [scenario] name is required")
-    meta = parser["scenario"]
-    for key in meta:
-        if key not in ("name", "seed"):
-            _fail("scenario", key, "unknown key")
-    name = meta["name"].strip()
-    seed = _get_int(meta, "scenario", "seed", 0)
-
-    grid = parser["grid"] if "grid" in parser else {}
-    if grid:
-        for key in grid:
-            if key not in ("dim", "points", "length"):
-                _fail("grid", key, "unknown key")
-    grid_dim = _get_int(grid, "grid", "dim", 1)
-    grid_points = _get_int(grid, "grid", "points", 256)
-    grid_length = _get_float(grid, "grid", "length", 20.0)
-
-    model = parser["model"] if "model" in parser else {}
-    potential_kind = "zero"
-    potential_params: dict = {}
-    frequencies = None
-    lam = None
-    n = 2
-    coupling = 1.0
-    if model:
-        for key in model:
-            if key in ("n", "coupling", "frequencies", "lam", "potential"):
-                continue
-            if key.startswith("potential."):
-                continue
-            _fail("model", key, "unknown key")
-        n = _get_int(model, "model", "n", 2)
-        coupling = _get_float(model, "model", "coupling", 1.0)
-        if "frequencies" in model and "lam" in model:
-            _fail("model", "frequencies", "give either frequencies or lam, not both")
-        if "frequencies" in model:
-            frequencies = _float_list(model["frequencies"], "model", "frequencies")
-            if len(frequencies) != n:
-                _fail("model", "frequencies", f"expected {n} values, got {len(frequencies)}")
-        elif "lam" in model:
-            if n != 2:
-                _fail("model", "lam", "the lam shorthand needs n = 2")
-            lam = _get_float(model, "model", "lam")
-            if lam < 0:
-                _fail("model", "lam", "must be >= 0")
-        potential_kind = model.get("potential", "zero").strip()
-        for key in model:
-            if key.startswith("potential."):
-                potential_params[key[len("potential.") :]] = _get_float(model, "model", key)
-
-    initial_kind = None
-    initial_params: dict = {}
-    if "initial" in parser:
-        init = parser["initial"]
-        if "kind" not in init:
-            _fail("initial", "kind", "missing required value")
-        initial_kind = init["kind"].strip()
-        if initial_kind not in _PDE_KINDS:
-            _fail("initial", "kind", f"unknown family; expected one of {_PDE_KINDS}")
-        for key in init:
-            if key != "kind":
-                initial_params[key] = init[key].strip()
-
-    ode = None
-    if "ode" in parser:
-        sec = parser["ode"]
-        for key in sec:
-            if key not in (
-                "system",
-                "dt",
-                "t_end",
-                "sample_stride",
-                "self_check",
-                "z0",
-                "gram",
-                "coherence",
-            ):
-                _fail("ode", key, "unknown key")
-        system = sec.get("system", "full").strip()
-        if system not in ("full", "two", "fg"):
-            _fail("ode", "system", f"expected full, two, or fg, got {system!r}")
-        z0: complex | str | None = None
-        if "z0" in sec:
-            raw = sec["z0"].strip()
-            if raw == "unstable":
-                z0 = "unstable"
-            else:
-                try:
-                    z0 = complex(raw.replace(" ", ""))
-                except ValueError:
-                    _fail("ode", "z0", f"expected a complex literal or 'unstable', got {raw!r}")
-        gram = sec.get("gram")
-        if gram is not None:
-            gram = gram.strip()
-            if gram not in ("random", "ones"):
-                _fail("ode", "gram", f"expected random or ones, got {gram!r}")
-        ode = OdeParams(
-            system=system,
-            dt=_get_float(sec, "ode", "dt", 1e-3),
-            t_end=_get_float(sec, "ode", "t_end"),
-            sample_stride=_get_int(sec, "ode", "sample_stride", 1),
-            self_check=_get_bool(sec, "ode", "self_check", False),
-            z0=z0,
-            gram=gram,
-            coherence=_get_float(sec, "ode", "coherence", 0.0),
-        )
-
-    solver = None
-    if "solver" in parser:
-        sec = parser["solver"]
-        for key in sec:
-            if key not in ("scheme", "dt", "t_end", "snapshot_stride", "renormalize"):
-                _fail("solver", key, "unknown key")
+    fields: dict = {}
+    for spec in _SCHEMA:
+        if not parser.has_section(spec.name):
+            continue
+        values = _decode_section(spec.name, spec.keys, parser[spec.name], spec.extras)
+        if spec.target is None:
+            fields.update(values)
+            continue
         try:
-            solver = SolverParams(
-                dt=_get_float(sec, "solver", "dt", 1e-3),
-                t_end=_get_float(sec, "solver", "t_end"),
-                scheme=sec.get("scheme", "strang_rk4").strip(),
-                renormalize_each_step=_get_bool(sec, "solver", "renormalize", False),
-                snapshot_stride=_get_int(sec, "solver", "snapshot_stride", 1),
-            )
+            fields[spec.name] = spec.target(**values)
         except ConfigurationError as exc:
-            raise ConfigurationError(f"[solver] {exc}") from exc
+            raise ConfigurationError(f"[{spec.name}] {exc}") from exc
+    sc = Scenario(**fields)
 
-    outputs = OutputSpec()
-    if "outputs" in parser:
-        sec = parser["outputs"]
-        for key in sec:
-            if key not in ("formats", "final_snapshot", "diagnostics"):
-                _fail("outputs", key, "unknown key")
-        formats = tuple(
-            t for t in sec.get("formats", "ndjson").replace(",", " ").split() if t
-        )
-        for fmt in formats:
-            if fmt not in ("ndjson", "csv"):
-                _fail("outputs", "formats", f"unknown format {fmt!r}")
-        outputs = OutputSpec(
-            formats=formats or ("ndjson",),
-            final_snapshot=_get_bool(sec, "outputs", "final_snapshot", False),
-            diagnostics=_get_bool(sec, "outputs", "diagnostics", True),
-        )
-
-    checks: list[tuple[str, float]] = []
-    if "verify" in parser:
-        sec = parser["verify"]
-        for key in sec:
-            if key != "checks":
-                _fail("verify", key, "unknown key")
-        raw = sec.get("checks", "")
-        for item in raw.replace("\n", ",").split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if ":" not in item:
-                _fail("verify", "checks", f"expected name:tolerance, got {item!r}")
-            cname, tol = item.rsplit(":", 1)
-            try:
-                checks.append((cname.strip(), float(tol)))
-            except ValueError:
-                _fail("verify", "checks", f"bad tolerance in {item!r}")
-
-    sweep = None
-    if "sweep" in parser:
-        sec = parser["sweep"]
-        for key in sec:
-            if key not in ("coupling", "omega", "n", "seeds", "mode", "dt", "t_end"):
-                _fail("sweep", key, "unknown key")
-        mode = sec.get("mode", "ode").strip()
-        if mode not in ("ode", "pde"):
-            _fail("sweep", "mode", f"expected ode or pde, got {mode!r}")
-        sweep = SweepSpec(
-            coupling=_axis_values(sec.get("coupling", "1.0"), "sweep", "coupling"),
-            omega=_axis_values(sec.get("omega", "0.0"), "sweep", "omega"),
-            n=_axis_values(sec.get("n", "2"), "sweep", "n", integer=True),
-            seeds=_axis_values(sec.get("seeds", "0"), "sweep", "seeds", integer=True),
-            mode=mode,
-            dt=_get_float(sec, "sweep", "dt", 1e-3),
-            t_end=_get_float(sec, "sweep", "t_end", 20.0),
-        )
-
-    return Scenario(
-        name=name,
-        seed=seed,
-        grid_dim=grid_dim,
-        grid_points=grid_points,
-        grid_length=grid_length,
-        n=n,
-        coupling=coupling,
-        frequencies=frequencies,
-        lam=lam,
-        potential_kind=potential_kind,
-        potential_params=potential_params,
-        initial_kind=initial_kind,
-        initial_params=initial_params,
-        ode=ode,
-        solver=solver,
-        outputs=outputs,
-        checks=tuple(checks),
-        sweep=sweep,
-    )
+    if sc.frequencies is not None and sc.lam is not None:
+        _fail("model", "frequencies", "give either frequencies or lam, not both")
+    if sc.frequencies is not None and len(sc.frequencies) != sc.n:
+        _fail("model", "frequencies", f"expected {sc.n} values, got {len(sc.frequencies)}")
+    if sc.lam is not None and sc.n != 2:
+        _fail("model", "lam", "the lam shorthand needs n = 2")
+    if sc.lam is not None and sc.lam < 0:
+        _fail("model", "lam", "must be >= 0")
+    return sc
 
 
 def load_scenario(path) -> Scenario:
@@ -470,87 +512,24 @@ def load_scenario(path) -> Scenario:
 def render_scenario(sc: Scenario) -> str:
     """Canonical text form of a resolved scenario; parses back to the same
     Scenario, which is what makes manifests re-runnable."""
-    out = io.StringIO()
-
-    def sec(header, pairs):
-        rows = [(k, v) for k, v in pairs if v is not None]
-        if not rows:
-            return
-        out.write(f"[{header}]\n")
-        for k, v in rows:
-            out.write(f"{k} = {v}\n")
-        out.write("\n")
-
-    sec("scenario", [("name", sc.name), ("seed", sc.seed)])
-    sec("grid", [("dim", sc.grid_dim), ("points", sc.grid_points), ("length", repr(sc.grid_length))])
-    model_rows = [("n", sc.n), ("coupling", repr(sc.coupling))]
-    if sc.frequencies is not None:
-        model_rows.append(("frequencies", ", ".join(repr(w) for w in sc.frequencies)))
-    if sc.lam is not None:
-        model_rows.append(("lam", repr(sc.lam)))
-    model_rows.append(("potential", sc.potential_kind))
-    for k in sorted(sc.potential_params):
-        model_rows.append((f"potential.{k}", repr(sc.potential_params[k])))
-    sec("model", model_rows)
-    if sc.initial_kind is not None:
-        rows = [("kind", sc.initial_kind)]
-        rows.extend((k, sc.initial_params[k]) for k in sorted(sc.initial_params))
-        sec("initial", rows)
-    if sc.ode is not None:
-        o = sc.ode
-        z0 = None
-        if o.z0 is not None:
-            z0 = o.z0 if isinstance(o.z0, str) else repr(o.z0).strip("()")
-        sec(
-            "ode",
-            [
-                ("system", o.system),
-                ("dt", repr(o.dt)),
-                ("t_end", repr(o.t_end)),
-                ("sample_stride", o.sample_stride),
-                ("self_check", str(o.self_check).lower()),
-                ("z0", z0),
-                ("gram", o.gram),
-                ("coherence", repr(o.coherence) if o.gram == "random" else None),
-            ],
-        )
-    if sc.solver is not None:
-        s = sc.solver
-        sec(
-            "solver",
-            [
-                ("scheme", s.scheme),
-                ("dt", repr(s.dt)),
-                ("t_end", repr(s.t_end)),
-                ("snapshot_stride", s.snapshot_stride),
-                ("renormalize", str(s.renormalize_each_step).lower()),
-            ],
-        )
-    sec(
-        "outputs",
-        [
-            ("formats", ", ".join(sc.outputs.formats)),
-            ("final_snapshot", str(sc.outputs.final_snapshot).lower()),
-            ("diagnostics", str(sc.outputs.diagnostics).lower()),
-        ],
-    )
-    if sc.checks:
-        sec("verify", [("checks", ", ".join(f"{nm}:{tol!r}" for nm, tol in sc.checks))])
-    if sc.sweep is not None:
-        w = sc.sweep
-        sec(
-            "sweep",
-            [
-                ("coupling", ", ".join(repr(v) for v in w.coupling)),
-                ("omega", ", ".join(repr(v) for v in w.omega)),
-                ("n", ", ".join(str(v) for v in w.n)),
-                ("seeds", ", ".join(str(v) for v in w.seeds)),
-                ("mode", w.mode),
-                ("dt", repr(w.dt)),
-                ("t_end", repr(w.t_end)),
-            ],
-        )
-    return out.getvalue()
+    out = []
+    for spec in _SCHEMA:
+        obj = sc if spec.target is None else getattr(sc, spec.name)
+        if obj is None:
+            continue
+        rows = [
+            (key.name, key.encode(value))
+            for key in spec.keys
+            if (value := getattr(obj, key.attr)) is not None and value != ()
+        ]
+        if spec.extras is not None:
+            extra = getattr(obj, spec.extras.attr)
+            rows += [(spec.extras.name + k, spec.extras.encode(extra[k])) for k in sorted(extra)]
+        if spec.name == "ode" and obj.gram != "random":  # coherence only biases gram = random
+            rows = [row for row in rows if row[0] != "coherence"]
+        if rows:
+            out.append(f"[{spec.name}]\n" + "".join(f"{k} = {v}\n" for k, v in rows) + "\n")
+    return "".join(out)
 
 
 def build_grid(sc: Scenario) -> GridSpec:
@@ -575,79 +554,15 @@ def build_model(sc: Scenario, grid: GridSpec) -> ModelConfig:
     )
 
 
-def _param_float(params: dict, key: str, default: float) -> float:
-    raw = params.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        _fail("initial", key, f"expected a number, got {raw!r}")
-
-
 def build_ensemble(sc: Scenario, grid: GridSpec) -> EnsembleState:
     """Construct the PDE initial ensemble a scenario asks for."""
-    kind = sc.initial_kind
-    if kind is None:
+    if sc.initial_kind is None:
         raise ConfigurationError("scenario has no [initial] section for a PDE run")
-    p = sc.initial_params
-    known: dict[str, tuple[str, ...]] = {
-        "perturbed_gaussians": ("sigma", "epsilon", "max_mode"),
-        "gaussian_pair": ("separation", "sigma", "momentum_kick"),
-        "overlap_pair": ("overlap", "sigma"),
-        "incoherent_pair": ("sigma",),
-        "plane_waves": ("modes",),
-        "snapshot": ("path",),
-    }
-    for key in p:
-        if key not in known[kind]:
-            _fail("initial", key, f"unknown key for kind {kind}")
-    if kind == "perturbed_gaussians":
-        return perturbed_gaussians(
-            grid,
-            sc.n,
-            sc.seed,
-            sigma=_param_float(p, "sigma", 1.5),
-            epsilon=_param_float(p, "epsilon", 0.25),
-            max_mode=int(_param_float(p, "max_mode", 6)),
-        )
-    if kind == "gaussian_pair":
-        return gaussian_pair(
-            grid,
-            separation=_param_float(p, "separation", 2.0),
-            sigma=_param_float(p, "sigma", 1.5),
-            momentum_kick=_param_float(p, "momentum_kick", 0.0),
-        )
-    if kind == "overlap_pair":
-        raw = p.get("overlap", "0.5")
-        try:
-            z0 = complex(raw.replace(" ", ""))
-        except ValueError:
-            _fail("initial", "overlap", f"expected a complex literal, got {raw!r}")
-        return overlap_pair(grid, overlap=z0, sigma=_param_float(p, "sigma", 1.5))
-    if kind == "incoherent_pair":
-        return incoherent_pair(grid, sigma=_param_float(p, "sigma", 1.5))
-    if kind == "plane_waves":
-        raw = p.get("modes")
-        if raw is None:
-            _fail("initial", "modes", "missing required value")
-        try:
-            modes = [int(t) for t in raw.replace(",", " ").split()]
-        except ValueError:
-            _fail("initial", "modes", f"expected integers, got {raw!r}")
-        return plane_waves(grid, modes)
-    if kind == "snapshot":
-        path = p.get("path")
-        if path is None:
-            _fail("initial", "path", "missing required value")
-        state = read_snapshot(path)
-        if state.grid != grid:
-            raise ConfigurationError(
-                "snapshot grid does not match the scenario grid "
-                f"({state.grid} vs {grid})"
-            )
-        return state
-    raise ConfigurationError(f"unhandled initial kind {kind!r}")
+    builder, keys = _FAMILIES[sc.initial_kind]
+    kwargs = _decode_section(
+        "initial", keys, sc.initial_params, unknown=f"unknown key for kind {sc.initial_kind}"
+    )
+    return builder(sc, grid, **kwargs)
 
 
 def build_ode_initial(sc: Scenario, config: ModelConfig):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lohe_sync import (
     ConfigurationError,
     CorrelationState,
+    DivergenceError,
     MacroCorrelation,
     ModelConfig,
     integrate,
@@ -103,6 +104,17 @@ def test_fg_matches_full_for_identical_oscillators():
     a = integrate("full", z0, config, 1e-3, 2.0, sample_stride=200)
     b = integrate("fg", z0, config, 1e-3, 2.0, sample_stride=200)
     assert_close(a.z, b.z, 1e-12, "fg vs full")
+
+
+def test_fg_divergence_reports_correlations():
+    # fg steps F = 1 - z; the partial samples of a blow-up must still be z
+    z0 = random_correlation_matrix(3, seed=21, coherence=0.4)
+    config = config_for(3, coupling=1000.0)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        integrate("fg", z0, config, 1.0, 10.0)
+    first = info.value.partial["values"][0]
+    assert np.array_equal(np.diag(first), np.ones(3))
+    assert_close(first, z0, 1e-15, "partial first sample")
 
 
 def test_fg_rejects_detuning():

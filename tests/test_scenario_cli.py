@@ -1,8 +1,10 @@
 """Scenario files, snapshots, and the command-line surface end to end."""
 
 import csv
+import glob
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,9 +22,17 @@ from lohe_sync import (
     render_scenario,
     write_snapshot,
 )
+import lohe_sync.scenario as scenario_module
 from lohe_sync.cli import main
 from lohe_sync.initial_data import gaussian_pair, perturbed_gaussians
-from lohe_sync.scenario import OdeParams, OutputSpec, Scenario, SweepSpec
+from lohe_sync.scenario import (
+    OdeParams,
+    OutputSpec,
+    Scenario,
+    SweepSpec,
+    build_ensemble,
+    build_grid,
+)
 
 BASE = """
 [scenario]
@@ -163,10 +173,47 @@ def test_render_parse_round_trip_generated(sc):
 def test_unknown_keys_are_rejected():
     with pytest.raises(ConfigurationError, match=r"\[grid\] spacing"):
         parse_scenario("[scenario]\nname = x\n[grid]\nspacing = 0.1\n")
+    for section in ("scenario", "grid", "model", "ode", "solver", "outputs", "verify", "sweep"):
+        header = "" if section == "scenario" else f"[{section}]\n"
+        with pytest.raises(ConfigurationError, match=rf"\[{section}\] bogus: unknown key"):
+            parse_scenario(f"[scenario]\nname = x\n{header}bogus = 1\n")
+    # [initial] keys belong to the family, so they are checked when it is built
+    sc = parse_scenario("[scenario]\nname = x\n[initial]\nkind = gaussian_pair\nbogus = 1\n")
+    with pytest.raises(ConfigurationError, match=r"\[initial\] bogus: unknown key for kind"):
+        build_ensemble(sc, build_grid(sc))
     with pytest.raises(ConfigurationError, match=r"\[bogus\]"):
         parse_scenario("[scenario]\nname = x\n[bogus]\nkey = 1\n")
     with pytest.raises(ConfigurationError, match="name"):
         parse_scenario("[scenario]\nseed = 1\n")
+    for body, missing in (
+        ("[ode]\ndt = 0.1\n", r"\[ode\] t_end"),
+        ("[solver]\ndt = 0.1\n", r"\[solver\] t_end"),
+        ("[initial]\nsigma = 1.0\n", r"\[initial\] kind"),
+    ):
+        with pytest.raises(ConfigurationError, match=missing + ": missing required value"):
+            parse_scenario("[scenario]\nname = x\n" + body)
+
+
+def test_docstring_lists_every_key():
+    # the README sends readers to the module docstring for the full grammar
+    blocks = re.split(r"^ *\[(\w+)\]", scenario_module.__doc__, flags=re.M)
+    documented = dict(zip(blocks[1::2], blocks[2::2]))
+    keys = [(spec.name, key.name) for spec in scenario_module._SCHEMA for key in spec.keys]
+    keys += [
+        ("initial", key.name)
+        for _, family_keys in scenario_module._FAMILIES.values()
+        for key in family_keys
+    ]
+    for section, key in keys:
+        assert re.search(rf"\b{key} =", documented[section]), f"[{section}] {key} undocumented"
+
+
+def test_shipped_scenarios_render_to_a_fixed_point():
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "scenarios", "*.cfg")))
+    assert paths
+    for path in paths:
+        text = render_scenario(load_scenario(path))
+        assert render_scenario(parse_scenario(text)) == text, path
 
 
 def test_frequencies_and_lam_are_exclusive():
@@ -361,6 +408,24 @@ def test_pde_sweep_builds_the_scenario_ensemble(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["config_error"]
     assert "3 frequencies but the ensemble has 2 fields" in rows[0]["detail"]
+
+
+def test_pde_sweep_honours_solver(tmp_path):
+    # full_rk4 at dt = 0.1 leaves the RK4 stability region on this grid, so
+    # only a cell that runs the [solver] scheme diverges
+    cfg = tmp_path / "sweep_solver.cfg"
+    cfg.write_text(
+        "[scenario]\nname = sws\n[grid]\npoints = 64\n"
+        "[solver]\nscheme = full_rk4\ndt = 0.1\nt_end = 5.0\n"
+        "[sweep]\ncoupling = 1.0\nomega = 0.0\nn = 2\nseeds = 0\nmode = pde\n"
+        "dt = 0.1\nt_end = 5.0\n"
+    )
+    out = tmp_path / "o"
+    assert run_cli("sweep", "--scenario", str(cfg), "--out", str(out)) == 0
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["divergence"]
+    assert "solver diverged at step 11" in rows[0]["detail"]
 
 
 def test_simulate_t_end_zero(tmp_path):
