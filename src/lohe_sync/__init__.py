@@ -26,6 +26,7 @@ from .correlations import (
     MacroCorrelation,
     full_rhs,
     integrate,
+    integrate_batch,
     macro_rhs,
     random_correlation_matrix,
     two_rhs,
@@ -113,6 +114,7 @@ __all__ = [
     "two_rhs",
     "macro_rhs",
     "integrate",
+    "integrate_batch",
     "random_correlation_matrix",
     # solver
     "SolverParams",

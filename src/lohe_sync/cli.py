@@ -40,8 +40,10 @@ from .core import ModelConfig
 from .correlations import (
     CorrelationSeries,
     integrate,
+    integrate_batch,
     pair_distance,
     random_correlation_matrix,
+    step_count,
 )
 from .diagnostics import (
     CLASSIFY_MIN_SAMPLES,
@@ -118,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="parallel workers (sweep only; single runs are sequential)",
+            help="parallel workers for the pde cells of a sweep; ode cells are "
+            "integrated together, one batch per n, in this process",
         )
     return parser
 
@@ -417,12 +420,54 @@ def cmd_verify(sc: Scenario, args) -> int:
     return 0 if report["passed"] else 1
 
 
+def _cell_config(coupling: float, omega: float, n: int) -> ModelConfig:
+    if n == 2:
+        frequencies = (omega, -omega)
+    elif omega == 0.0:
+        frequencies = (0.0,) * n
+    else:
+        raise ConfigurationError("omega sweeps with n > 2 need omega = 0")
+    return ModelConfig(coupling=coupling, frequencies=frequencies)
+
+
+def _ode_series(sc: Scenario, cells: list) -> list:
+    """Correlation series, or the error that stops it, for each (coupling,
+    omega, n, seed) cell of an ode sweep. Cells that share n are integrated
+    as one batch, from random_correlation_matrix(n, seed, coherence = 0.5)."""
+    dt, t_end = sc.sweep.dt, sc.sweep.t_end
+    outcomes: list = [None] * len(cells)
+    groups: dict = {}
+    for i, (coupling, omega, n, seed) in enumerate(cells):
+        try:
+            groups.setdefault(n, []).append((i, _cell_config(coupling, omega, n), seed))
+        except ConfigurationError as exc:
+            outcomes[i] = exc
+    for n, members in groups.items():
+        z0s = [random_correlation_matrix(n, seed, coherence=0.5) for _, _, seed in members]
+        try:
+            stride = max(1, step_count(dt, t_end) // 200)
+            results = integrate_batch(
+                z0s,
+                [config.coupling for _, config, _ in members],
+                [config.frequencies for _, config, _ in members],
+                dt,
+                t_end,
+                sample_stride=stride,
+            )
+        except ConfigurationError as exc:
+            results = [exc] * len(members)
+        for (i, _, _), result in zip(members, results):
+            outcomes[i] = result
+    return outcomes
+
+
 def _sweep_point(task: tuple) -> dict:
-    """One sweep cell. pde cells run on the scenario's grid, potential and
-    [initial] family (perturbed_gaussians when it has none), with the cell's
-    n and seed substituted, and with the [solver] scheme and renormalize
-    setting when the scenario has one."""
-    (sc, coupling, omega, n, seed) = task
+    """One sweep cell. An ode cell arrives with its correlation series, or
+    the error that stopped it, from _ode_series. pde cells run here, on the
+    scenario's grid, potential and [initial] family (perturbed_gaussians when
+    it has none), with the cell's n and seed substituted, and with the
+    [solver] scheme and renormalize setting when the scenario has one."""
+    (sc, coupling, omega, n, seed, series) = task
     dt, t_end = sc.sweep.dt, sc.sweep.t_end
     row: dict = {
         "coupling": coupling,
@@ -433,16 +478,11 @@ def _sweep_point(task: tuple) -> dict:
         "detail": "",
     }
     try:
-        if n == 2:
-            frequencies = (omega, -omega)
-        elif omega == 0.0:
-            frequencies = (0.0,) * n
-        else:
-            raise ConfigurationError("omega sweeps with n > 2 need omega = 0")
-        config = ModelConfig(coupling=coupling, frequencies=frequencies)
-        n_steps = int(round(t_end / dt))
-        stride = max(1, n_steps // 200)
+        if isinstance(series, LoheSyncError):
+            raise series
         if sc.sweep.mode == "pde":
+            config = _cell_config(coupling, omega, n)
+            stride = max(1, int(round(t_end / dt)) // 200)
             grid = build_grid(sc)
             potential = build_potential(grid, sc.potential_kind, **sc.potential_params)
             config = replace(config, potential=potential)
@@ -455,8 +495,6 @@ def _sweep_point(task: tuple) -> dict:
             series = trajectory.gram_series()
             result = classify_sync(trajectory.diagnostics_stream, CLASSIFY_TOL)
         else:
-            z0 = random_correlation_matrix(n, seed, coherence=0.5)
-            series = integrate("full", z0, config, dt, t_end, sample_stride=stride)
             result = classify_correlation_sync(series, CLASSIFY_TOL)
         row["classification"] = result.kind
 
@@ -498,16 +536,19 @@ def cmd_sweep(sc: Scenario, args) -> int:
     if sc.sweep is None:
         raise ConfigurationError("sweep needs a [sweep] section")
     spec = sc.sweep
-    tasks = [
-        (sc, k, w, n, seed)
+    cells = [
+        (k, w, n, seed)
         for k in sorted(spec.coupling)
         for w in sorted(spec.omega)
         for n in sorted(spec.n)
         for seed in sorted(spec.seeds)
     ]
-    threads = max(1, args.threads)
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    series = _ode_series(sc, cells) if spec.mode == "ode" else [None] * len(cells)
+    tasks = [(sc, *cell, s) for cell, s in zip(cells, series)]
+    # ode cells arrive integrated: what is left of them costs less than
+    # starting a worker pool
+    if spec.mode == "pde" and args.threads > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]

@@ -12,16 +12,19 @@ specializations) independently of any PDE machinery, so the two levels can be
 checked against each other.
 
 Derivatives are exposed in real/imaginary split form (r, s), matching the
-emitted file schemas; the integrator works on the complex matrix and mirrors
-the lower triangle from the upper one every step, so r_jk - r_kj and
-s_jk + s_kj are exactly zero along trajectories. The two-oscillator system
-is stepped as the single complex z_01 and returned as its 2 x 2 series.
+emitted file schemas; the integrator works on a stack of complex matrices
+and mirrors the lower triangles from the upper ones every step, so
+r_jk - r_kj and s_jk + s_kj are exactly zero along trajectories. A single
+run is a stack of one; integrate_batch steps many runs of one N together.
+The two-oscillator system is stepped as the single complex z_01 and returned
+as its 2 x 2 series.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -45,6 +48,7 @@ __all__ = [
     "pair_distance",
     "rk4_step",
     "integrate",
+    "integrate_batch",
     "step_count",
 ]
 
@@ -81,10 +85,19 @@ def pair_distance(z):
     return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(z).real)))
 
 
+@cache
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an n x n matrix."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _mirror(z: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower as its conjugate, in place."""
-    iu = np.triu_indices(z.shape[0], k=1)
-    z[(iu[1], iu[0])] = np.conj(z[iu])
+    """Copy the upper triangle onto the lower as its conjugate, in place, for
+    every matrix of a (..., N, N) stack."""
+    rows, cols = _upper(z.shape[-1])
+    z[..., cols, rows] = np.conj(z[..., rows, cols])
     return z
 
 
@@ -192,12 +205,14 @@ def _require_n(config: ModelConfig, n: int) -> None:
         )
 
 
-def _dz(z: np.ndarray, omega: np.ndarray, coupling: float) -> np.ndarray:
-    n = z.shape[0]
-    row = z.sum(axis=1)
-    col = z.sum(axis=0)
-    detune = 1j * (omega[:, None] - omega[None, :]) * z
-    return detune + (0.5 * coupling / n) * (row[:, None] + col[None, :]) * (1.0 - z)
+def _dz(z: np.ndarray, omega: np.ndarray, coupling) -> np.ndarray:
+    """dz/dt for a (..., N, N) stack; omega is (..., N) and coupling a scalar
+    or (..., 1, 1)."""
+    n = z.shape[-1]
+    row = z.sum(axis=-1)
+    col = z.sum(axis=-2)
+    detune = 1j * (omega[..., :, None] - omega[..., None, :]) * z
+    return detune + (0.5 * coupling / n) * (row[..., :, None] + col[..., None, :]) * (1.0 - z)
 
 
 def full_rhs(state: CorrelationState, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -358,16 +373,19 @@ class CorrelationSeries:
         return CorrelationState(time=float(self.times[index]), z=self.z[index].copy())
 
 
-def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, to_z, self_check_every=0):
+def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
     """Fixed-step RK4 from y0, sampled every sample_stride steps plus the end.
 
-    y0 is an N x N matrix, whose lower triangle is mirrored from the upper
-    one after every step, or a Python complex (the pair system). to_z maps
-    the stacked samples, returned or attached to a DivergenceError, back to
-    correlations.
+    y0 is a stack of B cells: a (B, N, N) array, whose lower triangles are
+    mirrored from the upper ones after every step, or a Python complex (the
+    pair system, B = 1). Returns the sampled steps (S,), the samples
+    (S, *y0.shape) and, per cell, the first sampled step at which it held a
+    non-finite value, 0 when it stayed finite; a cell's samples from that
+    step on are not meaningful. Stepping stops once every cell has diverged.
     """
     matrix = isinstance(y0, np.ndarray)
     y = y0.copy() if matrix else y0
+    first_bad = np.zeros(len(y0) if matrix else 1, dtype=np.int64)
     samples = [y]
     sample_steps = [0]
     for step in range(1, n_steps + 1):
@@ -375,18 +393,12 @@ def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, to_z, self_check_every=0
         if matrix:
             _mirror(y)
         if step % sample_stride == 0 or step == n_steps:
-            if not np.all(np.isfinite(y)):
-                raise DivergenceError(
-                    "correlation integration produced non-finite values",
-                    step_index=step,
-                    time=step * dt,
-                    partial={
-                        "times": np.array(sample_steps) * dt,
-                        "values": to_z(np.array(samples)),
-                    },
-                )
+            finite = np.isfinite(y).reshape(len(first_bad), -1).all(axis=1)
+            first_bad[~finite & (first_bad == 0)] = step
+            if first_bad.all():
+                break
             if matrix and self_check_every and (step // sample_stride) % self_check_every == 0:
-                drift = np.max(np.abs(y - y.conj().T))
+                drift = np.max(np.abs(y - np.conj(np.swapaxes(y, -1, -2))))
                 if drift > 1e-12:
                     raise ContractViolationError(
                         f"Hermitian drift {drift:.2e} at step {step}"
@@ -394,10 +406,23 @@ def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, to_z, self_check_every=0
             if step % sample_stride == 0:
                 samples.append(y)
                 sample_steps.append(step)
-    if sample_steps[-1] != n_steps:
-        samples.append(y)
-        sample_steps.append(n_steps)
-    return np.array(sample_steps), to_z(np.array(samples))
+    else:
+        if sample_steps[-1] != n_steps:
+            samples.append(y)
+            sample_steps.append(n_steps)
+    return np.array(sample_steps), np.array(samples), first_bad
+
+
+def _divergence(sample_steps, samples, bad_step, dt) -> DivergenceError:
+    """The error for one cell that went non-finite at bad_step, carrying its
+    samples from before that step."""
+    keep = sample_steps < bad_step
+    return DivergenceError(
+        "correlation integration produced non-finite values",
+        step_index=int(bad_step),
+        time=int(bad_step) * dt,
+        partial={"times": sample_steps[keep] * dt, "values": samples[keep]},
+    )
 
 
 def _two_omega(config: ModelConfig) -> float:
@@ -449,31 +474,40 @@ def integrate(
                 raise ContractViolationError("the f/g reduction requires zero frequencies")
 
             def deriv(big_f):
-                phi = big_f.mean(axis=0)
-                return -0.5 * k * (2.0 - np.conj(phi)[:, None] - phi[None, :]) * big_f
+                phi = big_f.mean(axis=-2)
+                return -0.5 * k * (2.0 - np.conj(phi)[..., :, None] - phi[..., None, :]) * big_f
 
-            y0 = 1.0 - state.z
+            y0 = 1.0 - state.z[None]  # a stack of one cell
 
             def to_z(big_f):
-                return 1.0 - big_f
+                return 1.0 - big_f[:, 0]
         else:
 
             def deriv(z):
                 return _dz(z, omega, k)
 
-            y0 = state.z
+            y0 = state.z[None]
+
+            def to_z(z):
+                return z[:, 0]
     else:
         raise ConfigurationError(f"unknown system {system!r}; expected full, two, or fg")
 
-    check_every = 8 if self_check else 0
-    steps, samples = _rk4_samples(y0, deriv, dt, n_steps, sample_stride, to_z, check_every)
+    def run(step_dt, steps, stride, check_every=0):
+        sample_steps, samples, bad = _rk4_samples(y0, deriv, step_dt, steps, stride, check_every)
+        samples = to_z(samples)
+        if bad[0]:
+            raise _divergence(sample_steps, samples, bad[0], step_dt)
+        return sample_steps, samples
+
+    steps, samples = run(dt, n_steps, sample_stride, 8 if self_check else 0)
     richardson = None
     if self_check:
         if n_steps % 2:
             warnings.warn("self_check needs an even step count; estimate skipped")
         elif n_steps >= 2:
             half = n_steps // 2
-            last = _rk4_samples(y0, deriv, 2.0 * dt, half, half, to_z)[1][-1]
+            last = run(2.0 * dt, half, half)[1][-1]
             richardson = float(np.max(np.abs(samples[-1] - last)) / 15.0)
     if system == "two":
         series = CorrelationSeries.from_pair(steps * dt, samples)
@@ -481,3 +515,35 @@ def integrate(
         series = CorrelationSeries(times=steps * dt, z=samples)
     series.richardson_error = richardson
     return series
+
+
+def integrate_batch(z0s, couplings, frequencies, dt: float, t_end: float, sample_stride: int = 1):
+    """integrate("full") for B cells of one N at once, stepped as one
+    (B, N, N) stack: z0s holds B initial states (CorrelationStates or raw
+    matrices), couplings B gains, frequencies B rows of N detunings. Returns
+    one entry per cell, in order: its CorrelationSeries, bit for bit what
+    integrate("full") gives for that cell alone, or the DivergenceError that
+    call would raise. A diverging cell does not stop the others."""
+    if sample_stride < 1:
+        raise ConfigurationError("sample_stride must be >= 1")
+    n_steps = step_count(dt, t_end)
+    states = [z if isinstance(z, CorrelationState) else CorrelationState(0.0, z) for z in z0s]
+    omega = np.asarray(frequencies, dtype=float)
+    k = np.asarray(couplings, dtype=float).reshape(-1, 1, 1)
+    n = states[0].n_oscillators if states else 0
+    if not states or omega.shape != (len(states), n) or len(k) != len(states) or any(
+        state.n_oscillators != n for state in states
+    ):
+        raise ConfigurationError(
+            f"need B >= 1 initial states of one N, B couplings and B x N frequencies; got "
+            f"{len(states)} states, {len(k)} couplings and frequencies of shape {omega.shape}"
+        )
+    z0 = np.array([state.z for state in states])
+    steps, samples, bad = _rk4_samples(z0, lambda z: _dz(z, omega, k), dt, n_steps, sample_stride)
+    cells = np.ascontiguousarray(np.swapaxes(samples, 0, 1))
+    return [
+        _divergence(steps, cell, step, dt)
+        if step
+        else CorrelationSeries(times=steps * dt, z=cell)
+        for cell, step in zip(cells, bad)
+    ]

@@ -44,7 +44,7 @@ walk, so a rendered manifest parses back to the scenario it came from; the
     self_check = false           # default false
     z0 = 0.3+0.2j                # system=two: complex literal, or "unstable"
     # gram = random              # full/fg: random | ones  (random uses the seed)
-    # coherence = 0.5            # bias for gram = random, default 0.0
+    # coherence = 0.5            # gram = random only: bias, default 0.0
 
     [solver]                     # PDE stepping
     scheme = strang_rk4          # strang_rk4 | full_rk4, default strang_rk4
@@ -332,7 +332,7 @@ _FAMILIES = {
         (
             _Key("sigma", *_FLOAT),
             _Key("epsilon", *_FLOAT),
-            _Key("max_mode", _parsed(lambda raw: int(float(raw)), "a number")),
+            _Key("max_mode", *_INT),
         ),
     ),
     "gaussian_pair": (
@@ -497,6 +497,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         _fail("model", "lam", "the lam shorthand needs n = 2")
     if sc.lam is not None and sc.lam < 0:
         _fail("model", "lam", "must be >= 0")
+    if parser.has_option("ode", "coherence") and sc.ode.gram != "random":
+        _fail("ode", "coherence", "only biases gram = random")
     return sc
 
 

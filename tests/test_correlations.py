@@ -12,6 +12,7 @@ from lohe_sync import (
     MacroCorrelation,
     ModelConfig,
     integrate,
+    integrate_batch,
     random_correlation_matrix,
     two_rhs,
 )
@@ -115,6 +116,52 @@ def test_fg_divergence_reports_correlations():
     first = info.value.partial["values"][0]
     assert np.array_equal(np.diag(first), np.ones(3))
     assert_close(first, z0, 1e-15, "partial first sample")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_integrate_batch_matches_solo_runs(n):
+    # one (B, N, N) stack, mixed gains and detunings: every cell equals its
+    # own integrate("full") run bit for bit
+    rng = np.random.default_rng(n)
+    couplings = [0.0, 0.7, 1.9, 3.2]
+    frequencies = rng.normal(scale=0.5, size=(len(couplings), n))
+    z0s = [random_correlation_matrix(n, seed, coherence=0.5) for seed in range(len(couplings))]
+    batch = integrate_batch(z0s, couplings, frequencies, 0.01, 1.5, sample_stride=7)
+    for z0, k, w, series in zip(z0s, couplings, frequencies, batch):
+        solo = integrate("full", z0, ModelConfig(coupling=k, frequencies=w), 0.01, 1.5, 7)
+        assert np.array_equal(series.times, solo.times)
+        assert np.array_equal(series.z, solo.z)
+
+
+def test_integrate_batch_isolates_a_diverging_cell():
+    # K dt = 50 leaves the RK4 stability region; only that cell may fail,
+    # with the error, step and partial samples its solo run reports
+    z0s = [random_correlation_matrix(3, seed, coherence=0.4) for seed in (1, 2, 3)]
+    couplings = [0.5, 1000.0, 1.0]
+    frequencies = np.zeros((3, 3))
+    with np.errstate(all="ignore"):
+        batch = integrate_batch(z0s, couplings, frequencies, 0.05, 5.0, sample_stride=10)
+        with pytest.raises(DivergenceError) as info:
+            integrate("full", z0s[1], config_for(3, 1000.0), 0.05, 5.0, sample_stride=10)
+    solo = info.value
+    error = batch[1]
+    assert isinstance(error, DivergenceError)
+    assert str(error) == str(solo) == "correlation integration produced non-finite values"
+    assert error.step_index == solo.step_index == 10
+    assert error.time == solo.time
+    assert np.array_equal(error.partial["times"], solo.partial["times"])
+    assert np.array_equal(error.partial["values"], solo.partial["values"])
+    for cell in (0, 2):
+        alone = integrate("full", z0s[cell], config_for(3, couplings[cell]), 0.05, 5.0, 10)
+        assert np.array_equal(batch[cell].z, alone.z)
+
+
+def test_integrate_batch_validation():
+    z0s = [random_correlation_matrix(3, 0), random_correlation_matrix(3, 1)]
+    with pytest.raises(ConfigurationError, match="frequencies"):
+        integrate_batch(z0s, [1.0, 1.0], np.zeros((2, 2)), 0.01, 0.1)
+    with pytest.raises(ConfigurationError, match="not an integer multiple"):
+        integrate_batch(z0s, [1.0, 1.0], np.zeros((2, 3)), 0.03, 0.1)
 
 
 def test_fg_rejects_detuning():

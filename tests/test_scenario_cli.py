@@ -194,6 +194,18 @@ def test_unknown_keys_are_rejected():
             parse_scenario("[scenario]\nname = x\n" + body)
 
 
+def test_inputs_that_would_be_ignored_are_rejected():
+    # coherence only biases gram = random; beside any other start it would
+    # run without effect and vanish from the manifest
+    for gram in ("", "gram = ones\n"):
+        with pytest.raises(ConfigurationError, match=r"\[ode\] coherence: "):
+            parse_scenario(f"[scenario]\nname = x\n[ode]\nt_end = 1.0\n{gram}coherence = 0.4\n")
+    # an integer family key rejects a fraction instead of truncating it
+    sc = parse_scenario("[scenario]\nname = x\n[initial]\nkind = perturbed_gaussians\nmax_mode = 6.7\n")
+    with pytest.raises(ConfigurationError, match=r"\[initial\] max_mode: expected an integer"):
+        build_ensemble(sc, build_grid(sc))
+
+
 def test_docstring_lists_every_key():
     # the README sends readers to the module docstring for the full grammar
     blocks = re.split(r"^ *\[(\w+)\]", scenario_module.__doc__, flags=re.M)
@@ -393,6 +405,39 @@ def test_sweep_csv(tmp_path):
     assert (out / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+def _sweep_rows(tmp_path, tag, sweep_body):
+    cfg = tmp_path / f"{tag}.cfg"
+    cfg.write_text(f"[scenario]\nname = {tag}\n[sweep]\nmode = ode\n{sweep_body}")
+    assert run_cli("sweep", "--scenario", str(cfg), "--out", str(tmp_path / tag)) == 0
+    return (tmp_path / tag / "sweep.csv").read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("t_end", ["2.0", "2.005"])
+def test_ode_sweep_batches_like_single_cells(tmp_path, t_end):
+    # ode cells of one n are integrated together; each row must be the one a
+    # sweep of that cell alone writes, including the n = 3, omega != 0 cell
+    # and, at t_end = 2.005, the rows of a t_end that is no multiple of dt
+    timing = f"dt = 0.01\nt_end = {t_end}\n"
+    rows = _sweep_rows(tmp_path, "all", f"omega = 0.0, 0.3\nn = 2, 3\nseeds = 1, 4\n{timing}")
+    alone = [
+        row
+        for omega in ("0.0", "0.3")
+        for n in (2, 3)
+        for seed in (1, 4)
+        for row in _sweep_rows(
+            tmp_path, f"w{omega}n{n}s{seed}", f"omega = {omega}\nn = {n}\nseeds = {seed}\n{timing}"
+        )
+    ]
+    assert rows == alone
+    statuses = [row.split(",")[4] for row in rows]
+    if t_end == "2.0":
+        assert statuses == ["ok"] * 6 + ["config_error"] * 2
+        assert all("need omega = 0" in row for row in rows[6:])
+    else:
+        assert statuses == ["config_error"] * 8
+        assert sum("not an integer multiple of dt" in row for row in rows) == 6
+
+
 def test_pde_sweep_builds_the_scenario_ensemble(tmp_path):
     # gaussian_pair always builds two fields, so an n = 3 cell cannot run;
     # 60 steps give enough samples that only the ensemble can fail the cell
@@ -408,6 +453,23 @@ def test_pde_sweep_builds_the_scenario_ensemble(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["config_error"]
     assert "3 frequencies but the ensemble has 2 fields" in rows[0]["detail"]
+
+
+def test_pde_sweep_threads_write_the_same_table(tmp_path):
+    # --threads only spreads pde cells over workers
+    cfg = tmp_path / "sweep_pde_threads.cfg"
+    cfg.write_text(
+        "[scenario]\nname = swt\n[grid]\npoints = 64\n"
+        "[sweep]\ncoupling = 1.0\nomega = 0.0, 0.2\nn = 2\nseeds = 0\nmode = pde\n"
+        "dt = 0.01\nt_end = 0.6\n"
+    )
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert run_cli("sweep", "--scenario", str(cfg), "--out", str(out), "--threads", threads) == 0
+        tables.append((out / "sweep.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert tables[0].count(b",ok,") == 2
 
 
 def test_pde_sweep_honours_solver(tmp_path):
