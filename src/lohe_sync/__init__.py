@@ -24,6 +24,7 @@ from .correlations import (
     CorrelationSeries,
     CorrelationState,
     MacroCorrelation,
+    coupling_generator,
     full_rhs,
     integrate,
     integrate_batch,
@@ -110,6 +111,7 @@ __all__ = [
     "CorrelationState",
     "MacroCorrelation",
     "CorrelationSeries",
+    "coupling_generator",
     "full_rhs",
     "two_rhs",
     "macro_rhs",

@@ -482,7 +482,7 @@ def _sweep_point(task: tuple) -> dict:
             raise series
         if sc.sweep.mode == "pde":
             config = _cell_config(coupling, omega, n)
-            stride = max(1, int(round(t_end / dt)) // 200)
+            stride = max(1, step_count(dt, t_end) // 200)
             grid = build_grid(sc)
             potential = build_potential(grid, sc.potential_kind, **sc.potential_params)
             config = replace(config, potential=potential)

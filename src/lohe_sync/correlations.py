@@ -45,6 +45,8 @@ __all__ = [
     "fg_rhs",
     "zeta_norm_rhs",
     "random_correlation_matrix",
+    "coupling_generator",
+    "mixing_flow",
     "pair_distance",
     "rk4_step",
     "integrate",
@@ -205,14 +207,52 @@ def _require_n(config: ModelConfig, n: int) -> None:
         )
 
 
+def _correlation_flow(omega: np.ndarray, coupling):
+    """dz/dt as a function of a (..., N, N) stack, with the detuning matrix
+    and the gain built once; omega is (..., N) and coupling a scalar or
+    (..., 1, 1)."""
+    detune = 1j * (omega[..., :, None] - omega[..., None, :])
+    gain = 0.5 * coupling / omega.shape[-1]
+
+    def dz(z):
+        row = z.sum(axis=-1)
+        col = z.sum(axis=-2)
+        return detune * z + gain * (row[..., :, None] + col[..., None, :]) * (1.0 - z)
+
+    return dz
+
+
 def _dz(z: np.ndarray, omega: np.ndarray, coupling) -> np.ndarray:
     """dz/dt for a (..., N, N) stack; omega is (..., N) and coupling a scalar
-    or (..., 1, 1)."""
-    n = z.shape[-1]
-    row = z.sum(axis=-1)
-    col = z.sum(axis=-2)
-    detune = 1j * (omega[..., :, None] - omega[..., None, :]) * z
-    return detune + (0.5 * coupling / n) * (row[..., :, None] + col[..., None, :]) * (1.0 - z)
+    or (..., 1, 1). Equals conj(M) z + z M^T for M = coupling_generator(z)."""
+    return _correlation_flow(omega, coupling)(z)
+
+
+def coupling_generator(z: np.ndarray, omega: np.ndarray, coupling: float) -> np.ndarray:
+    """M = -i diag(Omega) + (K/2)((1/N) 1 1^T - diag(w)), w_j = (1/N) sum_l z_lj.
+
+    The coupling and detuning flow of the fields is psi' = M psi, row j of
+    psi being oscillator j; it only mixes the fields, which is why the
+    correlations close on themselves. z is one N x N matrix.
+    """
+    gain = 0.5 * coupling / z.shape[-1]
+    m = np.diag(-1j * omega - gain * z.sum(axis=0))
+    m += gain
+    return m
+
+
+def mixing_flow(g0: np.ndarray, omega: np.ndarray, coupling: float):
+    """dC/dt = M(conj(C) g0 C^T) C as a function of the N x N mixing matrix C.
+
+    Fields psi = C psi0 whose initial Gram matrix is g0 have correlations
+    conj(C) g0 C^T, so this is the coupling and detuning flow psi' = M psi
+    written on C.
+    """
+
+    def deriv(c):
+        return coupling_generator(np.conj(c) @ g0 @ c.T, omega, coupling) @ c
+
+    return deriv
 
 
 def full_rhs(state: CorrelationState, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -482,10 +522,7 @@ def integrate(
             def to_z(big_f):
                 return 1.0 - big_f[:, 0]
         else:
-
-            def deriv(z):
-                return _dz(z, omega, k)
-
+            deriv = _correlation_flow(omega, k)
             y0 = state.z[None]
 
             def to_z(z):
@@ -539,7 +576,7 @@ def integrate_batch(z0s, couplings, frequencies, dt: float, t_end: float, sample
             f"{len(states)} states, {len(k)} couplings and frequencies of shape {omega.shape}"
         )
     z0 = np.array([state.z for state in states])
-    steps, samples, bad = _rk4_samples(z0, lambda z: _dz(z, omega, k), dt, n_steps, sample_stride)
+    steps, samples, bad = _rk4_samples(z0, _correlation_flow(omega, k), dt, n_steps, sample_stride)
     cells = np.ascontiguousarray(np.swapaxes(samples, 0, 1))
     return [
         _divergence(steps, cell, step, dt)

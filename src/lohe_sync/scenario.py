@@ -47,7 +47,8 @@ walk, so a rendered manifest parses back to the scenario it came from; the
     # coherence = 0.5            # gram = random only: bias, default 0.0
 
     [solver]                     # PDE stepping
-    scheme = strang_rk4          # strang_rk4 | full_rk4, default strang_rk4
+    scheme = span                # span | strang_rk4 | full_rk4, default span; the
+                                 # last two are the grid references
     dt = 1e-3                    # default 1e-3
     t_end = 20.0                 # required, a whole number of dt steps
     snapshot_stride = 20         # default 1
@@ -65,7 +66,7 @@ walk, so a rendered manifest parses back to the scenario it came from; the
     coupling = 1.0               # each axis: comma list or start:stop:step;
     omega = 0:1:0.1              # the axes default to coupling = 1.0,
     n = 2                        # omega = 0.0, n = 2, seeds = 0
-    seeds = 0
+    seeds = 0                    # non-negative
     mode = ode                   # ode | pde, default ode
     t_end = 20.0                 # default 20.0
     dt = 1e-3                    # default 1e-3
@@ -242,6 +243,13 @@ def _axis(raw: str, integer: bool = False) -> tuple:
     return vals
 
 
+def _seeds(raw: str) -> tuple:
+    seeds = _axis(raw, integer=True)
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"expected non-negative integers, got {min(seeds)}")
+    return seeds
+
+
 def _formats(raw: str) -> tuple[str, ...] | None:
     # an empty list keeps the default
     return tuple(_word("ndjson", "csv")(fmt) for fmt in _tokens(raw)) or None
@@ -273,6 +281,7 @@ _INTS = (_parsed(lambda raw: [int(t) for t in _tokens(raw)], "integers"), _join(
 _CHECKS = (_checks, lambda checks: ", ".join(f"{name}:{tol!r}" for name, tol in checks))
 _AXIS = (_axis, _join(repr))
 _INT_AXIS = (lambda raw: _axis(raw, integer=True), _join(str))
+_SEEDS = (_seeds, _join(str))
 _Z0 = (
     _parsed(_z0, "a complex literal or 'unstable'"),
     lambda z: z if isinstance(z, str) else repr(z).strip("()"),
@@ -415,7 +424,7 @@ _SCHEMA = (
             _Key("coupling", *_AXIS, default="1.0"),
             _Key("omega", *_AXIS, default="0.0"),
             _Key("n", *_INT_AXIS, default="2"),
-            _Key("seeds", *_INT_AXIS, default="0"),
+            _Key("seeds", *_SEEDS, default="0"),
             _Key("mode", _word("ode", "pde")),
             _Key("dt", *_FLOAT),
             _Key("t_end", *_FLOAT),

@@ -1,21 +1,37 @@
 """Time stepping for the coupled wave system.
 
-Two schemes share one driver:
+Every oscillator has the same linear part H = -Laplacian/2 + V, and the
+coupling and detuning only mix the N fields: psi' = -i H psi + M(z) psi with
+M = correlations.coupling_generator. The linear flow U(t) = exp(-i t H) is
+unitary and commutes with any mixing of the fields, so the semidiscrete system
+is exactly psi(t) = U(t - t0) C(t) psi0, where the N x N mixing matrix obeys
+C' = M(conj(C) G0 C^T) C and G0 is the initial Gram matrix. Three schemes
+share one sampling loop, evolve:
 
-  strang_rk4   exact kinetic half-steps in Fourier space around one RK4 step
-               of the local sub-flow d psi_j/dt = -i (V + Omega_j) psi_j
-               + (K/2)(zeta - <zeta, psi_j> psi_j). Second order overall; the
+  span         the default. RK4 steps C alone; the linear flow is applied to
+               psi0 only between samples, where the fields are C U psi0. With
+               V = 0 that flow is one exact Fourier multiplier per sample
+               interval and the scheme is fourth order; with a potential it is
+               Strang kinetic-potential-kinetic substeps of dt (adjacent
+               kinetic half-steps merged, one FFT pair per step), the splitting
+               strang_rk4 uses, and second order. No RK4 stage touches the grid.
+  strang_rk4   grid reference: exact kinetic half-steps in Fourier space
+               around one RK4 step of the local sub-flow d psi_j/dt =
+               -i (V + Omega_j) psi_j + (K/2)(zeta - <zeta, psi_j> psi_j).
+               Second order with a potential; with V = 0 the kinetic flow
+               commutes with the local one and it is fourth order. The
                kinetic part carries no step-size restriction at all.
-  full_rk4     classical RK4 on the complete right-hand side with the
-               Laplacian applied spectrally inside every stage. Reference
-               mode for cross-checking the splitting error; it must respect
-               the usual imaginary-axis stability limit.
+  full_rk4     grid reference: classical RK4 on the complete right-hand side
+               with the Laplacian applied spectrally inside every stage, for
+               cross-checking the splitting error; it must respect the usual
+               imaginary-axis stability limit.
 
-The coupling sub-flow has no closed form (the inner products make it
-nonlocal), so it rides along with the potential inside RK4; its magnitude is
-bounded by K, which keeps that sub-step mild. Inner products are recomputed
-from the stage fields at every stage; lagging them would break the mass-flux
-identity at O(dt).
+The grid references do not use the correlation closure, so they are what
+tests it. In them the coupling sub-flow, which has no closed form (the inner
+products make it nonlocal), rides along with the potential inside RK4; its
+magnitude is bounded by K, which keeps that sub-step mild. Inner products are
+recomputed from the stage fields at every stage; lagging them would break the
+mass-flux identity at O(dt).
 """
 
 from __future__ import annotations
@@ -26,8 +42,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EnsembleState, GridSpec, ModelConfig, k_squared
-from .correlations import CorrelationSeries, CorrelationState, rk4_step, step_count
+from .core import EnsembleState, GridSpec, ModelConfig, gram_matrix, k_squared
+from .correlations import (
+    CorrelationSeries,
+    CorrelationState,
+    mixing_flow,
+    rk4_step,
+    step_count,
+)
 from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import ConfigurationError, DivergenceError
 
@@ -41,7 +63,7 @@ __all__ = [
     "stability_report",
 ]
 
-_SCHEMES = ("strang_rk4", "full_rk4")
+_SCHEMES = ("span", "strang_rk4", "full_rk4")
 
 
 @dataclass(frozen=True)
@@ -50,7 +72,7 @@ class SolverParams:
 
     dt: float
     t_end: float
-    scheme: str = "strang_rk4"
+    scheme: str = "span"
     renormalize_each_step: bool = False
     snapshot_stride: int = 1
 
@@ -126,12 +148,12 @@ def _half_kinetic(dim: int, points: int, length: float, dt: float) -> np.ndarray
     return mult
 
 
-class _Stepper:
-    """Per-run kernel holding the cached multipliers and config views."""
+class _GridStepper:
+    """strang_rk4 and full_rk4: the fields themselves are stepped, with the
+    multipliers and config views cached per run."""
 
-    def __init__(self, grid: GridSpec, config: ModelConfig, params: SolverParams):
-        if config.potential is not None and config.potential.shape != grid.shape:
-            raise ConfigurationError("potential shape does not match the grid")
+    def __init__(self, initial: EnsembleState, config: ModelConfig, params: SolverParams):
+        grid = initial.grid
         self.grid = grid
         self.axes = tuple(range(1, grid.dim + 1))
         self.dv = grid.dv
@@ -145,6 +167,7 @@ class _Stepper:
             self.half_kinetic = _half_kinetic(grid.dim, grid.points, grid.length, params.dt)
         else:
             self.k2 = k_squared(grid)
+        self.psi = initial.psi
 
     def _local_rhs(self, psi: np.ndarray) -> np.ndarray:
         zeta = psi.mean(axis=0)
@@ -161,7 +184,9 @@ class _Stepper:
         kinetic = np.fft.ifftn(-0.5j * self.k2 * psi_hat, axes=self.axes)
         return kinetic + self._local_rhs(psi)
 
-    def advance(self, psi: np.ndarray) -> np.ndarray:
+    def step(self) -> np.ndarray:
+        """Advance one dt; returns the array the caller checks for blow-up."""
+        psi = self.psi
         # blow-up is detected by the caller's isfinite check; silence the
         # transient nan/inf arithmetic warnings on the way there
         with np.errstate(invalid="ignore", over="ignore"):
@@ -174,7 +199,106 @@ class _Stepper:
             if self.renormalize:
                 norms = np.sqrt(self.dv * np.sum(np.abs(psi) ** 2, axis=self.axes))
                 psi = psi / norms.reshape((-1,) + (1,) * self.grid.dim)
+        self.psi = psi
         return psi
+
+    def fields(self) -> np.ndarray:
+        return self.psi.copy()
+
+
+class _LinearFlow:
+    """phi -> U(steps * dt) phi for a stack of fields, multipliers built once
+    per run: one exact Fourier multiplier per distinct step count when V = 0,
+    otherwise Strang kinetic-potential-kinetic substeps of dt with adjacent
+    kinetic half-steps merged, so each substep costs one FFT pair."""
+
+    def __init__(self, grid: GridSpec, potential: np.ndarray | None, dt: float):
+        self.axes = tuple(range(1, grid.dim + 1))
+        self.dt = dt
+        self.k2 = k_squared(grid)
+        self.potential = potential
+        self.multipliers: dict[int, np.ndarray] = {}
+        if potential is not None:
+            self.half = _half_kinetic(grid.dim, grid.points, grid.length, dt)
+            self.whole = np.exp(-0.5j * dt * self.k2)
+            self.phase = np.exp(-1j * dt * potential)
+
+    def __call__(self, phi: np.ndarray, steps: int) -> np.ndarray:
+        if steps == 0:
+            return phi
+        fftn, ifftn, axes = np.fft.fftn, np.fft.ifftn, self.axes
+        if self.potential is None:
+            mult = self.multipliers.get(steps)
+            if mult is None:
+                mult = self.multipliers[steps] = np.exp(-0.5j * (steps * self.dt) * self.k2)
+            return ifftn(mult * fftn(phi, axes=axes), axes=axes)
+        hat = self.half * fftn(phi, axes=axes)
+        for n in range(1, steps + 1):
+            hat = fftn(self.phase * ifftn(hat, axes=axes), axes=axes)
+            hat *= self.whole if n < steps else self.half
+        return ifftn(hat, axes=axes)
+
+
+class _SpanStepper:
+    """span: RK4 steps the mixing matrix C alone, and the fields C U psi0 are
+    formed only when asked for, with the linear flow caught up then."""
+
+    def __init__(self, initial: EnsembleState, config: ModelConfig, params: SolverParams):
+        self.g0 = gram_matrix(initial)
+        omega = np.asarray(config.frequencies, dtype=float)
+        self.deriv = mixing_flow(self.g0, omega, config.coupling)
+        self.dt = params.dt
+        self.renormalize = params.renormalize_each_step
+        n = initial.n_oscillators
+        self.c = np.eye(n, dtype=np.complex128)
+        self.projector = self._null_projector(initial, self.g0)
+        self.flow = _LinearFlow(initial.grid, config.potential, params.dt)
+        self.phi = initial.psi  # U(t - t0) psi0 at the last formed sample
+        self.lag = 0  # steps taken since then
+
+    @staticmethod
+    def _null_projector(initial: EnsembleState, g0: np.ndarray) -> np.ndarray | None:
+        """Linearly dependent fields leave G0 singular. A row of C along its
+        null space adds nothing to the fields, but the C flow can grow it like
+        exp(K t / 2) until roundoff swamps them, so C is projected off it after
+        every step. The null space comes from an SVD of the fields, whose
+        vectors are accurate where those of G0 (the squared problem) are not;
+        an eigenvalue check of G0 skips that SVD for well-conditioned fields."""
+        eps = np.finfo(float).eps
+        gains = np.linalg.eigvalsh(g0)
+        if gains[0] > np.sqrt(eps) * gains[-1]:
+            return None
+        n = initial.n_oscillators
+        basis, sing, _ = np.linalg.svd(initial.psi.reshape(n, -1), full_matrices=False)
+        null = basis[:, sing <= n * eps * sing[0]]
+        return np.eye(n) - null @ null.conj().T if null.size else None
+
+    def step(self) -> np.ndarray:
+        """Advance one dt; returns C, which the caller checks for blow-up."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            c = rk4_step(self.c, self.deriv, self.dt)
+            if self.projector is not None:
+                c = c @ self.projector
+            if self.renormalize:
+                # the field norms are the diagonal of conj(C) G0 C^T
+                norms = np.sqrt(np.sum((np.conj(c) @ self.g0) * c, axis=1).real)
+                c = c / norms[:, None]
+        self.c = c
+        self.lag += 1
+        return c
+
+    def fields(self) -> np.ndarray:
+        self.phi = self.flow(self.phi, self.lag)
+        self.lag = 0
+        return np.tensordot(self.c, self.phi, axes=1)
+
+
+def _stepper(initial: EnsembleState, config: ModelConfig, params: SolverParams):
+    if config.potential is not None and config.potential.shape != initial.grid.shape:
+        raise ConfigurationError("potential shape does not match the grid")
+    if params.scheme == "span":
+        return _SpanStepper(initial, config, params)
+    return _GridStepper(initial, config, params)
 
 
 def propagate_linear(
@@ -222,13 +346,12 @@ def propagate_linear(
 
 def step(state: EnsembleState, config: ModelConfig, params: SolverParams) -> EnsembleState:
     """Advance one step of params.dt. See evolve for whole trajectories."""
-    stepper = _Stepper(state.grid, config, params)
-    psi = stepper.advance(state.psi)
-    if not np.all(np.isfinite(psi.view(np.float64))):
+    stepper = _stepper(state, config, params)
+    if not np.all(np.isfinite(stepper.step().view(np.float64))):
         raise DivergenceError(
             "time step produced non-finite values", step_index=1, time=state.time + params.dt
         )
-    return EnsembleState(state.grid, psi, state.time + params.dt)
+    return EnsembleState(state.grid, stepper.fields(), state.time + params.dt)
 
 
 def evolve(
@@ -260,7 +383,7 @@ def evolve(
             stacklevel=2,
         )
 
-    stepper = _Stepper(initial.grid, config, params)
+    stepper = _stepper(initial, config, params)
     n_steps = params.n_steps
     t0 = initial.time
 
@@ -270,11 +393,10 @@ def evolve(
     if collect_diagnostics:
         records.append(compute_record(states[0], config))
 
-    psi = initial.psi.copy()
     for n in range(1, n_steps + 1):
-        psi = stepper.advance(psi)
+        stepped = stepper.step()
         t = t0 + n * params.dt
-        if not np.all(np.isfinite(psi.view(np.float64))):
+        if not np.all(np.isfinite(stepped.view(np.float64))):
             raise DivergenceError(
                 f"solver diverged at step {n} (t = {t:g})",
                 step_index=n,
@@ -282,7 +404,7 @@ def evolve(
                 partial=Trajectory(np.array(times), states, records),
             )
         if n % params.snapshot_stride == 0 or n == n_steps:
-            snap = EnsembleState(initial.grid, psi.copy(), t)
+            snap = EnsembleState(initial.grid, stepper.fields(), t)
             times.append(t)
             states.append(snap)
             if collect_diagnostics:

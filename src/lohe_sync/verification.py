@@ -10,6 +10,8 @@ the parameters dictate. Checks are looked up by name from scenario
   order_identity         residual of 1 - ||zeta||^2 = mean pair distance^2 / 2
   energy_decomposition   residual of E = E_zeta + E_rel per sample
   pde_ode_closure        max |z_pde - z_ode| between measured and integrated
+                         (the closure theorem on a grid scheme; under span,
+                         which is built on the closure, the implementation)
   two_exact              max |z - z_exact| on PDE and/or ODE trajectories
   sync_rate              fitted rate of the squared sync distance vs
                          sqrt(K^2 - 4 Omega^2), relative tolerance

@@ -51,7 +51,9 @@ def line(label, ok, detail):
 
 
 def _evolve(init, cfg, t_end, stride=20):
-    return evolve(init, cfg, SolverParams(dt=1e-3, t_end=t_end, snapshot_stride=stride))
+    return evolve(
+        init, cfg, SolverParams(dt=1e-3, t_end=t_end, scheme="strang_rk4", snapshot_stride=stride)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -384,7 +386,7 @@ def test_criterion_12_negative_controls(run_periodic_pde, grid):
     traj2 = evolve(
         incoherent_pair(grid, sigma=1.5),
         cfg2,
-        SolverParams(dt=1e-3, t_end=10.0, snapshot_stride=20),
+        SolverParams(dt=1e-3, t_end=10.0, scheme="strang_rk4", snapshot_stride=20),
     )
     zmax = max(r.zeta_norm for r in traj2.diagnostics_stream)
     line(

@@ -11,12 +11,13 @@ from lohe_sync import (
     DivergenceError,
     MacroCorrelation,
     ModelConfig,
+    coupling_generator,
     integrate,
     integrate_batch,
     random_correlation_matrix,
     two_rhs,
 )
-from lohe_sync.correlations import fg_rhs, macro_rhs, full_rhs, step_count, zeta_norm_rhs
+from lohe_sync.correlations import _dz, fg_rhs, macro_rhs, full_rhs, step_count, zeta_norm_rhs
 
 from conftest import assert_close
 
@@ -162,6 +163,14 @@ def test_integrate_batch_validation():
         integrate_batch(z0s, [1.0, 1.0], np.zeros((2, 2)), 0.01, 0.1)
     with pytest.raises(ConfigurationError, match="not an integer multiple"):
         integrate_batch(z0s, [1.0, 1.0], np.zeros((2, 3)), 0.03, 0.1)
+
+
+def test_dz_is_the_coupling_generator_seen_through_z():
+    # psi' = M psi gives z' = conj(M) z + z M^T for z_jk = <psi_j, psi_k>
+    z = random_correlation_matrix(6, seed=21)
+    omega = np.random.default_rng(21).uniform(-1.0, 1.0, 6)
+    m = coupling_generator(z, omega, 1.7)
+    assert_close(_dz(z, omega, 1.7), np.conj(m) @ z + z @ m.T, 1e-14, "generator")
 
 
 def test_fg_rejects_detuning():

@@ -117,7 +117,7 @@ def _scenarios(draw):
     solver = SolverParams(
         dt=dt,
         t_end=draw(st.integers(0, 1000)) * dt,
-        scheme=draw(st.sampled_from(("strang_rk4", "full_rk4"))),
+        scheme=draw(st.sampled_from(("span", "strang_rk4", "full_rk4"))),
         renormalize_each_step=draw(st.booleans()),
         snapshot_stride=draw(st.integers(1, 1000)),
     )
@@ -125,7 +125,7 @@ def _scenarios(draw):
         coupling=tuple(draw(st.lists(_FLOATS, min_size=1, max_size=4))),
         omega=tuple(draw(st.lists(_FLOATS, min_size=1, max_size=4))),
         n=tuple(draw(st.lists(_INTS, min_size=1, max_size=4))),
-        seeds=tuple(draw(st.lists(_INTS, min_size=1, max_size=4))),
+        seeds=tuple(draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4))),
         mode=draw(st.sampled_from(("ode", "pde"))),
         dt=draw(_FLOATS),
         t_end=draw(_FLOATS),
@@ -204,6 +204,16 @@ def test_inputs_that_would_be_ignored_are_rejected():
     sc = parse_scenario("[scenario]\nname = x\n[initial]\nkind = perturbed_gaussians\nmax_mode = 6.7\n")
     with pytest.raises(ConfigurationError, match=r"\[initial\] max_mode: expected an integer"):
         build_ensemble(sc, build_grid(sc))
+
+
+def test_negative_sweep_seeds_are_rejected(tmp_path, capsys):
+    # a seed reaches np.random.default_rng, which takes no negative value
+    with pytest.raises(ConfigurationError, match=r"\[sweep\] seeds: expected non-negative"):
+        parse_scenario("[scenario]\nname = x\n[sweep]\nseeds = 1, -1\n")
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("[scenario]\nname = neg\n[sweep]\nseeds = -1\n")
+    assert run_cli("sweep", "--scenario", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "[sweep] seeds:" in capsys.readouterr().err
 
 
 def test_docstring_lists_every_key():
@@ -488,6 +498,21 @@ def test_pde_sweep_honours_solver(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["divergence"]
     assert "solver diverged at step 11" in rows[0]["detail"]
+
+
+def test_pde_sweep_rejects_zero_dt_per_cell(tmp_path):
+    cfg = tmp_path / "sweep_dt0.cfg"
+    cfg.write_text(
+        "[scenario]\nname = dt0\n[grid]\npoints = 64\n"
+        "[sweep]\ncoupling = 1.0\nomega = 0.0, 0.1\nn = 2\nseeds = 0\nmode = pde\n"
+        "dt = 0\nt_end = 1.0\n"
+    )
+    out = tmp_path / "o"
+    assert run_cli("sweep", "--scenario", str(cfg), "--out", str(out)) == 0
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["config_error"] * 2
+    assert all("dt must be positive" in r["detail"] for r in rows)
 
 
 def test_simulate_t_end_zero(tmp_path):

@@ -15,8 +15,9 @@ from lohe_sync import (
     propagate_linear,
     stability_report,
 )
-from lohe_sync.initial_data import gaussian, gaussian_pair, perturbed_gaussians
+from lohe_sync.initial_data import gaussian, gaussian_pair, incoherent_pair, perturbed_gaussians
 from lohe_sync.potentials import cosine_potential
+from lohe_sync.solver import step
 
 from conftest import assert_close
 
@@ -211,7 +212,9 @@ def test_identical_ensemble_stays_identical(grid64):
     assert_close(final.psi[0], final.psi[2], 1e-13)
 
 
-@pytest.mark.parametrize("scheme, order", [("strang_rk4", 2.0), ("full_rk4", 4.0)])
+@pytest.mark.parametrize(
+    "scheme, order", [("strang_rk4", 2.0), ("full_rk4", 4.0), ("span", 2.0)]
+)
 def test_measured_temporal_order(scheme, order):
     # 1-D/128, cosine potential, detuned kicked pair, t = 2; each run is
     # compared against the same scheme at dt = 2.5e-4, and the order is
@@ -229,3 +232,111 @@ def test_measured_temporal_order(scheme, order):
     ref = final(2.5e-4)
     coarse, fine = (float(np.max(np.abs(final(dt) - ref))) for dt in (2e-3, 1e-3))
     assert abs(np.log2(coarse / fine) - order) <= 0.3
+
+
+# -- span: the mixing matrix C stepped, psi = C U psi0 formed at samples --------
+
+
+def _span_cases():
+    line = GridSpec(dim=1, points=128, length=20.0)
+    plane = GridSpec(dim=2, points=32, length=20.0)
+    return {
+        "1d_cosine_detuned": (
+            perturbed_gaussians(line, 3, seed=5),
+            ModelConfig(
+                coupling=1.0, frequencies=(0.3, 0.0, -0.25), potential=cosine_potential(line)
+            ),
+        ),
+        "2d_free": (
+            perturbed_gaussians(plane, 3, seed=7),
+            ModelConfig(coupling=1.0, frequencies=(0.2, -0.1, 0.0)),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["1d_cosine_detuned", "2d_free"])
+def test_span_matches_strang_rk4(case):
+    # the coupling only mixes the fields and V acts alike on all of them, so
+    # span keeps strang_rk4's splitting: the two differ by roundoff
+    initial, config = _span_cases()[case]
+    runs = [
+        evolve(
+            initial,
+            config,
+            SolverParams(dt=1e-3, t_end=1.0, scheme=scheme, snapshot_stride=100),
+            collect_diagnostics=False,
+        )
+        for scheme in ("span", "strang_rk4")
+    ]
+    assert runs[0].n_samples == runs[1].n_samples == 11
+    for a, b in zip(*(run.states for run in runs)):
+        assert a.time == b.time
+        assert_close(a.psi, b.psi, 1e-12, f"span vs strang_rk4 at t = {a.time:g}")
+
+
+def test_span_matches_full_rk4(grid64, pair_config):
+    # V = 0: the linear flow is exact, so span is RK4 on C alone
+    initial = gaussian_pair(grid64)
+    span, rk4 = (
+        evolve(
+            initial,
+            pair_config,
+            SolverParams(dt=1e-3, t_end=1.0, scheme=scheme, snapshot_stride=1000),
+            collect_diagnostics=False,
+        ).final
+        for scheme in ("span", "full_rk4")
+    )
+    assert_close(span.psi, rk4.psi, 1e-8, "span vs full_rk4")
+
+
+@pytest.mark.parametrize("scheme", ["span", "strang_rk4", "full_rk4"])
+def test_renormalize_each_step_every_scheme(grid64, pair_config, scheme):
+    initial = gaussian_pair(grid64)
+    params = SolverParams(
+        dt=1e-2, t_end=0.5, scheme=scheme, renormalize_each_step=True, snapshot_stride=10
+    )
+    trajectory = evolve(initial, pair_config, params, collect_diagnostics=False)
+    for state in trajectory.states:
+        assert_close(state.norms(), np.ones(2), 1e-14, f"{scheme} renormalized")
+
+
+def test_step_matches_evolve_under_span(grid64):
+    initial = perturbed_gaussians(grid64, 3, seed=4)
+    config = ModelConfig(
+        coupling=1.0, frequencies=(0.2, 0.0, -0.2), potential=cosine_potential(grid64)
+    )
+    params = SolverParams(dt=1e-3, t_end=1e-3)
+    one = step(initial, config, params)
+    assert one.time == pytest.approx(1e-3)
+    assert_close(one.psi, evolve(initial, config, params).final.psi, 0.0, "step vs evolve")
+    grid_step = step(initial, config, SolverParams(dt=1e-3, t_end=1e-3, scheme="strang_rk4"))
+    assert_close(one.psi, grid_step.psi, 1e-14, "span vs strang_rk4 step")
+    with pytest.raises(DivergenceError, match="non-finite"):
+        step(initial, ModelConfig(coupling=1e300, frequencies=(0.0,) * 3), params)
+
+
+def test_span_divergence_carries_partial_trajectory(grid64):
+    # K dt = 10 leaves the RK4 stability region of the C equation
+    config = ModelConfig(coupling=1000.0, frequencies=(0.0, 0.0, 0.0))
+    initial = perturbed_gaussians(grid64, 3, seed=4)
+    params = SolverParams(dt=0.01, t_end=1.0, snapshot_stride=1)
+    with pytest.warns(UserWarning):
+        with pytest.raises(DivergenceError, match=r"solver diverged at step \d+ \(t = ") as err:
+            evolve(initial, config, params, collect_diagnostics=False)
+    partial = err.value.partial
+    assert 1 <= partial.n_samples == err.value.step_index
+    assert all(np.all(np.isfinite(s.psi)) for s in partial.states)
+
+
+def test_span_keeps_a_dependent_pair_incoherent(grid256):
+    # psi_2 = -psi_1 makes G0 singular, and the C flow grows a row component
+    # along its null space like exp(K t / 2): unchecked, by t = 80 that is
+    # 2e17 times the fields' roundoff
+    config = ModelConfig(coupling=1.0, frequencies=(0.0, 0.0))
+    trajectory = evolve(
+        incoherent_pair(grid256, sigma=1.5),
+        config,
+        SolverParams(dt=1e-2, t_end=80.0, scheme="span", snapshot_stride=500),
+    )
+    assert max(r.zeta_norm for r in trajectory.diagnostics_stream) <= 1e-8
+    assert_close(trajectory.final.psi[1], -trajectory.final.psi[0], 1e-12, "psi_2 = -psi_1")
