@@ -206,44 +206,14 @@ class _GridStepper:
         return self.psi.copy()
 
 
-class _LinearFlow:
-    """phi -> U(steps * dt) phi for a stack of fields, multipliers built once
-    per run: one exact Fourier multiplier per distinct step count when V = 0,
-    otherwise Strang kinetic-potential-kinetic substeps of dt with adjacent
-    kinetic half-steps merged, so each substep costs one FFT pair."""
-
-    def __init__(self, grid: GridSpec, potential: np.ndarray | None, dt: float):
-        self.axes = tuple(range(1, grid.dim + 1))
-        self.dt = dt
-        self.k2 = k_squared(grid)
-        self.potential = potential
-        self.multipliers: dict[int, np.ndarray] = {}
-        if potential is not None:
-            self.half = _half_kinetic(grid.dim, grid.points, grid.length, dt)
-            self.whole = np.exp(-0.5j * dt * self.k2)
-            self.phase = np.exp(-1j * dt * potential)
-
-    def __call__(self, phi: np.ndarray, steps: int) -> np.ndarray:
-        if steps == 0:
-            return phi
-        fftn, ifftn, axes = np.fft.fftn, np.fft.ifftn, self.axes
-        if self.potential is None:
-            mult = self.multipliers.get(steps)
-            if mult is None:
-                mult = self.multipliers[steps] = np.exp(-0.5j * (steps * self.dt) * self.k2)
-            return ifftn(mult * fftn(phi, axes=axes), axes=axes)
-        hat = self.half * fftn(phi, axes=axes)
-        for n in range(1, steps + 1):
-            hat = fftn(self.phase * ifftn(hat, axes=axes), axes=axes)
-            hat *= self.whole if n < steps else self.half
-        return ifftn(hat, axes=axes)
-
-
 class _SpanStepper:
     """span: RK4 steps the mixing matrix C alone, and the fields C U psi0 are
-    formed only when asked for, with the linear flow caught up then."""
+    formed only when asked for, with the linear flow caught up then by
+    propagate_linear in substeps of dt."""
 
     def __init__(self, initial: EnsembleState, config: ModelConfig, params: SolverParams):
+        self.grid = initial.grid
+        self.potential = config.potential
         self.g0 = gram_matrix(initial)
         omega = np.asarray(config.frequencies, dtype=float)
         self.deriv = mixing_flow(self.g0, omega, config.coupling)
@@ -252,7 +222,6 @@ class _SpanStepper:
         n = initial.n_oscillators
         self.c = np.eye(n, dtype=np.complex128)
         self.projector = self._null_projector(initial, self.g0)
-        self.flow = _LinearFlow(initial.grid, config.potential, params.dt)
         self.phi = initial.psi  # U(t - t0) psi0 at the last formed sample
         self.lag = 0  # steps taken since then
 
@@ -288,7 +257,9 @@ class _SpanStepper:
         return c
 
     def fields(self) -> np.ndarray:
-        self.phi = self.flow(self.phi, self.lag)
+        self.phi = propagate_linear(
+            self.grid, self.potential, self.phi, self.lag * self.dt, substeps=self.lag
+        )
         self.lag = 0
         return np.tensordot(self.c, self.phi, axes=1)
 
@@ -312,8 +283,10 @@ def propagate_linear(
 
     Negative time gives the adjoint (backward) propagator. With no potential
     the result is an exact spectral multiplier, valid for arbitrarily large
-    |time|; with a potential it falls back to Strang substeps, by default
-    enough of them to keep the potential phase per substep below 0.1 rad.
+    |time|; with a potential it is Strang kinetic-potential-kinetic substeps,
+    by default enough of them to keep the potential phase per substep below
+    0.1 rad. Adjacent kinetic half-steps are merged, so a substep costs one
+    FFT pair.
 
     values may be a single field of grid.shape or a stack (n, *grid.shape).
     """
@@ -323,11 +296,10 @@ def propagate_linear(
         raise ConfigurationError("values shape does not match the grid")
     if time == 0.0:
         return values.copy()
+    fftn, ifftn = np.fft.fftn, np.fft.ifftn
     k2 = k_squared(grid)
     if potential is None:
-        return np.fft.ifftn(
-            np.exp(-0.5j * time * k2) * np.fft.fftn(values, axes=axes), axes=axes
-        )
+        return ifftn(np.exp(-0.5j * time * k2) * fftn(values, axes=axes), axes=axes)
     if potential.shape != grid.shape:
         raise ConfigurationError("potential shape does not match the grid")
     if substeps is None:
@@ -335,13 +307,13 @@ def propagate_linear(
         substeps = max(1, int(np.ceil(abs(time) * v_max / 0.1)))
     h = time / substeps
     half = np.exp(-0.25j * h * k2)
+    whole = np.exp(-0.5j * h * k2)
     phase = np.exp(-1j * h * potential)
-    out = values
-    for _ in range(substeps):
-        out = np.fft.ifftn(half * np.fft.fftn(out, axes=axes), axes=axes)
-        out = phase * out
-        out = np.fft.ifftn(half * np.fft.fftn(out, axes=axes), axes=axes)
-    return out
+    hat = half * fftn(values, axes=axes)
+    for n in range(1, substeps + 1):
+        hat = fftn(phase * ifftn(hat, axes=axes), axes=axes)
+        hat *= whole if n < substeps else half
+    return ifftn(hat, axes=axes)
 
 
 def step(state: EnsembleState, config: ModelConfig, params: SolverParams) -> EnsembleState:

@@ -1,5 +1,8 @@
 """Time integration against closed forms the solver does not know about."""
 
+import sys
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -289,7 +292,28 @@ def test_span_matches_full_rk4(grid64, pair_config):
     assert_close(span.psi, rk4.psi, 1e-8, "span vs full_rk4")
 
 
-@pytest.mark.parametrize("scheme", ["span", "strang_rk4", "full_rk4"])
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_decoupled_free_gaussians_match_closed_form,
+        test_frequency_term_is_a_pure_phase,
+        test_mass_conserved_with_potential,
+        test_gauge_covariance,
+        test_identical_ensemble_stays_identical,
+    ],
+    ids=lambda check: check.__name__.removeprefix("test_"),
+)
+def test_default_scheme_checks_hold_for_strang_rk4(grid64, monkeypatch, check):
+    # those checks run the default scheme, span; rerun them on the grid
+    # reference, which does not use the factorisation span rests on
+    monkeypatch.setattr(
+        sys.modules[__name__], "SolverParams", partial(SolverParams, scheme="strang_rk4")
+    )
+    check(grid64)
+
+
+# the default scheme's case is test_renormalize_each_step
+@pytest.mark.parametrize("scheme", ["strang_rk4", "full_rk4"])
 def test_renormalize_each_step_every_scheme(grid64, pair_config, scheme):
     initial = gaussian_pair(grid64)
     params = SolverParams(
