@@ -272,8 +272,12 @@ def cmd_simulate(sc: Scenario, args) -> int:
             "energy_total": final.energies.total,
             "energy_relative": final.energies.relative,
         }
-        gram = trajectory.gram_series()
-        two = _two_oscillator_block(config, gram.times, gram.z[:, 0, 1])
+        # the records already hold each sample's correlations
+        two = _two_oscillator_block(
+            config,
+            np.array([rec.time for rec in records]),
+            np.array([rec.correlations.z[0, 1] for rec in records]),
+        )
         if two is not None:
             summary["two_oscillator"] = two
     _write(os.path.join(run_dir, "summary.json"), dump_json(summary))

@@ -85,7 +85,10 @@ class DiagnosticsRecord:
 
 
 def compute_record(state: EnsembleState, config: ModelConfig) -> DiagnosticsRecord:
-    """All observables of one snapshot. O(N^2) reductions, N FFT gradients."""
+    """All observables of one snapshot: N FFT gradients, N x N Gram products,
+    and the pairwise Madelung L1 distances in O(N^2 M) time (M grid points).
+    Those are reduced one row at a time, oscillator j against every later
+    one, so the extra memory is O(N M), not O(N^2 M)."""
     grid = state.grid
     n = state.n_oscillators
     dv = grid.dv
@@ -138,17 +141,19 @@ def compute_record(state: EnsembleState, config: ModelConfig) -> DiagnosticsReco
     )
     pair_h1 = np.sqrt(h1_sq)
 
-    rho = np.abs(psi) ** 2
+    # row j against every later oscillator at once: (n - j - 1, M) temporaries
+    rho = (np.abs(psi) ** 2).reshape(n, -1)
+    currents = [np.imag(np.conj(psi) * g).reshape(n, -1) for g in grads]
     rho_l1 = np.zeros((n, n))
-    currents = [np.imag(np.conj(psi) * g) for g in grads]
     cur_l1 = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            rho_l1[j, k] = rho_l1[k, j] = dv * np.sum(np.abs(rho[j] - rho[k]))
-            diff_sq = np.zeros(grid.shape)
-            for cur in currents:
-                diff_sq = diff_sq + (cur[j] - cur[k]) ** 2
-            cur_l1[j, k] = cur_l1[k, j] = dv * np.sum(np.sqrt(diff_sq))
+    for j in range(n - 1):
+        rho_l1[j, j + 1 :] = dv * np.sum(np.abs(rho[j] - rho[j + 1 :]), axis=1)
+        diff_sq = np.zeros((n - j - 1, rho.shape[1]))
+        for cur in currents:
+            diff_sq = diff_sq + (cur[j] - cur[j + 1 :]) ** 2
+        cur_l1[j, j + 1 :] = dv * np.sum(np.sqrt(diff_sq), axis=1)
+    rho_l1 = rho_l1 + rho_l1.T
+    cur_l1 = cur_l1 + cur_l1.T
 
     op = order_parameter(state)
 

@@ -62,28 +62,39 @@ def dump_json(obj) -> str:
     return json.dumps(to_jsonable(obj), ensure_ascii=True, allow_nan=False) + "\n"
 
 
-def _matrix(values: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.asarray(values)]
+def _finite(values) -> np.ndarray:
+    """values as a float array, refused with fmt_float's error for the first
+    entry that is not finite. .tolist() then gives the Python floats whose
+    repr fmt_float and json.dumps both write."""
+    arr = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        fmt_float(arr[bad].flat[0])
+    return arr
 
 
-def _vector(values: np.ndarray) -> list:
-    return [float(v) for v in np.asarray(values)]
+def _cells(values: np.ndarray) -> str:
+    """One csv cell per entry of a checked array, comma-joined."""
+    return ",".join(map(repr, values.tolist()))
 
 
 def ode_records(series: CorrelationSeries):
     """The documented correlation-series schema, one dict per sample:
     {t, r, s, r_tilde, s_tilde, zeta_norm_sq}."""
-    r_t = series.r_tilde
-    s_t = series.s_tilde
-    zeta = series.zeta_norm_sq
-    for i, t in enumerate(series.times):
+    times = _finite(series.times)
+    r = _finite(series.z.real)
+    s = _finite(series.z.imag)
+    r_t = _finite(series.r_tilde)
+    s_t = _finite(series.s_tilde)
+    zeta = _finite(series.zeta_norm_sq)
+    for i in range(len(times)):
         yield {
-            "t": float(t),
-            "r": _matrix(series.z[i].real),
-            "s": _matrix(series.z[i].imag),
-            "r_tilde": _vector(r_t[i]),
-            "s_tilde": _vector(s_t[i]),
-            "zeta_norm_sq": float(zeta[i]),
+            "t": times[i].tolist(),
+            "r": r[i].tolist(),
+            "s": s[i].tolist(),
+            "r_tilde": r_t[i].tolist(),
+            "s_tilde": s_t[i].tolist(),
+            "zeta_norm_sq": zeta[i].tolist(),
         }
 
 
@@ -91,10 +102,6 @@ def write_ode_ndjson(fh, series: CorrelationSeries) -> None:
     for rec in ode_records(series):
         fh.write(json.dumps(rec, ensure_ascii=True, allow_nan=False))
         fh.write("\n")
-
-
-def _pairs(n: int):
-    return [(j, k) for j in range(n) for k in range(j + 1, n)]
 
 
 def write_ode_csv(fh, series: CorrelationSeries) -> None:
@@ -108,17 +115,21 @@ def write_ode_csv(fh, series: CorrelationSeries) -> None:
     cols += [f"s_tilde_{j}" for j in range(n)]
     cols += ["zeta_norm_sq"]
     fh.write(",".join(cols) + "\n")
-    r_t = series.r_tilde
-    s_t = series.s_tilde
-    zeta = series.zeta_norm_sq
-    for i, t in enumerate(series.times):
-        row = [fmt_float(t)]
-        row += [fmt_float(v) for v in series.z[i].real.reshape(-1)]
-        row += [fmt_float(v) for v in series.z[i].imag.reshape(-1)]
-        row += [fmt_float(v) for v in r_t[i]]
-        row += [fmt_float(v) for v in s_t[i]]
-        row.append(fmt_float(zeta[i]))
-        fh.write(",".join(row) + "\n")
+    samples = len(series.times)
+    table = _finite(
+        np.column_stack(
+            [
+                series.times,
+                series.z.real.reshape(samples, -1),
+                series.z.imag.reshape(samples, -1),
+                series.r_tilde,
+                series.s_tilde,
+                series.zeta_norm_sq,
+            ]
+        )
+    )
+    for row in table:
+        fh.write(_cells(row) + "\n")
 
 
 def diagnostics_records(records):
@@ -126,21 +137,23 @@ def diagnostics_records(records):
     for rec in records:
         en = rec.energies
         yield {
-            "t": float(rec.time),
-            "zeta_norm": float(rec.zeta_norm),
-            "mass_drift": _vector(rec.mass_drift),
-            "pair_l2": _matrix(rec.pair_l2),
-            "pair_h1": _matrix(rec.pair_h1),
-            "r": _matrix(rec.correlations.z.real),
-            "s": _matrix(rec.correlations.z.imag),
-            "energy_total": float(en.total),
-            "energy_per_osc": _vector(en.per_osc),
-            "energy_pair": _matrix(en.pair),
-            "energy_relative": float(en.relative),
-            "energy_zeta": float(en.zeta_energy),
-            "energy_diff_two": None if en.diff_energy_two is None else float(en.diff_energy_two),
-            "madelung_rho_l1": _matrix(rec.madelung_rho_l1),
-            "madelung_current_l1": _matrix(rec.madelung_current_l1),
+            "t": _finite(rec.time).tolist(),
+            "zeta_norm": _finite(rec.zeta_norm).tolist(),
+            "mass_drift": _finite(rec.mass_drift).tolist(),
+            "pair_l2": _finite(rec.pair_l2).tolist(),
+            "pair_h1": _finite(rec.pair_h1).tolist(),
+            "r": _finite(rec.correlations.z.real).tolist(),
+            "s": _finite(rec.correlations.z.imag).tolist(),
+            "energy_total": _finite(en.total).tolist(),
+            "energy_per_osc": _finite(en.per_osc).tolist(),
+            "energy_pair": _finite(en.pair).tolist(),
+            "energy_relative": _finite(en.relative).tolist(),
+            "energy_zeta": _finite(en.zeta_energy).tolist(),
+            "energy_diff_two": (
+                None if en.diff_energy_two is None else _finite(en.diff_energy_two).tolist()
+            ),
+            "madelung_rho_l1": _finite(rec.madelung_rho_l1).tolist(),
+            "madelung_current_l1": _finite(rec.madelung_current_l1).tolist(),
         }
 
 
@@ -158,34 +171,38 @@ def write_diagnostics_csv(fh, records) -> None:
     if not records:
         raise ConfigurationError("no diagnostics records to write")
     n = records[0].pair_l2.shape[0]
-    pairs = _pairs(n)
+    upper = np.triu_indices(n, k=1)
+    pairs = [f"{j}_{k}" for j, k in zip(*upper)]
     cols = ["t", "zeta_norm", "mass_drift_max", "energy_total", "energy_relative", "energy_zeta"]
     cols += ["energy_diff_two"]
-    cols += [f"pair_l2_{j}_{k}" for j, k in pairs]
-    cols += [f"pair_h1_{j}_{k}" for j, k in pairs]
-    cols += [f"rho_l1_{j}_{k}" for j, k in pairs]
-    cols += [f"current_l1_{j}_{k}" for j, k in pairs]
-    cols += [f"r_{j}_{k}" for j, k in pairs]
-    cols += [f"s_{j}_{k}" for j, k in pairs]
+    for name in ("pair_l2", "pair_h1", "rho_l1", "current_l1", "r", "s"):
+        cols += [f"{name}_{pair}" for pair in pairs]
     cols += [f"energy_{j}" for j in range(n)]
     fh.write(",".join(cols) + "\n")
     for rec in records:
         en = rec.energies
-        row = [
-            fmt_float(rec.time),
-            fmt_float(rec.zeta_norm),
-            fmt_float(np.max(np.abs(rec.mass_drift))),
-            fmt_float(en.total),
-            fmt_float(en.relative),
-            fmt_float(en.zeta_energy),
-            "" if en.diff_energy_two is None else fmt_float(en.diff_energy_two),
-        ]
-        for matrix in (rec.pair_l2, rec.pair_h1, rec.madelung_rho_l1, rec.madelung_current_l1):
-            row += [fmt_float(matrix[j, k]) for j, k in pairs]
-        row += [fmt_float(rec.correlations.z[j, k].real) for j, k in pairs]
-        row += [fmt_float(rec.correlations.z[j, k].imag) for j, k in pairs]
-        row += [fmt_float(v) for v in en.per_osc]
-        fh.write(",".join(row) + "\n")
+        z = rec.correlations.z
+        scalars = _finite(
+            [
+                rec.time,
+                rec.zeta_norm,
+                np.max(np.abs(rec.mass_drift)),
+                en.total,
+                en.relative,
+                en.zeta_energy,
+            ]
+        )
+        diff_two = "" if en.diff_energy_two is None else fmt_float(en.diff_energy_two)
+        matrices = (
+            rec.pair_l2,
+            rec.pair_h1,
+            rec.madelung_rho_l1,
+            rec.madelung_current_l1,
+            z.real,
+            z.imag,
+        )
+        rest = _finite(np.concatenate([m[upper] for m in matrices] + [en.per_osc]))
+        fh.write(",".join((_cells(scalars), diff_two, _cells(rest))) + "\n")
 
 
 SWEEP_COLUMNS = (

@@ -8,7 +8,7 @@ walk, so a rendered manifest parses back to the scenario it came from; the
 
     [scenario]
     name = two_osc_lambda075     # required; names output directories
-    seed = 2024                  # default 0
+    seed = 2024                  # non-negative, default 0
 
     [grid]                       # all optional
     dim = 1                      # 1..3, default 1
@@ -166,6 +166,12 @@ class Scenario:
     outputs: OutputSpec = field(default_factory=OutputSpec)
     checks: tuple[tuple[str, float], ...] = ()
     sweep: SweepSpec | None = None
+
+    def __post_init__(self):
+        # checked on construction, so a --seed override meets the same rule
+        # as the file; the seed reaches np.random.default_rng
+        if self.seed < 0:
+            _fail("scenario", "seed", f"expected a non-negative integer, got {self.seed}")
 
 
 def _fail(section: str, key: str, message: str):

@@ -10,16 +10,19 @@ from lohe_sync import (
     GridSpec,
     ModelConfig,
     SeriesTooShortError,
+    SolverParams,
     WaveField,
     classify_correlation_sync,
     compute_record,
     detect_period,
     energy_bound_check,
+    evolve,
     fit_algebraic_limit,
     fit_rate,
     interpolate_series,
 )
-from lohe_sync.initial_data import gaussian, overlap_pair, plane_waves
+from lohe_sync.core import spectral_gradient
+from lohe_sync.initial_data import gaussian, overlap_pair, perturbed_gaussians, plane_waves
 from lohe_sync.potentials import cosine_potential
 
 from conftest import assert_close
@@ -107,6 +110,46 @@ def test_real_fields_carry_no_current(grid64):
     assert float(np.max(np.abs(state.psi.imag))) == 0.0
     rec = compute_record(state, zero_config(2))
     assert float(np.max(rec.madelung_current_l1)) <= 1e-13
+
+
+def _madelung_pair_loop(state):
+    """The Madelung L1 matrices one pair at a time, on the grid's own shape."""
+    n = state.n_oscillators
+    psi = state.psi
+    dv = state.grid.dv
+    rho = np.abs(psi) ** 2
+    currents = [np.imag(np.conj(psi) * g) for g in spectral_gradient(state.grid, psi)]
+    rho_l1 = np.zeros((n, n))
+    cur_l1 = np.zeros((n, n))
+    for j in range(n):
+        for k in range(j + 1, n):
+            rho_l1[j, k] = rho_l1[k, j] = dv * np.sum(np.abs(rho[j] - rho[k]))
+            diff_sq = np.zeros(state.grid.shape)
+            for cur in currents:
+                diff_sq = diff_sq + (cur[j] - cur[k]) ** 2
+            cur_l1[j, k] = cur_l1[k, j] = dv * np.sum(np.sqrt(diff_sq))
+    return rho_l1, cur_l1
+
+
+@pytest.mark.parametrize(
+    "dim, points, n, potential",
+    [(1, 256, 7, True), (2, 32, 4, False)],
+    ids=["1d_n7_cosine", "2d_n4_free"],
+)
+def test_madelung_rows_match_pair_loop_bitwise(dim, points, n, potential):
+    # a short detuned run gives every field its own density and current
+    grid = GridSpec(dim=dim, points=points, length=20.0)
+    config = ModelConfig(
+        coupling=1.0,
+        frequencies=tuple(np.linspace(-0.3, 0.3, n)),
+        potential=cosine_potential(grid, amplitude=1.0, offset=1.0) if potential else None,
+    )
+    state = evolve(perturbed_gaussians(grid, n, seed=3), config, SolverParams(0.01, 0.5)).final
+    rec = compute_record(state, config)
+    rho_l1, cur_l1 = _madelung_pair_loop(state)
+    assert float(cur_l1.min(initial=np.inf, where=~np.eye(n, dtype=bool))) > 0.0
+    assert np.array_equal(rec.madelung_rho_l1, rho_l1)
+    assert np.array_equal(rec.madelung_current_l1, cur_l1)
 
 
 # -- classification ------------------------------------------------------------

@@ -132,7 +132,7 @@ def _scenarios(draw):
     )
     return Scenario(
         name=draw(_WORDS),
-        seed=draw(_INTS),
+        seed=draw(st.integers(0, 10**6)),
         grid_dim=draw(_INTS),
         grid_points=draw(_INTS),
         grid_length=draw(_FLOATS),
@@ -214,6 +214,24 @@ def test_negative_sweep_seeds_are_rejected(tmp_path, capsys):
     cfg.write_text("[scenario]\nname = neg\n[sweep]\nseeds = -1\n")
     assert run_cli("sweep", "--scenario", str(cfg), "--out", str(tmp_path / "o")) == 2
     assert "[sweep] seeds:" in capsys.readouterr().err
+
+
+def test_negative_scenario_seed_is_rejected(tmp_path, capsys):
+    # perturbed_gaussians hands the seed to np.random.default_rng
+    with pytest.raises(ConfigurationError, match=r"\[scenario\] seed: expected a non-negative integer"):
+        parse_scenario("[scenario]\nname = x\nseed = -3\n")
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(
+        "[scenario]\nname = neg\nseed = -3\n[grid]\npoints = 64\n"
+        "[initial]\nkind = perturbed_gaussians\n[solver]\ndt = 0.01\nt_end = 0.1\n"
+    )
+    assert run_cli("simulate", "--scenario", str(cfg), "--out", str(tmp_path / "a")) == 2
+    assert "[scenario] seed: expected a non-negative integer, got -3" in capsys.readouterr().err
+    cfg.write_text(cfg.read_text().replace("seed = -3", "seed = 3"))
+    argv = ("simulate", "--scenario", str(cfg), "--out", str(tmp_path / "b"), "--seed", "-1")
+    assert run_cli(*argv) == 2
+    assert "[scenario] seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 def test_docstring_lists_every_key():
