@@ -32,6 +32,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import replace
 
 import numpy as np
@@ -53,14 +54,7 @@ from .diagnostics import (
     fit_rate,
     tail_samples,
 )
-from .emit import (
-    dump_json,
-    write_diagnostics_csv,
-    write_diagnostics_ndjson,
-    write_ode_csv,
-    write_ode_ndjson,
-    write_sweep_csv,
-)
+from .emit import dump_json, write_diagnostics, write_series, write_sweep_csv
 from .errors import (
     ConfigurationError,
     ContractViolationError,
@@ -87,9 +81,6 @@ __all__ = ["main"]
 
 # classification tolerance for summary reporting; verify checks carry their own
 CLASSIFY_TOL = 1e-3
-
-_DIAGNOSTICS_WRITERS = {"ndjson": write_diagnostics_ndjson, "csv": write_diagnostics_csv}
-_SERIES_WRITERS = {"ndjson": write_ode_ndjson, "csv": write_ode_csv}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,13 +150,17 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_formats(run_dir: str, stem: str, formats, writers: dict, data) -> None:
-    """<stem>.<format> for every requested format, through its writer."""
-    for fmt, writer in writers.items():
-        if fmt in formats:
-            path = os.path.join(run_dir, f"{stem}.{fmt}")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer(fh, data)
+def _write_formats(run_dir: str, stem: str, formats, write, data) -> None:
+    """<stem>.<format> for every requested format, all written by one
+    write(handles, data) call."""
+    with ExitStack() as stack:
+        handles = {
+            fmt: stack.enter_context(
+                open(os.path.join(run_dir, f"{stem}.{fmt}"), "w", encoding="utf-8", newline="")
+            )
+            for fmt in dict.fromkeys(formats)
+        }
+        write(handles, data)
 
 
 def _write_manifest(run_dir: str, sc: Scenario) -> None:
@@ -235,7 +230,7 @@ def cmd_simulate(sc: Scenario, args) -> int:
 
     records = trajectory.diagnostics_stream
     if sc.outputs.diagnostics:
-        _write_formats(run_dir, "diagnostics", sc.outputs.formats, _DIAGNOSTICS_WRITERS, records)
+        _write_formats(run_dir, "diagnostics", sc.outputs.formats, write_diagnostics, records)
     if sc.outputs.final_snapshot:
         write_snapshot(os.path.join(run_dir, "final.slw"), trajectory.final)
 
@@ -306,7 +301,7 @@ def cmd_ode(sc: Scenario, args) -> int:
 
     run_dir = _run_dir(args, sc.name)
     _write_manifest(run_dir, sc)
-    _write_formats(run_dir, "correlations", sc.outputs.formats, _SERIES_WRITERS, series)
+    _write_formats(run_dir, "correlations", sc.outputs.formats, write_series, series)
 
     summary: dict = {
         "scenario": sc.name,
@@ -389,7 +384,7 @@ def cmd_oracle(sc: Scenario, args) -> int:
         if times[-1] != sc.ode.t_end:
             times = np.append(times, sc.ode.t_end)
         series = CorrelationSeries.from_pair(times, z_exact(sc.ode.z0, times, regime))
-        _write_formats(run_dir, "z_exact", sc.outputs.formats, _SERIES_WRITERS, series)
+        _write_formats(run_dir, "z_exact", sc.outputs.formats, write_series, series)
         wrote_series = True
     doc["series_written"] = wrote_series
     _write(os.path.join(run_dir, "oracle.json"), dump_json(doc))

@@ -5,6 +5,13 @@ round-trips the exact binary value, never more than 17 significant digits.
 Two runs that compute identical doubles therefore emit identical bytes,
 which is the whole reproducibility story; nothing here depends on locale,
 dict iteration quirks, or platform line endings.
+
+A diagnostics record, or a block of correlation-series samples, is rendered
+once for every format it is written in: its numbers are checked for
+finiteness together, each distinct magnitude goes through repr once (pair
+matrices are symmetric, s antisymmetric, and the csv repeats ndjson values),
+the sign is put back from signbit, and the ndjson line and the csv row are
+both assembled from those strings.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ __all__ = [
     "write_ode_csv",
     "write_diagnostics_ndjson",
     "write_diagnostics_csv",
+    "write_diagnostics",
+    "write_series",
     "write_sweep_csv",
     "SWEEP_COLUMNS",
 ]
@@ -62,147 +71,200 @@ def dump_json(obj) -> str:
     return json.dumps(to_jsonable(obj), ensure_ascii=True, allow_nan=False) + "\n"
 
 
-def _finite(values) -> np.ndarray:
-    """values as a float array, refused with fmt_float's error for the first
-    entry that is not finite. .tolist() then gives the Python floats whose
-    repr fmt_float and json.dumps both write."""
-    arr = np.asarray(values, dtype=float)
-    bad = ~np.isfinite(arr)
+def _check_finite(values: np.ndarray) -> None:
+    """Refuse the first entry that is not finite, with fmt_float's error."""
+    bad = ~np.isfinite(values)
     if bad.any():
-        fmt_float(arr[bad].flat[0])
-    return arr
+        fmt_float(values[bad].flat[0])
 
 
-def _cells(values: np.ndarray) -> str:
-    """One csv cell per entry of a checked array, comma-joined."""
-    return ",".join(map(repr, values.tolist()))
+def _tokens(flat: np.ndarray) -> np.ndarray:
+    """repr of every entry of a finite 1-D float array, as an object array.
+
+    Each distinct magnitude is rendered once and the sign put back with
+    signbit, so -0.0 stays "-0.0" and x and -x share one repr; repr(-x) is
+    "-" + repr(x) for every finite double."""
+    magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
+    tokens = np.array(list(map(repr, magnitudes.tolist())), dtype=object)[inverse]
+    negative = np.signbit(flat)
+    tokens[negative] = "-" + tokens[negative]
+    return tokens
 
 
-def ode_records(series: CorrelationSeries):
-    """The documented correlation-series schema, one dict per sample:
-    {t, r, s, r_tilde, s_tilde, zeta_norm_sq}."""
-    times = _finite(series.times)
-    r = _finite(series.z.real)
-    s = _finite(series.z.imag)
-    r_t = _finite(series.r_tilde)
-    s_t = _finite(series.s_tilde)
-    zeta = _finite(series.zeta_norm_sq)
-    for i in range(len(times)):
-        yield {
-            "t": times[i].tolist(),
-            "r": r[i].tolist(),
-            "s": s[i].tolist(),
-            "r_tilde": r_t[i].tolist(),
-            "s_tilde": s_t[i].tolist(),
-            "zeta_norm_sq": zeta[i].tolist(),
-        }
+def _json_value(tokens: list, shape: tuple) -> str:
+    """A rendered scalar, or a nested JSON array with json.dumps's ", "
+    separator."""
+    if not shape:
+        return tokens[0]
+    if len(shape) == 1:
+        return "[" + ", ".join(tokens) + "]"
+    step = len(tokens) // shape[0]
+    rows = (_json_value(tokens[i : i + step], shape[1:]) for i in range(0, len(tokens), step))
+    return "[" + ", ".join(rows) + "]"
+
+
+def _ndjson_line(shapes: dict, tokens: list) -> str:
+    """One JSON object from {key: shape} in schema order, shape None for
+    null; tokens hold the rendered entries of every other field, flattened
+    in that order."""
+    parts = []
+    at = 0
+    for key, shape in shapes.items():
+        if shape is None:
+            parts.append(f'"{key}": null')
+            continue
+        size = math.prod(shape)
+        parts.append(f'"{key}": {_json_value(tokens[at : at + size], shape)}')
+        at += size
+    return "{" + ", ".join(parts) + "}\n"
+
+
+# rows of a correlation series rendered together: bounds the strings held at once
+_SERIES_CHUNK = 256
+
+
+def write_series(handles: dict, series: CorrelationSeries) -> None:
+    """Write a correlation series to every open file in handles, keyed by
+    format ("ndjson", "csv"). The ndjson schema is one {t, r, s, r_tilde,
+    s_tilde, zeta_norm_sq} object per sample; the csv row holds the same
+    numbers in the same order, full r and s matrices row-major. Both formats
+    are assembled from one rendering of each sample."""
+    n = series.n_oscillators
+    samples = len(series.times)
+    table = np.column_stack(
+        [
+            series.times,
+            series.z.real.reshape(samples, -1),
+            series.z.imag.reshape(samples, -1),
+            series.r_tilde,
+            series.s_tilde,
+            series.zeta_norm_sq,
+        ]
+    )
+    ndjson, csv = handles.get("ndjson"), handles.get("csv")
+    if csv is not None:
+        cols = ["t"]
+        cols += [f"r_{j}_{k}" for j in range(n) for k in range(n)]
+        cols += [f"s_{j}_{k}" for j in range(n) for k in range(n)]
+        cols += [f"r_tilde_{j}" for j in range(n)]
+        cols += [f"s_tilde_{j}" for j in range(n)]
+        cols += ["zeta_norm_sq"]
+        csv.write(",".join(cols) + "\n")
+    _check_finite(table)
+    shapes = dict(t=(), r=(n, n), s=(n, n), r_tilde=(n,), s_tilde=(n,), zeta_norm_sq=())
+    for start in range(0, samples, _SERIES_CHUNK):
+        block = table[start : start + _SERIES_CHUNK]
+        rows = _tokens(block.ravel()).reshape(block.shape).tolist()
+        for row in rows:
+            if ndjson is not None:
+                ndjson.write(_ndjson_line(shapes, row))
+            if csv is not None:
+                csv.write(",".join(row) + "\n")
 
 
 def write_ode_ndjson(fh, series: CorrelationSeries) -> None:
-    for rec in ode_records(series):
-        fh.write(json.dumps(rec, ensure_ascii=True, allow_nan=False))
-        fh.write("\n")
+    write_series({"ndjson": fh}, series)
 
 
 def write_ode_csv(fh, series: CorrelationSeries) -> None:
-    """Flattened correlation series: full r and s matrices row-major, then
-    the macroscopic vectors, then ||zeta||^2. One row per sample."""
-    n = series.n_oscillators
-    cols = ["t"]
-    cols += [f"r_{j}_{k}" for j in range(n) for k in range(n)]
-    cols += [f"s_{j}_{k}" for j in range(n) for k in range(n)]
-    cols += [f"r_tilde_{j}" for j in range(n)]
-    cols += [f"s_tilde_{j}" for j in range(n)]
-    cols += ["zeta_norm_sq"]
-    fh.write(",".join(cols) + "\n")
-    samples = len(series.times)
-    table = _finite(
-        np.column_stack(
-            [
-                series.times,
-                series.z.real.reshape(samples, -1),
-                series.z.imag.reshape(samples, -1),
-                series.r_tilde,
-                series.s_tilde,
-                series.zeta_norm_sq,
-            ]
-        )
-    )
-    for row in table:
-        fh.write(_cells(row) + "\n")
+    write_series({"csv": fh}, series)
 
 
-def diagnostics_records(records):
-    """The documented per-sample diagnostics schema (stable key order)."""
+def _diagnostics_arrays(rec) -> dict:
+    """The documented per-sample diagnostics schema (stable key order), each
+    field a float array, or None for a missing energy_diff_two."""
+    en = rec.energies
+    z = rec.correlations.z
+    fields = {
+        "t": rec.time,
+        "zeta_norm": rec.zeta_norm,
+        "mass_drift": rec.mass_drift,
+        "pair_l2": rec.pair_l2,
+        "pair_h1": rec.pair_h1,
+        "r": z.real,
+        "s": z.imag,
+        "energy_total": en.total,
+        "energy_per_osc": en.per_osc,
+        "energy_pair": en.pair,
+        "energy_relative": en.relative,
+        "energy_zeta": en.zeta_energy,
+        "energy_diff_two": en.diff_energy_two,
+        "madelung_rho_l1": rec.madelung_rho_l1,
+        "madelung_current_l1": rec.madelung_current_l1,
+    }
+    return {key: None if v is None else np.asarray(v, dtype=float) for key, v in fields.items()}
+
+
+# fields whose upper triangles the csv holds, as <field>_<j>_<k> columns
+# with the madelung_ prefix dropped
+_CSV_PAIRS = ("pair_l2", "pair_h1", "madelung_rho_l1", "madelung_current_l1", "r", "s")
+
+
+def _diagnostics_csv_layout(n: int) -> tuple[np.ndarray, str]:
+    """Flat offsets of an n x n matrix's upper triangle, and the csv header."""
+    iu = np.triu_indices(n, k=1)
+    pairs = [f"{j}_{k}" for j, k in zip(*iu)]
+    cols = ["t", "zeta_norm", "mass_drift_max", "energy_total", "energy_relative"]
+    cols += ["energy_zeta", "energy_diff_two"]
+    for key in _CSV_PAIRS:
+        cols += [f"{key.removeprefix('madelung_')}_{pair}" for pair in pairs]
+    cols += [f"energy_{j}" for j in range(n)]
+    return iu[0] * n + iu[1], ",".join(cols) + "\n"
+
+
+def write_diagnostics(handles: dict, records) -> None:
+    """Write diagnostics records to every open file in handles, keyed by
+    format ("ndjson", "csv"), one record at a time.
+
+    Each record is rendered once: its fields are concatenated in ndjson key
+    order and checked for finiteness, every distinct magnitude is rendered
+    by repr once, and both the ndjson line and the csv row are assembled
+    from those strings. The csv is the spreadsheet cut: scalars, then the
+    upper triangles of every pair matrix, then per-oscillator energies; the
+    full matrices live in the ndjson."""
+    ndjson, csv = handles.get("ndjson"), handles.get("csv")
+    upper = None
     for rec in records:
-        en = rec.energies
-        yield {
-            "t": _finite(rec.time).tolist(),
-            "zeta_norm": _finite(rec.zeta_norm).tolist(),
-            "mass_drift": _finite(rec.mass_drift).tolist(),
-            "pair_l2": _finite(rec.pair_l2).tolist(),
-            "pair_h1": _finite(rec.pair_h1).tolist(),
-            "r": _finite(rec.correlations.z.real).tolist(),
-            "s": _finite(rec.correlations.z.imag).tolist(),
-            "energy_total": _finite(en.total).tolist(),
-            "energy_per_osc": _finite(en.per_osc).tolist(),
-            "energy_pair": _finite(en.pair).tolist(),
-            "energy_relative": _finite(en.relative).tolist(),
-            "energy_zeta": _finite(en.zeta_energy).tolist(),
-            "energy_diff_two": (
-                None if en.diff_energy_two is None else _finite(en.diff_energy_two).tolist()
-            ),
-            "madelung_rho_l1": _finite(rec.madelung_rho_l1).tolist(),
-            "madelung_current_l1": _finite(rec.madelung_current_l1).tolist(),
-        }
+        arrays = _diagnostics_arrays(rec)
+        flat = np.concatenate([a.ravel() for a in arrays.values() if a is not None])
+        _check_finite(flat)
+        if csv is not None:
+            n = rec.pair_l2.shape[0]
+            if upper is None:
+                upper, header = _diagnostics_csv_layout(n)
+                csv.write(header)
+            sizes = [0 if a is None else a.size for a in arrays.values()]
+            at = dict(zip(arrays, np.cumsum([0] + sizes).tolist()))
+            # max |mass drift| is the magnitude of one entry
+            drift = at["mass_drift"] + int(np.argmax(np.abs(arrays["mass_drift"])))
+            head = [at["t"], at["zeta_norm"], drift]
+            head += [at["energy_total"], at["energy_relative"], at["energy_zeta"]]
+            if arrays["energy_diff_two"] is not None:
+                head.append(at["energy_diff_two"])
+            index = np.concatenate(
+                [head] + [at[key] + upper for key in _CSV_PAIRS] + [at["energy_per_osc"] + np.arange(n)]
+            )
+        # a csv-only record renders just the entries its row holds
+        tokens = _tokens(flat if ndjson is not None else flat[index])
+        if ndjson is not None:
+            shapes = {key: None if a is None else a.shape for key, a in arrays.items()}
+            ndjson.write(_ndjson_line(shapes, tokens.tolist()))
+        if csv is not None:
+            cells = (tokens[index] if ndjson is not None else tokens).tolist()
+            cells[2] = cells[2].lstrip("-")
+            if arrays["energy_diff_two"] is None:
+                cells.insert(6, "")
+            csv.write(",".join(cells) + "\n")
+    if csv is not None and upper is None:
+        raise ConfigurationError("no diagnostics records to write")
 
 
 def write_diagnostics_ndjson(fh, records) -> None:
-    for rec in diagnostics_records(records):
-        fh.write(json.dumps(rec, ensure_ascii=True, allow_nan=False))
-        fh.write("\n")
+    write_diagnostics({"ndjson": fh}, records)
 
 
 def write_diagnostics_csv(fh, records) -> None:
-    """Spreadsheet cut of the diagnostics stream: scalars, then the upper
-    triangles of every pair matrix, then per-oscillator columns. The full
-    matrices live in the ndjson emission."""
-    records = list(records)
-    if not records:
-        raise ConfigurationError("no diagnostics records to write")
-    n = records[0].pair_l2.shape[0]
-    upper = np.triu_indices(n, k=1)
-    pairs = [f"{j}_{k}" for j, k in zip(*upper)]
-    cols = ["t", "zeta_norm", "mass_drift_max", "energy_total", "energy_relative", "energy_zeta"]
-    cols += ["energy_diff_two"]
-    for name in ("pair_l2", "pair_h1", "rho_l1", "current_l1", "r", "s"):
-        cols += [f"{name}_{pair}" for pair in pairs]
-    cols += [f"energy_{j}" for j in range(n)]
-    fh.write(",".join(cols) + "\n")
-    for rec in records:
-        en = rec.energies
-        z = rec.correlations.z
-        scalars = _finite(
-            [
-                rec.time,
-                rec.zeta_norm,
-                np.max(np.abs(rec.mass_drift)),
-                en.total,
-                en.relative,
-                en.zeta_energy,
-            ]
-        )
-        diff_two = "" if en.diff_energy_two is None else fmt_float(en.diff_energy_two)
-        matrices = (
-            rec.pair_l2,
-            rec.pair_h1,
-            rec.madelung_rho_l1,
-            rec.madelung_current_l1,
-            z.real,
-            z.imag,
-        )
-        rest = _finite(np.concatenate([m[upper] for m in matrices] + [en.per_osc]))
-        fh.write(",".join((_cells(scalars), diff_two, _cells(rest))) + "\n")
+    write_diagnostics({"csv": fh}, records)
 
 
 SWEEP_COLUMNS = (

@@ -135,8 +135,13 @@ class Trajectory:
         return self.states[-1]
 
     def gram_series(self) -> CorrelationSeries:
-        """Measured correlations of every stored state, as one series."""
-        z = np.stack([CorrelationState.from_ensemble(s).z for s in self.states])
+        """Measured correlations of every stored state, as one series. When
+        every state has a diagnostics record, the records' correlations are
+        those values already, and are read instead of recomputed."""
+        if len(self.diagnostics_stream) == len(self.states):
+            z = np.stack([rec.correlations.z for rec in self.diagnostics_stream])
+        else:
+            z = np.stack([CorrelationState.from_ensemble(s).z for s in self.states])
         return CorrelationSeries(times=self.times.copy(), z=z)
 
 

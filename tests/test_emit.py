@@ -9,6 +9,7 @@ import pytest
 
 from lohe_sync import (
     ConfigurationError,
+    CorrelationState,
     GridSpec,
     ModelConfig,
     SolverParams,
@@ -16,8 +17,10 @@ from lohe_sync import (
     integrate,
     random_correlation_matrix,
 )
+from lohe_sync.diagnostics import DiagnosticsRecord, EnergyReport
 from lohe_sync.emit import (
     fmt_float,
+    write_diagnostics,
     write_diagnostics_csv,
     write_diagnostics_ndjson,
     write_ode_csv,
@@ -111,6 +114,42 @@ def _diagnostics_csv_reference(records) -> str:
     return "".join(rows)
 
 
+def _hand_built_record():
+    """N = 2 with signed zeros, +-x pairs, one value repeated across fields
+    and energy_diff_two set: the cases one repr per magnitude must get right."""
+    z = np.array([[complex(1.0, -0.0), 0.3 + 0.2j], [0.3 - 0.2j, complex(1.0, 0.0)]])
+    correlations = CorrelationState(0.5, z)
+    correlations.z = z  # keep the signed zeros the constructor would round away
+    return DiagnosticsRecord(
+        time=0.5,
+        pair_l2=np.array([[0.0, 0.1], [0.1, -0.0]]),
+        pair_h1=np.array([[0.0, 0.75], [0.75, 0.0]]),
+        zeta_norm=0.75,
+        correlations=correlations,
+        energies=EnergyReport(
+            total=0.75,
+            per_osc=np.array([1.5, -1.5]),
+            pair=np.array([[-0.0, 2.0], [2.0, 0.0]]),
+            relative=0.1,
+            zeta_energy=-0.0,
+            diff_energy_two=-0.2,
+        ),
+        mass_drift=np.array([-2.5e-16, 1e-16]),
+        madelung_rho_l1=np.array([[0.0, 1.0 / 3.0], [1.0 / 3.0, 0.0]]),
+        madelung_current_l1=np.array([[0.0, 5e-324], [5e-324, -0.0]]),
+    )
+
+
+def test_hand_built_record_matches_value_by_value_rendering():
+    records = [_hand_built_record()]
+    ndjson, csv = io.StringIO(), io.StringIO()
+    write_diagnostics({"ndjson": ndjson, "csv": csv}, records)
+    assert ndjson.getvalue() == _diagnostics_ndjson_reference(records)
+    assert csv.getvalue() == _diagnostics_csv_reference(records)
+    assert '"s": [[-0.0, 0.2], [-0.2, 0.0]]' in ndjson.getvalue()
+    assert csv.getvalue().splitlines()[1].startswith("0.5,0.75,2.5e-16,0.75,0.1,-0.0,-0.2,")
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_diagnostics_writers_match_value_by_value_rendering(n):
     records = _records(n)
@@ -153,6 +192,18 @@ def test_diagnostics_writers_refuse_non_finite_values(writer):
     records[-1].madelung_current_l1[1, 2] = np.nan
     with pytest.raises(ConfigurationError, match="refusing to serialize non-finite value nan"):
         _written(writer, records)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_one_diagnostics_call_refuses_non_finite_values_for_both_formats(bad):
+    records = _records(3)
+    records[1].pair_h1[0, 2] = bad
+    handles = {"ndjson": io.StringIO(), "csv": io.StringIO()}
+    with pytest.raises(ConfigurationError, match=f"refusing to serialize non-finite value {bad}"):
+        write_diagnostics(handles, records)
+    # the first record went out in both formats, nothing of the bad one did
+    assert handles["ndjson"].getvalue() == _diagnostics_ndjson_reference(records[:1])
+    assert handles["csv"].getvalue() == _diagnostics_csv_reference(records[:1])
 
 
 @pytest.mark.parametrize("writer", [write_ode_ndjson, write_ode_csv], ids=["ndjson", "csv"])

@@ -369,6 +369,17 @@ def test_overrides_land_in_manifest(tmp_path, scenario_file):
     assert not (out / "diagnostics.csv").exists()
 
 
+def test_one_simulate_writes_both_formats_as_separate_runs_do(tmp_path, scenario_file):
+    both = tmp_path / "both"
+    assert run_cli("simulate", "--scenario", scenario_file, "--out", str(both)) == 0
+    for fmt in ("ndjson", "csv"):
+        alone = tmp_path / fmt
+        argv = ("--scenario", scenario_file, "--out", str(alone), "--format", fmt)
+        assert run_cli("simulate", *argv) == 0
+        name = f"diagnostics.{fmt}"
+        assert (both / name).read_bytes() == (alone / name).read_bytes(), name
+
+
 def test_ode_tanh_csv(tmp_path):
     cfg = tmp_path / "tanh.cfg"
     cfg.write_text(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lohe_sync import (
+    CorrelationState,
     DivergenceError,
     EnsembleState,
     GridSpec,
@@ -364,3 +365,20 @@ def test_span_keeps_a_dependent_pair_incoherent(grid256):
     )
     assert max(r.zeta_norm for r in trajectory.diagnostics_stream) <= 1e-8
     assert_close(trajectory.final.psi[1], -trajectory.final.psi[0], 1e-12, "psi_2 = -psi_1")
+
+
+@pytest.mark.parametrize("collect", [True, False], ids=["records", "no_records"])
+def test_gram_series_matches_recomputed_gram_matrices(collect):
+    grid = GridSpec(dim=1, points=64, length=20.0)
+    config = ModelConfig(
+        coupling=1.0,
+        frequencies=(0.3, 0.0, -0.3),
+        potential=cosine_potential(grid, amplitude=1.0, offset=1.0),
+    )
+    params = SolverParams(0.01, 0.5, snapshot_stride=10)
+    traj = evolve(perturbed_gaussians(grid, 3, seed=5), config, params, collect_diagnostics=collect)
+    assert len(traj.diagnostics_stream) == (traj.n_samples if collect else 0)
+    series = traj.gram_series()
+    recomputed = np.stack([CorrelationState.from_ensemble(s).z for s in traj.states])
+    assert np.array_equal(series.times, traj.times)
+    assert np.array_equal(series.z, recomputed)
