@@ -130,20 +130,20 @@ def incoherent_pair(grid: GridSpec, sigma: float = 1.5) -> EnsembleState:
     return EnsembleState.from_fields([base, WaveField(grid, -base.values)])
 
 
-def _random_low_mode_field(grid: GridSpec, rng: np.random.Generator, max_mode: int) -> np.ndarray:
-    """Trigonometric polynomial with modes |m_a| <= max_mode, unit mean square."""
+def _random_low_mode_fields(
+    grid: GridSpec, rng: np.random.Generator, n: int, max_mode: int
+) -> np.ndarray:
+    """n trigonometric polynomials with modes |m_a| <= max_mode and unit mean
+    square, shape (n, *grid.shape). The mode lattice is a product of axes, so
+    the sum is contracted one axis at a time against exp(2 pi i m x_a / L)."""
     side = 2 * max_mode + 1
-    coeffs = rng.standard_normal((side,) * grid.dim + (2,))
-    coeffs = (coeffs[..., 0] + 1j * coeffs[..., 1]) / np.sqrt(2.0)
-    u = np.zeros(grid.shape, dtype=np.complex128)
-    xs = grid.coordinates()
-    for idx in np.ndindex(*coeffs.shape):
-        m = np.array(idx) - max_mode
-        phase = np.zeros(grid.shape)
-        for axis in range(grid.dim):
-            phase = phase + m[axis] * xs[axis]
-        u = u + coeffs[idx] * np.exp(2j * np.pi * phase / grid.length)
-    return u / np.sqrt(coeffs.size)
+    coeffs = rng.standard_normal((n,) + (side,) * grid.dim + (2,))
+    u = (coeffs[..., 0] + 1j * coeffs[..., 1]) / np.sqrt(2.0)
+    m = np.arange(-max_mode, max_mode + 1)
+    factor = np.exp(2j * np.pi * np.outer(m, grid.axis_coordinates()) / grid.length)
+    for _ in range(grid.dim):
+        u = np.tensordot(u, factor, axes=([1], [0]))
+    return u / np.sqrt(side**grid.dim)
 
 
 def perturbed_gaussians(
@@ -166,10 +166,8 @@ def perturbed_gaussians(
         raise ConfigurationError("epsilon must be in [0, 1)")
     if max_mode < 1 or max_mode >= grid.points // 2:
         raise ConfigurationError("max_mode must be >= 1 and resolved on the grid")
-    rng = np.random.default_rng(seed)
     base = gaussian(grid, sigma=sigma)
-    fields = []
-    for _ in range(n):
-        u = _random_low_mode_field(grid, rng, max_mode)
-        fields.append(WaveField(grid, base.values * (1.0 + epsilon * u)).normalized())
-    return EnsembleState.from_fields(fields)
+    perturbations = _random_low_mode_fields(grid, np.random.default_rng(seed), n, max_mode)
+    return EnsembleState.from_fields(
+        [WaveField(grid, base.values * (1.0 + epsilon * u)).normalized() for u in perturbations]
+    )

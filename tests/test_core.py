@@ -19,6 +19,7 @@ from lohe_sync import (
     order_parameter,
 )
 from lohe_sync.core import k_squared, spectral_gradient, spectral_laplacian, wavenumbers
+from lohe_sync.initial_data import gaussian, perturbed_gaussians
 
 from conftest import assert_close
 
@@ -198,3 +199,35 @@ def test_lambda_ratio():
 
     with pytest.raises(ContractViolationError):
         ModelConfig(coupling=1.0, frequencies=(0.3, -0.2)).lambda_ratio
+
+
+def _low_mode_field_by_modes(grid, rng, max_mode):
+    """Reference: the perturbation summed one full-grid exponential per mode."""
+    side = 2 * max_mode + 1
+    coeffs = rng.standard_normal((side,) * grid.dim + (2,))
+    coeffs = (coeffs[..., 0] + 1j * coeffs[..., 1]) / np.sqrt(2.0)
+    u = np.zeros(grid.shape, dtype=np.complex128)
+    xs = grid.coordinates()
+    for idx in np.ndindex(*coeffs.shape):
+        m = np.array(idx) - max_mode
+        phase = np.zeros(grid.shape)
+        for axis in range(grid.dim):
+            phase = phase + m[axis] * xs[axis]
+        u = u + coeffs[idx] * np.exp(2j * np.pi * phase / grid.length)
+    return u / np.sqrt(coeffs.size)
+
+
+@pytest.mark.parametrize(
+    "dim, points, n, max_mode",
+    [(1, 256, 40, 6), (2, 64, 4, 6), (3, 16, 3, 3)],
+    ids=["1d", "2d", "3d"],
+)
+def test_perturbed_gaussians_match_the_mode_by_mode_sum(dim, points, n, max_mode):
+    grid = GridSpec(dim=dim, points=points, length=20.0)
+    ensemble = perturbed_gaussians(grid, n, seed=9, max_mode=max_mode)
+    base = gaussian(grid, sigma=1.5)
+    rng = np.random.default_rng(9)
+    for psi in ensemble.psi:
+        u = _low_mode_field_by_modes(grid, rng, max_mode)
+        expected = WaveField(grid, base.values * (1.0 + 0.25 * u)).normalized().values
+        assert np.max(np.abs(psi - expected)) <= 1e-15
