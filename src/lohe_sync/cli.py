@@ -27,7 +27,6 @@ error, 3 numerical divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -344,6 +343,15 @@ def cmd_oracle(sc: Scenario, args) -> int:
     freqs = resolved_frequencies(sc)
     if len(freqs) != 2:
         raise ConfigurationError("oracle evaluation is defined for n = 2")
+    # unlike ode, oracle takes a t_end that is not a multiple of dt
+    ode = sc.ode
+    if ode is not None and not (
+        0 < ode.dt < np.inf and 0 <= ode.t_end < np.inf and ode.sample_stride >= 1
+    ):
+        raise ConfigurationError(
+            "[ode] needs a finite dt > 0 and t_end >= 0 and sample_stride >= 1, got "
+            f"dt = {ode.dt!r}, t_end = {ode.t_end!r}, sample_stride = {ode.sample_stride}"
+        )
     omega = 0.5 * (freqs[0] - freqs[1])
     regime = classify_two(sc.coupling, omega)
     doc: dict = {

@@ -241,16 +241,16 @@ def coupling_generator(z: np.ndarray, omega: np.ndarray, coupling: float) -> np.
     return m
 
 
-def mixing_flow(g0: np.ndarray, omega: np.ndarray, coupling: float):
-    """dC/dt = M(conj(C) g0 C^T) C as a function of the N x N mixing matrix C.
+def mixing_flow(omega: np.ndarray, coupling: float):
+    """dD/dt = M(conj(D) D^T) D as a function of an N x r coefficient matrix D.
 
-    Fields psi = C psi0 whose initial Gram matrix is g0 have correlations
-    conj(C) g0 C^T, so this is the coupling and detuning flow psi' = M psi
-    written on C.
+    Fields psi = D q over r orthonormal basis fields q have the Gram matrix
+    conj(D) D^T, so this is the coupling and detuning flow psi' = M psi
+    written on D.
     """
 
-    def deriv(c):
-        return coupling_generator(np.conj(c) @ g0 @ c.T, omega, coupling) @ c
+    def deriv(d):
+        return coupling_generator(np.conj(d) @ d.T, omega, coupling) @ d
 
     return deriv
 

@@ -7,6 +7,8 @@ energies stay finite and the spectral solver sees no Gibbs artifacts.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .core import GridSpec
@@ -76,4 +78,7 @@ def build_potential(grid: GridSpec, kind: str, **params) -> np.ndarray | None:
         raise ConfigurationError(
             f"unknown potential {kind!r}; builtins are {sorted(_BUILTINS)}"
         ) from None
+    unknown = params.keys() - (inspect.signature(builder).parameters.keys() - {"grid"})
+    if unknown:
+        raise ConfigurationError(f"potential {kind!r} takes no parameter {', '.join(sorted(unknown))}")
     return builder(grid, **params)

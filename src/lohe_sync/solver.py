@@ -4,15 +4,15 @@ Every oscillator has the same linear part H = -Laplacian/2 + V, and the
 coupling and detuning only mix the N fields: psi' = -i H psi + M(z) psi with
 M = correlations.coupling_generator. The linear flow U(t) = exp(-i t H) is
 unitary and commutes with any mixing of the fields, so the semidiscrete system
-is exactly psi(t) = U(t - t0) C(t) psi0, where the N x N mixing matrix obeys
-C' = M(conj(C) G0 C^T) C and G0 is the initial Gram matrix. Three schemes
-share one sampling loop, evolve:
+is exactly psi(t) = U(t - t0) D(t) q, where q holds r <= N orthonormal basis
+fields of span(psi0), psi0 = D(t0) q, and the N x r coefficient matrix obeys
+D' = M(conj(D) D^T) D. Three schemes share one sampling loop, evolve:
 
-  span         the default. RK4 steps C alone; the linear flow is applied to
-               psi0 only between samples, where the fields are C U psi0. With
-               V = 0 that flow is one exact Fourier multiplier per sample
-               interval and the scheme is fourth order; with a potential it is
-               Strang kinetic-potential-kinetic substeps of dt (adjacent
+  span         the default. RK4 steps D alone; the linear flow is applied to
+               the r basis fields only between samples, where the fields are
+               D U q. With V = 0 that flow is one exact Fourier multiplier per
+               sample interval and the scheme is fourth order; with a potential
+               it is Strang kinetic-potential-kinetic substeps of dt (adjacent
                kinetic half-steps merged, one FFT pair per step), the splitting
                strang_rk4 uses, and second order. No RK4 stage touches the grid.
   strang_rk4   grid reference: exact kinetic half-steps in Fourier space
@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EnsembleState, GridSpec, ModelConfig, gram_matrix, k_squared
+from .core import EnsembleState, GridSpec, ModelConfig, k_squared
 from .correlations import (
     CorrelationSeries,
     CorrelationState,
@@ -212,61 +212,47 @@ class _GridStepper:
 
 
 class _SpanStepper:
-    """span: RK4 steps the mixing matrix C alone, and the fields C U psi0 are
-    formed only when asked for, with the linear flow caught up then by
-    propagate_linear in substeps of dt."""
+    """span: psi0 = D q for r <= N orthonormal basis fields q (one thin SVD,
+    dropping directions at roundoff level), and the fields stay U D q. RK4
+    steps the N x r matrix D alone, and U is caught up on the r basis fields
+    only when the fields are asked for, by propagate_linear in substeps of dt.
+    Dependent fields (r < N) need no special case: D has no null space for
+    the flow to grow."""
 
     def __init__(self, initial: EnsembleState, config: ModelConfig, params: SolverParams):
-        self.grid = initial.grid
+        self.grid = grid = initial.grid
         self.potential = config.potential
-        self.g0 = gram_matrix(initial)
+        n = initial.n_oscillators
+        left, sing, right = np.linalg.svd(initial.psi.reshape(n, -1), full_matrices=False)
+        r = int(np.count_nonzero(sing > n * np.finfo(float).eps * sing[0]))
+        scale = np.sqrt(grid.dv)
+        self.d = left[:, :r] * (scale * sing[:r])
+        basis = right[:r]
+        basis /= scale
+        self.phi = basis.reshape((r,) + grid.shape)  # U(t - t0) q at the last formed sample
+        self.lag = 0  # steps taken since then
         omega = np.asarray(config.frequencies, dtype=float)
-        self.deriv = mixing_flow(self.g0, omega, config.coupling)
+        self.deriv = mixing_flow(omega, config.coupling)
         self.dt = params.dt
         self.renormalize = params.renormalize_each_step
-        n = initial.n_oscillators
-        self.c = np.eye(n, dtype=np.complex128)
-        self.projector = self._null_projector(initial, self.g0)
-        self.phi = initial.psi  # U(t - t0) psi0 at the last formed sample
-        self.lag = 0  # steps taken since then
-
-    @staticmethod
-    def _null_projector(initial: EnsembleState, g0: np.ndarray) -> np.ndarray | None:
-        """Linearly dependent fields leave G0 singular. A row of C along its
-        null space adds nothing to the fields, but the C flow can grow it like
-        exp(K t / 2) until roundoff swamps them, so C is projected off it after
-        every step. The null space comes from an SVD of the fields, whose
-        vectors are accurate where those of G0 (the squared problem) are not;
-        an eigenvalue check of G0 skips that SVD for well-conditioned fields."""
-        eps = np.finfo(float).eps
-        gains = np.linalg.eigvalsh(g0)
-        if gains[0] > np.sqrt(eps) * gains[-1]:
-            return None
-        n = initial.n_oscillators
-        basis, sing, _ = np.linalg.svd(initial.psi.reshape(n, -1), full_matrices=False)
-        null = basis[:, sing <= n * eps * sing[0]]
-        return np.eye(n) - null @ null.conj().T if null.size else None
 
     def step(self) -> np.ndarray:
-        """Advance one dt; returns C, which the caller checks for blow-up."""
+        """Advance one dt; returns D, which the caller checks for blow-up."""
         with np.errstate(invalid="ignore", over="ignore"):
-            c = rk4_step(self.c, self.deriv, self.dt)
-            if self.projector is not None:
-                c = c @ self.projector
+            d = rk4_step(self.d, self.deriv, self.dt)
             if self.renormalize:
-                # the field norms are the diagonal of conj(C) G0 C^T
-                norms = np.sqrt(np.sum((np.conj(c) @ self.g0) * c, axis=1).real)
-                c = c / norms[:, None]
-        self.c = c
+                # q is orthonormal, so the field norms are the row norms of D
+                d = d / np.linalg.norm(d, axis=1)[:, None]
+        self.d = d
         self.lag += 1
-        return c
+        return d
 
     def fields(self) -> np.ndarray:
         self.phi = propagate_linear(
             self.grid, self.potential, self.phi, self.lag * self.dt, substeps=self.lag
         )
         self.lag = 0
-        return np.tensordot(self.c, self.phi, axes=1)
+        return np.tensordot(self.d, self.phi, axes=1)
 
 
 def _stepper(initial: EnsembleState, config: ModelConfig, params: SolverParams):

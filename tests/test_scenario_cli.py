@@ -412,6 +412,37 @@ def test_oracle_artifacts(tmp_path, scenario_file):
     assert first["s"][0][1] == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("dt = 0.001", "dt = 0"),
+        ("dt = 0.001", "dt = -0.01"),
+        ("sample_stride = 40", "sample_stride = 0"),
+    ],
+    ids=["dt_zero", "dt_negative", "stride_zero"],
+)
+def test_oracle_rejects_a_bad_ode_window(tmp_path, capsys, old, new):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(BASE.replace(old, new))
+    out = tmp_path / "o"
+    assert run_cli("oracle", "--scenario", str(cfg), "--out", str(out)) == 2
+    assert "[ode] " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, key", [("cosine", "foo"), ("zero", "amplitude")])
+def test_unknown_potential_parameter_is_rejected(tmp_path, capsys, kind, key):
+    # potential.<name> keys are free-form at parse time; the builder decides
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        BASE.replace("coupling = 1.0\n", f"coupling = 1.0\npotential = {kind}\npotential.{key} = 1\n")
+    )
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--scenario", str(cfg), "--out", str(out)) == 2
+    assert f"potential {kind!r} takes no parameter {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_pass_and_fail(tmp_path, scenario_file):
     out = tmp_path / "ok"
     assert run_cli("verify", "--scenario", scenario_file, "--out", str(out)) == 0

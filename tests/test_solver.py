@@ -238,7 +238,7 @@ def test_measured_temporal_order(scheme, order):
     assert abs(np.log2(coarse / fine) - order) <= 0.3
 
 
-# -- span: the mixing matrix C stepped, psi = C U psi0 formed at samples --------
+# -- span: the coefficients D stepped, psi = D U q formed at samples -----------
 
 
 def _span_cases():
@@ -255,10 +255,19 @@ def _span_cases():
             perturbed_gaussians(plane, 3, seed=7),
             ModelConfig(coupling=1.0, frequencies=(0.2, -0.1, 0.0)),
         ),
+        # 20 fields spanning 5 dimensions: span steps them on 5 basis fields
+        "1d_cosine_dependent": (
+            perturbed_gaussians(line, 20, seed=3, max_mode=2),
+            ModelConfig(
+                coupling=1.0,
+                frequencies=tuple(np.linspace(-0.2, 0.2, 20)),
+                potential=cosine_potential(line),
+            ),
+        ),
     }
 
 
-@pytest.mark.parametrize("case", ["1d_cosine_detuned", "2d_free"])
+@pytest.mark.parametrize("case", ["1d_cosine_detuned", "2d_free", "1d_cosine_dependent"])
 def test_span_matches_strang_rk4(case):
     # the coupling only mixes the fields and V acts alike on all of them, so
     # span keeps strang_rk4's splitting: the two differ by roundoff
