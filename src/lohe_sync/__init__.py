@@ -15,9 +15,9 @@ from .core import (
     OrderParameterState,
     WaveField,
     center_frequencies,
+    coupling_term,
     gram_matrix,
     inner_product,
-    lohe_rhs,
     order_parameter,
 )
 from .correlations import (
@@ -106,7 +106,7 @@ __all__ = [
     "gram_matrix",
     "order_parameter",
     "center_frequencies",
-    "lohe_rhs",
+    "coupling_term",
     # correlations
     "CorrelationState",
     "MacroCorrelation",

@@ -82,6 +82,13 @@ __all__ = ["main"]
 CLASSIFY_TOL = 1e-3
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lohe-sync",
@@ -108,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--threads",
-            type=int,
+            type=_worker_count,
             default=1,
             help="parallel workers for the pde cells of a sweep; ode cells are "
             "integrated together, one batch per n, in this process",
@@ -387,7 +394,11 @@ def cmd_oracle(sc: Scenario, args) -> int:
         and isinstance(sc.ode.z0, complex)
         and regime.regime != "periodic"
     ):
-        times = np.arange(0, int(round(sc.ode.t_end / sc.ode.dt)) + 1) * sc.ode.dt
+        # the whole steps inside [0, t_end], with step_count's tolerance, so
+        # that t_end itself closes an increasing series
+        ratio = sc.ode.t_end / sc.ode.dt
+        steps = int(np.floor(ratio + 1e-6 * max(1.0, ratio)))
+        times = np.minimum(np.arange(0, steps + 1) * sc.ode.dt, sc.ode.t_end)
         times = times[:: sc.ode.sample_stride]
         if times[-1] != sc.ode.t_end:
             times = np.append(times, sc.ode.t_end)

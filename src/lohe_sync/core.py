@@ -34,7 +34,7 @@ __all__ = [
     "order_parameter",
     "gram_matrix",
     "center_frequencies",
-    "lohe_rhs",
+    "coupling_term",
     "wavenumbers",
     "k_squared",
     "spectral_gradient",
@@ -376,49 +376,11 @@ def gram_matrix(state: EnsembleState) -> np.ndarray:
     return z
 
 
-def _require_match(state: EnsembleState, config: ModelConfig) -> None:
-    if config.n_oscillators != state.n_oscillators:
-        raise ConfigurationError(
-            f"config holds {config.n_oscillators} frequencies but the ensemble has "
-            f"{state.n_oscillators} fields"
-        )
-    if config.potential is not None and config.potential.shape != state.grid.shape:
-        raise GridMismatchError("potential shape does not match the grid")
-
-
-def lohe_rhs(state: EnsembleState, config: ModelConfig, form: str = "order_parameter") -> np.ndarray:
-    """Full right-hand side d psi_j / dt, stacked like state.psi.
-
-    form selects the coupling evaluation: "order_parameter" uses the averaged
-    field (O(N) inner products), "pairwise" sums over all pairs (O(N^2)).
-    Both are algebraically identical; the pairwise form exists so tests can
-    pin that identity.
-    """
-    _require_match(state, config)
-    grid = state.grid
-    half_k2 = 0.5 * k_squared(grid)
-    psi_hat = np.fft.fftn(state.psi, axes=tuple(range(1, state.psi.ndim)))
-    kinetic = np.fft.ifftn(half_k2 * psi_hat, axes=tuple(range(1, state.psi.ndim)))
-
-    omega = np.asarray(config.frequencies).reshape((-1,) + (1,) * grid.dim)
-    h_psi = kinetic + omega * state.psi
-    if config.potential is not None:
-        h_psi = h_psi + config.potential * state.psi
-
-    if form == "order_parameter":
-        op = order_parameter(state)
-        shape = (-1,) + (1,) * grid.dim
-        coupling = 0.5 * config.coupling * (op.zeta - op.overlaps.reshape(shape) * state.psi)
-    elif form == "pairwise":
-        n = state.n_oscillators
-        z = gram_matrix(state)
-        coupling = np.zeros_like(state.psi)
-        for j in range(n):
-            acc = np.zeros(grid.shape, dtype=np.complex128)
-            for l in range(n):
-                acc += state.psi[l] - z[l, j] * state.psi[j]
-            coupling[j] = (0.5 * config.coupling / n) * acc
-    else:
-        raise ConfigurationError(f"unknown rhs form {form!r}")
-
-    return -1j * h_psi + coupling
+def coupling_term(psi: np.ndarray, dv: float) -> np.ndarray:
+    """The mean-field pull zeta - <zeta, psi_j> psi_j on every member of an
+    (N, *grid) stack, without its gain K/2; the model's only nonlinearity.
+    The N overlaps <zeta, psi_j> are one conj(zeta) @ psi^T."""
+    zeta = psi.mean(axis=0)
+    flat = psi.reshape(psi.shape[0], -1)
+    overlaps = dv * (np.conj(zeta.reshape(-1)) @ flat.T)
+    return zeta - overlaps.reshape((-1,) + (1,) * (psi.ndim - 1)) * psi

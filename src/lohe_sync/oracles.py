@@ -26,6 +26,7 @@ from .core import (
     EnsembleState,
     ModelConfig,
     WaveField,
+    coupling_term,
     inner_product,
     order_parameter,
 )
@@ -192,8 +193,7 @@ def classify_fixed_point(state: EnsembleState, tol: float) -> FixedPointClass | 
     """
     op = order_parameter(state)
     n = state.n_oscillators
-    shape = (-1,) + (1,) * state.grid.dim
-    residual = op.zeta[None] - op.overlaps.reshape(shape) * state.psi
+    residual = coupling_term(state.psi, state.grid.dv)
     axes = tuple(range(1, residual.ndim))
     res_norms = np.sqrt(state.grid.dv * np.sum(np.abs(residual) ** 2, axis=axes))
     if float(res_norms.max()) > tol:
@@ -219,16 +219,6 @@ class ScatteringResult:
     final_integrand_norm: float
 
 
-def _coupling_integrand(psi: np.ndarray, dv: float, omega_j: float, k: float, j: int):
-    other = psi[1 - j]
-    mine = psi[j]
-    z = dv * np.vdot(other, mine)  # <psi_other, psi_j>
-    out = 0.25 * k * (other - z * mine)
-    if omega_j != 0.0:
-        out = out - 1j * omega_j * mine
-    return out
-
-
 def scattering_state(
     trajectory: Trajectory,
     config: ModelConfig,
@@ -238,13 +228,14 @@ def scattering_state(
     """Asymptotic free profile psi~ with psi_j(t) ~ exp(-iHt) psi~, H = -1/2 Lap + V.
 
     Duhamel gives psi~ = psi_j(0) + integral_0^inf exp(iHs) G(s) ds with
-    G = -i Omega_j psi_j + (K/4)(psi_other - <psi_other, psi_j> psi_j), and
-    ||G(s)|| decays like e^{-rate s} in the synchronizing regime. The
-    integral is evaluated by composite trapezoid over the stored samples; a
-    backward recursion applies exp(iHh) once per sample instead of building
-    exp(iHs_n) from scratch. The neglected tail is bounded by the measured
-    final integrand norm divided by the contraction rate and must come in
-    under tail_tol, otherwise the trajectory is too short to certify.
+    G = -i Omega_j psi_j + (K/2)(zeta - <zeta, psi_j> psi_j), the model's own
+    coupling term (core.coupling_term), and ||G(s)|| decays like e^{-rate s}
+    in the synchronizing regime. The integral is evaluated by composite
+    trapezoid over the stored samples; a backward recursion applies exp(iHh)
+    once per sample instead of building each exp(iHs_n) anew. The neglected
+    tail is bounded by the measured final integrand norm divided by the
+    contraction rate and must come in under tail_tol, otherwise the
+    trajectory is too short to certify.
     """
     if config.n_oscillators != 2:
         raise ContractViolationError("scattering profile is defined for the pair system")
@@ -271,7 +262,8 @@ def scattering_state(
     rate = float(np.sqrt(k * k - 4.0 * config.frequencies[0] ** 2))
 
     integrands = [
-        _coupling_integrand(s.psi, dv, omega_j, k, oscillator) for s in trajectory.states
+        0.5 * k * coupling_term(s.psi, dv)[oscillator] - 1j * omega_j * s.psi[oscillator]
+        for s in trajectory.states
     ]
     final_norm = float(np.sqrt(dv * np.sum(np.abs(integrands[-1]) ** 2)))
     tail = final_norm / rate

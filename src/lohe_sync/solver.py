@@ -18,20 +18,23 @@ D' = M(conj(D) D^T) D. Three schemes share one sampling loop, evolve:
   strang_rk4   grid reference: exact kinetic half-steps in Fourier space
                around one RK4 step of the local sub-flow d psi_j/dt =
                -i (V + Omega_j) psi_j + (K/2)(zeta - <zeta, psi_j> psi_j).
-               Second order with a potential; with V = 0 the kinetic flow
-               commutes with the local one and it is fourth order. The
-               kinetic part carries no step-size restriction at all.
+               The closing half-step of one step is merged with the opening
+               one of the next, so a step costs one FFT pair; fields() pays
+               the owed half-step at samples. Second order with a potential;
+               with V = 0 the kinetic flow commutes with the local one and it
+               is fourth order. The kinetic part carries no step-size
+               restriction at all.
   full_rk4     grid reference: classical RK4 on the complete right-hand side
                with the Laplacian applied spectrally inside every stage, for
                cross-checking the splitting error; it must respect the usual
                imaginary-axis stability limit.
 
 The grid references do not use the correlation closure, so they are what
-tests it. In them the coupling sub-flow, which has no closed form (the inner
-products make it nonlocal), rides along with the potential inside RK4; its
-magnitude is bounded by K, which keeps that sub-step mild. Inner products are
-recomputed from the stage fields at every stage; lagging them would break the
-mass-flux identity at O(dt).
+tests it. In them the coupling sub-flow, (K/2) core.coupling_term, which has
+no closed form (the inner products make it nonlocal), rides along with the
+potential inside RK4; its magnitude is bounded by K, which keeps that
+sub-step mild. Inner products are recomputed from the stage fields at every
+stage; lagging them would break the mass-flux identity at O(dt).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EnsembleState, GridSpec, ModelConfig, k_squared
+from .core import EnsembleState, GridSpec, ModelConfig, coupling_term, k_squared
 from .correlations import (
     CorrelationSeries,
     CorrelationState,
@@ -146,16 +149,21 @@ class Trajectory:
 
 
 @lru_cache(maxsize=16)
-def _half_kinetic(dim: int, points: int, length: float, dt: float) -> np.ndarray:
+def _kinetic(dim: int, points: int, length: float, h: float) -> np.ndarray:
+    """Fourier multiplier of the exact kinetic flow over time h."""
     k2 = k_squared(GridSpec(dim, points, length))
-    mult = np.exp(-0.25j * dt * k2)
+    mult = np.exp(-0.5j * h * k2)
     mult.flags.writeable = False
     return mult
 
 
 class _GridStepper:
     """strang_rk4 and full_rk4: the fields themselves are stepped, with the
-    multipliers and config views cached per run."""
+    multipliers and config views cached per run.
+
+    strang_rk4 merges the closing kinetic half-step of one step with the
+    opening one of the next, so a step costs one FFT pair: pending records
+    that the closing half-step is owed, and fields() pays it."""
 
     def __init__(self, initial: EnsembleState, config: ModelConfig, params: SolverParams):
         grid = initial.grid
@@ -165,49 +173,52 @@ class _GridStepper:
         self.dt = params.dt
         self.scheme = params.scheme
         self.renormalize = params.renormalize_each_step
-        self.coupling = config.coupling
-        self.omega = np.asarray(config.frequencies).reshape((-1,) + (1,) * grid.dim)
-        self.potential = config.potential
+        self.gain = 0.5 * config.coupling
+        linear = np.asarray(config.frequencies).reshape((-1,) + (1,) * grid.dim)
+        if config.potential is not None:
+            linear = linear + config.potential
+        self.linear = -1j * linear  # -i (Omega_j + V)
         if params.scheme == "strang_rk4":
-            self.half_kinetic = _half_kinetic(grid.dim, grid.points, grid.length, params.dt)
+            self.half = _kinetic(grid.dim, grid.points, grid.length, 0.5 * params.dt)
+            self.whole = _kinetic(grid.dim, grid.points, grid.length, params.dt)
         else:
             self.k2 = k_squared(grid)
         self.psi = initial.psi
+        self.pending = False  # strang_rk4 owes psi its closing kinetic half-step
 
     def _local_rhs(self, psi: np.ndarray) -> np.ndarray:
-        zeta = psi.mean(axis=0)
-        overlaps = self.dv * np.sum(np.conj(zeta) * psi, axis=self.axes)
-        out = -1j * (self.omega * psi)
-        if self.potential is not None:
-            out -= 1j * (self.potential * psi)
-        shape = (-1,) + (1,) * self.grid.dim
-        out += 0.5 * self.coupling * (zeta - overlaps.reshape(shape) * psi)
-        return out
+        return self.linear * psi + self.gain * coupling_term(psi, self.dv)
 
     def _full_rhs(self, psi: np.ndarray) -> np.ndarray:
         psi_hat = np.fft.fftn(psi, axes=self.axes)
         kinetic = np.fft.ifftn(-0.5j * self.k2 * psi_hat, axes=self.axes)
         return kinetic + self._local_rhs(psi)
 
+    def _kinetic_step(self, mult: np.ndarray) -> np.ndarray:
+        return np.fft.ifftn(mult * np.fft.fftn(self.psi, axes=self.axes), axes=self.axes)
+
     def step(self) -> np.ndarray:
         """Advance one dt; returns the array the caller checks for blow-up."""
-        psi = self.psi
         # blow-up is detected by the caller's isfinite check; silence the
         # transient nan/inf arithmetic warnings on the way there
         with np.errstate(invalid="ignore", over="ignore"):
             if self.scheme == "strang_rk4":
-                psi = np.fft.ifftn(self.half_kinetic * np.fft.fftn(psi, axes=self.axes), axes=self.axes)
+                psi = self._kinetic_step(self.whole if self.pending else self.half)
                 psi = rk4_step(psi, self._local_rhs, self.dt)
-                psi = np.fft.ifftn(self.half_kinetic * np.fft.fftn(psi, axes=self.axes), axes=self.axes)
+                self.pending = True
             else:
-                psi = rk4_step(psi, self._full_rhs, self.dt)
+                psi = rk4_step(self.psi, self._full_rhs, self.dt)
             if self.renormalize:
+                # the owed kinetic half-step is unitary, so it keeps these norms
                 norms = np.sqrt(self.dv * np.sum(np.abs(psi) ** 2, axis=self.axes))
                 psi = psi / norms.reshape((-1,) + (1,) * self.grid.dim)
         self.psi = psi
         return psi
 
     def fields(self) -> np.ndarray:
+        if self.pending:
+            self.psi = self._kinetic_step(self.half)
+            self.pending = False
         return self.psi.copy()
 
 

@@ -11,15 +11,18 @@ from lohe_sync import (
     GridSpec,
     GridMismatchError,
     ModelConfig,
+    SolverParams,
     WaveField,
     center_frequencies,
+    coupling_term,
+    evolve,
     gram_matrix,
     inner_product,
-    lohe_rhs,
     order_parameter,
 )
 from lohe_sync.core import k_squared, spectral_gradient, spectral_laplacian, wavenumbers
 from lohe_sync.initial_data import gaussian, perturbed_gaussians
+from lohe_sync.solver import _GridStepper
 
 from conftest import assert_close
 
@@ -123,22 +126,33 @@ def test_order_parameter_identity(state):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10_000))
 def test_rhs_conserves_mass(n, seed):
-    # d/dt ||psi_j||^2 = 2 Re <psi_j, rhs_j> must vanish on unit-norm data
+    # d/dt ||psi_j||^2 = 2 Re <psi_j, rhs_j> must vanish on unit-norm data;
+    # the right-hand side is the one full_rk4 integrates
     state = random_ensemble(n, seed)
     config = random_config(n, seed)
-    rhs = lohe_rhs(state, config)
+    stepper = _GridStepper(state, config, SolverParams(dt=1e-3, t_end=1e-3, scheme="full_rk4"))
+    rhs = stepper._full_rhs(state.psi)
     flux = GRID.dv * np.sum(np.conj(state.psi) * rhs, axis=tuple(range(1, state.psi.ndim)))
     assert float(np.max(np.abs(flux.real))) <= 1e-12
+
+
+def _pairwise_coupling(state):
+    """Reference: (1/N) sum_l (psi_l - <psi_l, psi_j> psi_j), pair by pair."""
+    n = state.n_oscillators
+    z = gram_matrix(state)
+    out = np.zeros_like(state.psi)
+    for j in range(n):
+        for l in range(n):
+            out[j] += state.psi[l] - z[l, j] * state.psi[j]
+    return out / n
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10_000))
 def test_rhs_forms_agree(n, seed):
     state = random_ensemble(n, seed)
-    config = random_config(n, seed)
-    a = lohe_rhs(state, config, form="order_parameter")
-    b = lohe_rhs(state, config, form="pairwise")
-    assert_close(a, b, 1e-13, "rhs forms")
+    a = coupling_term(state.psi, state.grid.dv)
+    assert_close(a, _pairwise_coupling(state), 1e-13, "coupling forms")
 
 
 @settings(max_examples=25, deadline=None)
@@ -151,7 +165,7 @@ def test_gram_invariant_under_common_phase(state, theta):
 def test_rhs_rejects_mismatched_config(pair_state):
     config = ModelConfig(coupling=1.0, frequencies=(0.1, 0.2, 0.3))
     with pytest.raises(ConfigurationError):
-        lohe_rhs(pair_state, config)
+        evolve(pair_state, config, SolverParams(dt=1e-3, t_end=1e-3))
 
 
 # -- frequency centering -----------------------------------------------------

@@ -430,6 +430,29 @@ def test_oracle_rejects_a_bad_ode_window(tmp_path, capsys, old, new):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dt, t_end", [(0.6, 1.0), (0.001, 2.0), (0.3, 0.9)])
+def test_oracle_times_increase_to_t_end(tmp_path, dt, t_end):
+    cfg = tmp_path / "window.cfg"
+    window = f"dt = {dt}\nt_end = {t_end}\nsample_stride = 1"
+    cfg.write_text(BASE.replace("dt = 0.001\nt_end = 2.0\nsample_stride = 40", window))
+    out = tmp_path / "o"
+    assert run_cli("oracle", "--scenario", str(cfg), "--out", str(out)) == 0
+    lines = (out / "z_exact.ndjson").read_text().splitlines()
+    times = np.array([json.loads(line)["t"] for line in lines])
+    assert np.all(np.diff(times) > 0.0)
+    assert times[-1] == t_end
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_rejected(tmp_path, capsys, scenario_file, threads):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--scenario", scenario_file, "--out", str(out), "--threads", threads)
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, key", [("cosine", "foo"), ("zero", "amplitude")])
 def test_unknown_potential_parameter_is_rejected(tmp_path, capsys, kind, key):
     # potential.<name> keys are free-form at parse time; the builder decides

@@ -19,6 +19,7 @@ from lohe_sync import (
     propagate_linear,
     stability_report,
 )
+from lohe_sync.core import k_squared
 from lohe_sync.initial_data import gaussian, gaussian_pair, incoherent_pair, perturbed_gaussians
 from lohe_sync.potentials import cosine_potential
 from lohe_sync.solver import step
@@ -238,6 +239,58 @@ def test_measured_temporal_order(scheme, order):
     assert abs(np.log2(coarse / fine) - order) <= 0.3
 
 
+# -- strang_rk4: adjacent kinetic half-steps merged, the owed one paid at samples
+
+
+def _cosine_three(grid):
+    initial = perturbed_gaussians(grid, 3, seed=4)
+    config = ModelConfig(
+        coupling=1.0, frequencies=(0.2, 0.0, -0.2), potential=cosine_potential(grid)
+    )
+    return initial, config
+
+
+def test_strang_rk4_fields_do_not_depend_on_the_sampling(grid64):
+    # a sample pays the owed kinetic half-step; the next step then opens with
+    # a half-step instead of a whole one, which is the same flow
+    initial, config = _cosine_three(grid64)
+    finals = [
+        evolve(
+            initial,
+            config,
+            SolverParams(dt=1e-3, t_end=0.5, scheme="strang_rk4", snapshot_stride=stride),
+            collect_diagnostics=False,
+        ).final
+        for stride in (1, 50)
+    ]
+    assert_close(finals[0].psi, finals[1].psi, 1e-13, "stride 1 vs 50")
+
+
+def test_strang_rk4_step_is_half_kinetic_rk4_half_kinetic(grid64):
+    initial, config = _cosine_three(grid64)
+    dt = 1e-3
+    omega = np.array(config.frequencies)[:, None]
+
+    def half_kinetic(psi):
+        mult = np.exp(-0.25j * dt * k_squared(grid64))
+        return np.fft.ifft(mult * np.fft.fft(psi, axis=1), axis=1)
+
+    def local(psi):
+        zeta = psi.mean(axis=0)
+        overlaps = grid64.dv * np.array([np.vdot(zeta, row) for row in psi])
+        pull = zeta - overlaps[:, None] * psi
+        return -1j * (omega + config.potential) * psi + 0.5 * config.coupling * pull
+
+    psi = half_kinetic(initial.psi)
+    k1 = local(psi)
+    k2 = local(psi + 0.5 * dt * k1)
+    k3 = local(psi + 0.5 * dt * k2)
+    k4 = local(psi + dt * k3)
+    psi = half_kinetic(psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    one = step(initial, config, SolverParams(dt=dt, t_end=dt, scheme="strang_rk4"))
+    assert_close(one.psi, psi, 1e-14, "strang_rk4 step vs reference")
+
+
 # -- span: the coefficients D stepped, psi = D U q formed at samples -----------
 
 
@@ -363,8 +416,9 @@ def test_span_divergence_carries_partial_trajectory(grid64):
 
 
 def test_span_keeps_a_dependent_pair_incoherent(grid256):
-    # psi_2 = -psi_1 makes G0 singular, and the C flow grows a row component
-    # along its null space like exp(K t / 2): unchecked, by t = 80 that is
+    # psi_2 = -psi_1 spans one dimension, so span steps one basis field with
+    # D = (a, -a); the incoherent point is unstable, and any roundoff pulling
+    # the rows of D apart would grow like exp(K t / 2): by t = 80 that is
     # 2e17 times the fields' roundoff
     config = ModelConfig(coupling=1.0, frequencies=(0.0, 0.0))
     trajectory = evolve(
