@@ -88,6 +88,7 @@ from .solver import (
     Trajectory,
     evolve,
     propagate_linear,
+    samples,
     stability_report,
 )
 from .verification import CHECK_NAMES, CheckResult, run_checks
@@ -123,6 +124,7 @@ __all__ = [
     "StabilityReport",
     "Trajectory",
     "evolve",
+    "samples",
     "propagate_linear",
     "stability_report",
     # diagnostics

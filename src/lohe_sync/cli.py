@@ -30,9 +30,9 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .diagnostics import (
     CLASSIFY_MIN_SAMPLES,
     classify_correlation_sync,
     classify_sync,
+    compute_record,
     detect_period,
     fit_rate,
     tail_samples,
@@ -73,7 +74,7 @@ from .scenario import (
     resolved_frequencies,
 )
 from .snapshots import write_snapshot
-from .solver import SolverParams, evolve
+from .solver import SolverParams, Trajectory, samples
 from .verification import run_checks
 
 __all__ = ["main"]
@@ -223,22 +224,49 @@ def _two_oscillator_block(config: ModelConfig, times, pair_z) -> dict | None:
     return block
 
 
+class _Sample(NamedTuple):
+    """What simulate's summary reads of one diagnostics record; classify_sync
+    takes these in place of the records."""
+
+    time: float
+    pair_l2: np.ndarray
+    zeta_norm: float
+    z_01: complex
+
+
 def cmd_simulate(sc: Scenario, args) -> int:
     if sc.solver is None:
         raise ConfigurationError("simulate needs a [solver] section")
     grid = build_grid(sc)
     config = build_model(sc, grid)
     initial = build_ensemble(sc, grid)
-    trajectory = evolve(initial, config, sc.solver, collect_diagnostics=sc.outputs.diagnostics)
+    stream = samples(initial, config, sc.solver)
 
     run_dir = _run_dir(args, sc.name)
     _write_manifest(run_dir, sc)
 
-    records = trajectory.diagnostics_stream
+    # each record is written as the run makes it, then dropped; on divergence
+    # the files keep the finite samples and no summary is written
+    kept: list[_Sample] = []
+    last: dict = {}  # the newest state and record
+
+    def records():
+        for state in stream:
+            last["state"] = state
+            last["record"] = rec = compute_record(state, config)
+            kept.append(_Sample(rec.time, rec.pair_l2, rec.zeta_norm, rec.correlations.z[0, 1]))
+            yield rec
+
     if sc.outputs.diagnostics:
-        _write_formats(run_dir, "diagnostics", sc.outputs.formats, write_diagnostics, records)
+        _write_formats(run_dir, "diagnostics", sc.outputs.formats, write_diagnostics, records())
+        n_samples = len(kept)
+    else:
+        n_samples = 0
+        for state in stream:
+            n_samples += 1
+        last["state"] = state
     if sc.outputs.final_snapshot:
-        write_snapshot(os.path.join(run_dir, "final.slw"), trajectory.final)
+        write_snapshot(os.path.join(run_dir, "final.slw"), last["state"])
 
     summary: dict = {
         "scenario": sc.name,
@@ -254,12 +282,12 @@ def cmd_simulate(sc: Scenario, args) -> int:
         },
         "dt": sc.solver.dt,
         "t_end": sc.solver.t_end,
-        "samples": trajectory.n_samples,
+        "samples": n_samples,
     }
-    if records:
-        final = records[-1]
-        if len(records) >= CLASSIFY_MIN_SAMPLES:
-            result = classify_sync(records, CLASSIFY_TOL)
+    if kept:
+        final = last["record"]
+        if len(kept) >= CLASSIFY_MIN_SAMPLES:
+            result = classify_sync(kept, CLASSIFY_TOL)
             summary["classification"] = {"kind": result.kind, "evidence": result.evidence}
         else:
             summary["classification"] = _instant_classification(
@@ -273,11 +301,10 @@ def cmd_simulate(sc: Scenario, args) -> int:
             "energy_total": final.energies.total,
             "energy_relative": final.energies.relative,
         }
-        # the records already hold each sample's correlations
         two = _two_oscillator_block(
             config,
-            np.array([rec.time for rec in records]),
-            np.array([rec.correlations.z[0, 1] for rec in records]),
+            np.array([sample.time for sample in kept]),
+            np.array([sample.z_01 for sample in kept]),
         )
         if two is not None:
             summary["two_oscillator"] = two
@@ -509,9 +536,10 @@ def _sweep_point(task: tuple) -> dict:
             solver = replace(
                 sc.solver or SolverParams(dt, t_end), dt=dt, t_end=t_end, snapshot_stride=stride
             )
-            trajectory = evolve(initial, config, solver)
-            series = trajectory.gram_series()
-            result = classify_sync(trajectory.diagnostics_stream, CLASSIFY_TOL)
+            # records only: a cell keeps none of its fields
+            records = [compute_record(state, config) for state in samples(initial, config, solver)]
+            series = Trajectory(np.array([r.time for r in records]), [], records).gram_series()
+            result = classify_sync(records, CLASSIFY_TOL)
         else:
             result = classify_correlation_sync(series, CLASSIFY_TOL)
         row["classification"] = result.kind
@@ -566,6 +594,9 @@ def cmd_sweep(sc: Scenario, args) -> int:
     # ode cells arrive integrated: what is left of them costs less than
     # starting a worker pool
     if spec.mode == "pde" and args.threads > 1 and len(tasks) > 1:
+        # imported here: only this branch pays for concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:

@@ -236,7 +236,8 @@ def _classify(times, pair_dist, zeta, tol, min_samples):
 def classify_sync(
     series, tol: float, min_samples: int = CLASSIFY_MIN_SAMPLES
 ) -> SyncClassification:
-    """Tail-window trichotomy over a stream of DiagnosticsRecord.
+    """Tail-window trichotomy over a stream of DiagnosticsRecord, of which it
+    reads only time, pair_l2 and zeta_norm.
 
     phase_sync: every pair distance and |zeta_norm - 1| stay within tol over
     the final quarter. frequency_sync: pair distances settle (variation

@@ -11,7 +11,8 @@ once for every format it is written in: its numbers are checked for
 finiteness together, each distinct magnitude goes through repr once (pair
 matrices are symmetric, s antisymmetric, and the csv repeats ndjson values),
 the sign is put back from signbit, and the ndjson line and the csv row are
-both assembled from those strings.
+both assembled from those strings. A diagnostics csv written alone reprs its
+row's entries directly: its upper triangles hardly repeat a magnitude.
 """
 
 from __future__ import annotations
@@ -219,7 +220,9 @@ def write_diagnostics(handles: dict, records) -> None:
     Each record is rendered once: its fields are concatenated in ndjson key
     order and checked for finiteness, every distinct magnitude is rendered
     by repr once, and both the ndjson line and the csv row are assembled
-    from those strings. The csv is the spreadsheet cut: scalars, then the
+    from those strings; a csv-only write reprs just the entries of its row.
+    records may be any iterable: each line is written as its record
+    arrives. The csv is the spreadsheet cut: scalars, then the
     upper triangles of every pair matrix, then per-oscillator energies; the
     full matrices live in the ndjson."""
     ndjson, csv = handles.get("ndjson"), handles.get("csv")
@@ -244,13 +247,17 @@ def write_diagnostics(handles: dict, records) -> None:
             index = np.concatenate(
                 [head] + [at[key] + upper for key in _CSV_PAIRS] + [at["energy_per_osc"] + np.arange(n)]
             )
-        # a csv-only record renders just the entries its row holds
-        tokens = _tokens(flat if ndjson is not None else flat[index])
         if ndjson is not None:
+            tokens = _tokens(flat)
             shapes = {key: None if a is None else a.shape for key, a in arrays.items()}
             ndjson.write(_ndjson_line(shapes, tokens.tolist()))
         if csv is not None:
-            cells = (tokens[index] if ndjson is not None else tokens).tolist()
+            if ndjson is not None:
+                cells = tokens[index].tolist()
+            else:
+                # upper triangles hardly repeat a magnitude, so a csv-only
+                # row reprs each entry instead of deduplicating
+                cells = list(map(repr, flat[index].tolist()))
             cells[2] = cells[2].lstrip("-")
             if arrays["energy_diff_two"] is None:
                 cells.insert(6, "")

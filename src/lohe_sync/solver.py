@@ -6,7 +6,7 @@ M = correlations.coupling_generator. The linear flow U(t) = exp(-i t H) is
 unitary and commutes with any mixing of the fields, so the semidiscrete system
 is exactly psi(t) = U(t - t0) D(t) q, where q holds r <= N orthonormal basis
 fields of span(psi0), psi0 = D(t0) q, and the N x r coefficient matrix obeys
-D' = M(conj(D) D^T) D. Three schemes share one sampling loop, evolve:
+D' = M(conj(D) D^T) D. Three schemes share one sampling loop, samples:
 
   span         the default. RK4 steps D alone; the linear flow is applied to
                the r basis fields only between samples, where the fields are
@@ -35,11 +35,21 @@ no closed form (the inner products make it nonlocal), rides along with the
 potential inside RK4; its magnitude is bounded by K, which keeps that
 sub-step mild. Inner products are recomputed from the stage fields at every
 stage; lagging them would break the mass-flux identity at O(dt).
+
+samples yields the sampled states one at a time and keeps none, so a
+consumer that reduces each state (a diagnostics record, a Gram matrix, a
+line of output) and drops it holds one sample's fields however many samples
+the run takes. evolve is the library's collector over it: a Trajectory that
+stores every state and, by default, its diagnostics record. The command-line
+front end streams: simulate writes each record as it is made and keeps only
+what its summary reads, verify keeps states only for the checks that read
+fields, and pde sweep cells keep none.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -62,6 +72,7 @@ __all__ = [
     "Trajectory",
     "step",
     "evolve",
+    "samples",
     "propagate_linear",
     "stability_report",
 ]
@@ -123,7 +134,10 @@ def stability_report(grid: GridSpec, config: ModelConfig) -> StabilityReport:
 
 @dataclass
 class Trajectory:
-    """Sampled PDE run: states every snapshot_stride steps plus the endpoint."""
+    """Sampled PDE run: states every snapshot_stride steps plus the endpoint.
+
+    evolve stores every state. A run that only needs its records (verify's
+    checks that read no fields) holds an empty states list."""
 
     times: np.ndarray
     states: list[EnsembleState]
@@ -131,17 +145,17 @@ class Trajectory:
 
     @property
     def n_samples(self) -> int:
-        return len(self.states)
+        return len(self.times)
 
     @property
     def final(self) -> EnsembleState:
         return self.states[-1]
 
     def gram_series(self) -> CorrelationSeries:
-        """Measured correlations of every stored state, as one series. When
-        every state has a diagnostics record, the records' correlations are
-        those values already, and are read instead of recomputed."""
-        if len(self.diagnostics_stream) == len(self.states):
+        """Measured correlations of every sample, as one series. When every
+        sample has a diagnostics record, the records' correlations are those
+        values already, and are read instead of recomputed from the states."""
+        if len(self.diagnostics_stream) == len(self.times):
             z = np.stack([rec.correlations.z for rec in self.diagnostics_stream])
         else:
             z = np.stack([CorrelationState.from_ensemble(s).z for s in self.states])
@@ -328,18 +342,9 @@ def step(state: EnsembleState, config: ModelConfig, params: SolverParams) -> Ens
     return EnsembleState(state.grid, stepper.fields(), state.time + params.dt)
 
 
-def evolve(
-    initial: EnsembleState,
-    config: ModelConfig,
-    params: SolverParams,
-    collect_diagnostics: bool = True,
-) -> Trajectory:
-    """Run the system over [0, t_end], sampling every snapshot_stride steps.
-
-    Every sample is stored as a full EnsembleState; diagnostics records ride
-    along unless collect_diagnostics is False. On blow-up the partial
-    trajectory up to the last finite sample is attached to the error.
-    """
+def _checked_stepper(initial: EnsembleState, config: ModelConfig, params: SolverParams):
+    """The stepper of one run, after the checks every run makes. A dt above
+    half the advisory bound warns at the caller of samples or evolve."""
     if config.n_oscillators != initial.n_oscillators:
         raise ConfigurationError(
             f"config holds {config.n_oscillators} frequencies but the ensemble has "
@@ -354,34 +359,61 @@ def evolve(
         warnings.warn(
             f"dt = {params.dt} exceeds half the advisory bound {bound:.3g} "
             f"for scheme {params.scheme}",
-            stacklevel=2,
+            stacklevel=3,
         )
+    return _stepper(initial, config, params)
 
-    stepper = _stepper(initial, config, params)
+
+def _stream(stepper, initial: EnsembleState, params: SolverParams) -> Iterator[EnsembleState]:
+    yield initial.copy()
     n_steps = params.n_steps
     t0 = initial.time
-
-    times = [t0]
-    states = [initial.copy()]
-    records: list[DiagnosticsRecord] = []
-    if collect_diagnostics:
-        records.append(compute_record(states[0], config))
-
     for n in range(1, n_steps + 1):
         stepped = stepper.step()
         t = t0 + n * params.dt
         if not np.all(np.isfinite(stepped.view(np.float64))):
-            raise DivergenceError(
-                f"solver diverged at step {n} (t = {t:g})",
-                step_index=n,
-                time=t,
-                partial=Trajectory(np.array(times), states, records),
-            )
+            raise DivergenceError(f"solver diverged at step {n} (t = {t:g})", step_index=n, time=t)
         if n % params.snapshot_stride == 0 or n == n_steps:
-            snap = EnsembleState(initial.grid, stepper.fields(), t)
-            times.append(t)
-            states.append(snap)
-            if collect_diagnostics:
-                records.append(compute_record(snap, config))
+            yield EnsembleState(initial.grid, stepper.fields(), t)
 
+
+def samples(
+    initial: EnsembleState, config: ModelConfig, params: SolverParams
+) -> Iterator[EnsembleState]:
+    """The sampled states of a run over [0, t_end], one at a time: a copy of
+    initial, then one every snapshot_stride steps and the endpoint.
+
+    The run's checks (and the advisory dt warning) happen at the call; the
+    stepping happens as the states are taken, so a consumer that reduces
+    each state and drops it holds one sample's fields at a time. On blow-up
+    the iteration raises DivergenceError with the step index and time.
+    """
+    return _stream(_checked_stepper(initial, config, params), initial, params)
+
+
+def evolve(
+    initial: EnsembleState,
+    config: ModelConfig,
+    params: SolverParams,
+    collect_diagnostics: bool = True,
+) -> Trajectory:
+    """Collect samples into a Trajectory.
+
+    Every sample is stored as a full EnsembleState; diagnostics records ride
+    along unless collect_diagnostics is False. On blow-up the partial
+    trajectory up to the last finite sample is attached to the error.
+    """
+    stream = _stream(_checked_stepper(initial, config, params), initial, params)
+    times: list[float] = []
+    states: list[EnsembleState] = []
+    records: list[DiagnosticsRecord] = []
+    try:
+        for state in stream:
+            times.append(state.time)
+            states.append(state)
+            if collect_diagnostics:
+                records.append(compute_record(state, config))
+    except DivergenceError as exc:
+        exc.partial = Trajectory(np.array(times), states, records)
+        raise
     return Trajectory(np.array(times), states, records)

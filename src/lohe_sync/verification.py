@@ -39,6 +39,7 @@ from .correlations import CorrelationSeries, CorrelationState, integrate, pair_d
 from .diagnostics import (
     classify_correlation_sync,
     classify_sync,
+    compute_record,
     detect_period,
     fit_algebraic_limit,
     fit_rate,
@@ -53,7 +54,7 @@ from .oracles import (
     z_exact,
 )
 from .scenario import Scenario, build_ensemble, build_grid, build_model, build_ode_initial
-from .solver import Trajectory, evolve, propagate_linear
+from .solver import Trajectory, propagate_linear, samples
 
 __all__ = ["CheckResult", "VerifyContext", "run_checks", "CHECK_NAMES"]
 
@@ -68,14 +69,21 @@ class CheckResult:
     detail: str = ""
 
 
+# the checks that read the sampled fields; every other check reads records
+_STATE_CHECKS = frozenset({"order_identity", "scattering"})
+
+
 class VerifyContext:
     """Lazily runs and caches whatever artifacts the selected checks need,
-    so one scenario drives many checks without repeating the simulation."""
+    so one scenario drives many checks without repeating the simulation.
+    The PDE run keeps a diagnostics record per sample, and its states only
+    when a requested check reads them."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.grid = build_grid(scenario)
         self.config: ModelConfig = build_model(scenario, self.grid)
+        self.keep_states = any(name in _STATE_CHECKS for name, _ in scenario.checks)
         self._trajectory: Trajectory | None = None
         self._ode_series: CorrelationSeries | None = None
         self._gram_series: CorrelationSeries | None = None
@@ -86,8 +94,21 @@ class VerifyContext:
             if self.scenario.solver is None:
                 raise ConfigurationError("this check needs a [solver] section (PDE run)")
             initial = build_ensemble(self.scenario, self.grid)
-            self._trajectory = evolve(initial, self.config, self.scenario.solver)
+            states, records = [], []
+            for state in samples(initial, self.config, self.scenario.solver):
+                records.append(compute_record(state, self.config))
+                if self.keep_states:
+                    states.append(state)
+            times = np.array([rec.time for rec in records])
+            self._trajectory = Trajectory(times, states, records)
         return self._trajectory
+
+    @property
+    def state_trajectory(self) -> Trajectory:
+        """The PDE run with its states, for the checks in _STATE_CHECKS."""
+        if not self.keep_states:
+            raise ConfigurationError("this context keeps no states; no requested check reads them")
+        return self.trajectory
 
     @property
     def gram_series(self) -> CorrelationSeries:
@@ -140,7 +161,7 @@ def _check_mass(ctx: VerifyContext, tol: float) -> CheckResult:
 
 def _check_order_identity(ctx: VerifyContext, tol: float) -> CheckResult:
     worst = 0.0
-    for state in ctx.trajectory.states:
+    for state in ctx.state_trajectory.states:
         z = gram_matrix(state)
         n = z.shape[0]
         zeta_sq = float(np.sum(z).real) / (n * n)
@@ -282,9 +303,10 @@ def _check_classified(ctx: VerifyContext, tol: float, expected: str, name: str) 
 
 
 def _check_scattering(ctx: VerifyContext, tol: float) -> CheckResult:
-    result = scattering_state(ctx.trajectory, ctx.config, 0, tail_tol=tol)
+    trajectory = ctx.state_trajectory
+    result = scattering_state(trajectory, ctx.config, 0, tail_tol=tol)
     profile = result.field.values
-    times = ctx.trajectory.times
+    times = trajectory.times
     # probing ~16 samples is enough to certify monotone approach
     stride = max(1, (len(times) - 1) // 16)
     idx = list(range(0, len(times), stride))
@@ -292,7 +314,7 @@ def _check_scattering(ctx: VerifyContext, tol: float) -> CheckResult:
         idx.append(len(times) - 1)
     errs = []
     for i in idx:
-        state = ctx.trajectory.states[i]
+        state = trajectory.states[i]
         pulled = propagate_linear(ctx.grid, ctx.config.potential, state.psi[0], -float(times[i]))
         errs.append(float(np.sqrt(ctx.grid.dv * np.sum(np.abs(pulled - profile) ** 2))))
     errs_arr = np.array(errs)

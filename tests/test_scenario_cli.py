@@ -5,6 +5,8 @@ import glob
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -663,3 +665,63 @@ def test_snapshot_feeds_back_as_initial(tmp_path, scenario_file):
     summary = json.loads((tmp_path / "b" / "summary.json").read_text())
     # the snapshot carries its own clock; the run continues from t = 1.0
     assert summary["final"]["t"] == pytest.approx(1.1)
+
+
+def test_diverging_simulate_keeps_its_finite_samples(tmp_path, capsys):
+    # K dt = 10 leaves the RK4 stability region of the span coefficients at
+    # step 2; the records are written as the run goes, so the run directory
+    # holds the two finite samples, and no summary
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(
+        "[scenario]\nname = diverge\n[grid]\npoints = 64\n[model]\nn = 3\ncoupling = 1000.0\n"
+        "[initial]\nkind = perturbed_gaussians\n[solver]\ndt = 0.01\nt_end = 1.0\n"
+        "[outputs]\nformats = ndjson, csv\nfinal_snapshot = true\n"
+    )
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning):
+        assert run_cli("simulate", "--scenario", str(cfg), "--out", str(out)) == 3
+    assert capsys.readouterr().err == "numerical divergence: solver diverged at step 2 (t = 0.02)\n"
+    assert sorted(os.listdir(out)) == ["diagnostics.csv", "diagnostics.ndjson", "manifest.cfg"]
+    lines = (out / "diagnostics.ndjson").read_text().splitlines()
+    assert [json.loads(line)["t"] for line in lines] == [0.0, 0.01]
+    with open(out / "diagnostics.csv") as fh:
+        assert [row["t"] for row in csv.DictReader(fh)] == ["0.0", "0.01"]
+    assert load_scenario(str(out / "manifest.cfg")) == load_scenario(str(cfg))
+
+
+def test_simulate_memory_is_flat_in_the_sample_count(tmp_path):
+    # 10 and 100 samples of the same 99 steps: simulate keeps a few numbers
+    # per sample, far less than one sample's fields (2 x 4096 complex)
+    import tracemalloc
+
+    def peak(stride):
+        cfg = tmp_path / f"flat{stride}.cfg"
+        cfg.write_text(
+            "[scenario]\nname = flat\nseed = 5\n[grid]\npoints = 4096\nlength = 40.0\n"
+            "[model]\nn = 2\ncoupling = 1.0\nlam = 0.5\n[initial]\nkind = perturbed_gaussians\n"
+            f"[solver]\ndt = 0.01\nt_end = 0.99\nsnapshot_stride = {stride}\n"
+            "[outputs]\nformats = ndjson, csv\nfinal_snapshot = true\n"
+        )
+        out = tmp_path / f"o{stride}"
+        tracemalloc.start()
+        try:
+            assert run_cli("simulate", "--scenario", str(cfg), "--out", str(out)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(11)  # caches and first-call allocations
+    short, long = peak(11), peak(1)
+    assert json.loads((tmp_path / "o1" / "summary.json").read_text())["samples"] == 100
+    one_sample = 2 * 4096 * 16
+    assert long - short < one_sample, (short, long)
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only a pde sweep with --threads > 1 imports concurrent.futures
+    code = (
+        "import sys, lohe_sync.cli\n"
+        "assert 'concurrent.futures.process' not in sys.modules, 'pool imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lohe_sync import (
+    ConfigurationError,
     CorrelationState,
     DivergenceError,
     EnsembleState,
@@ -17,6 +18,7 @@ from lohe_sync import (
     center_frequencies,
     evolve,
     propagate_linear,
+    samples,
     stability_report,
 )
 from lohe_sync.core import k_squared
@@ -445,3 +447,49 @@ def test_gram_series_matches_recomputed_gram_matrices(collect):
     recomputed = np.stack([CorrelationState.from_ensemble(s).z for s in traj.states])
     assert np.array_equal(series.times, traj.times)
     assert np.array_equal(series.z, recomputed)
+
+
+# -- streamed sampling ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["span", "strang_rk4", "full_rk4"])
+def test_samples_stream_the_states_evolve_collects(grid64, scheme):
+    config = ModelConfig(
+        coupling=1.0,
+        frequencies=(0.2, 0.0, -0.2),
+        potential=cosine_potential(grid64, amplitude=1.0),
+    )
+    initial = perturbed_gaussians(grid64, 3, seed=9)
+    params = SolverParams(dt=0.01, t_end=0.1, scheme=scheme, snapshot_stride=3)
+    streamed = list(samples(initial, config, params))
+    collected = evolve(initial, config, params)
+    assert [s.time for s in streamed] == list(collected.times) == [0.0, 0.03, 0.06, 0.09, 0.1]
+    for a, b in zip(streamed, collected.states, strict=True):
+        assert a.time == b.time
+        assert np.array_equal(a.psi, b.psi)
+    assert streamed[0].psi is not initial.psi
+
+
+def test_samples_divergence_matches_evolve(grid64):
+    config = ModelConfig(coupling=1000.0, frequencies=(0.0, 0.0, 0.0))
+    initial = perturbed_gaussians(grid64, 3, seed=4)
+    params = SolverParams(dt=0.01, t_end=1.0, snapshot_stride=1)
+    # the run's checks, and its dt warning, come with the call
+    with pytest.raises(ConfigurationError, match="frequencies"):
+        samples(initial, ModelConfig(coupling=1.0, frequencies=(0.0, 0.0)), params)
+    with pytest.warns(UserWarning):
+        stream = samples(initial, config, params)
+    taken = []
+    with pytest.raises(DivergenceError) as streamed:
+        for state in stream:
+            taken.append(state)
+    with pytest.warns(UserWarning), pytest.raises(DivergenceError) as collected:
+        evolve(initial, config, params, collect_diagnostics=False)
+    assert str(streamed.value) == str(collected.value)
+    assert streamed.value.step_index == collected.value.step_index
+    assert streamed.value.time == collected.value.time
+    assert streamed.value.partial is None
+    partial = collected.value.partial
+    assert len(taken) == partial.n_samples >= 1
+    for a, b in zip(taken, partial.states, strict=True):
+        assert np.array_equal(a.psi, b.psi)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lohe_sync import CHECK_NAMES, ConfigurationError, parse_scenario, run_checks
+from lohe_sync.verification import VerifyContext
 
 ODE_SYNC = """
 [scenario]
@@ -251,3 +252,24 @@ def test_no_checks_requested_is_an_error():
     sc = parse_scenario("[scenario]\nname = x\n[ode]\nsystem = two\nz0 = 0.1\nt_end = 1\n")
     with pytest.raises(ConfigurationError, match="verify"):
         run_checks(sc)
+
+
+@pytest.mark.parametrize(
+    "checks, keeps",
+    [
+        ("mass:1e-9, energy_decomposition:1e-10, pde_ode_closure:1e-6, phase_sync:1e-2", False),
+        ("mass:1e-9, order_identity:1e-12", True),
+    ],
+    ids=["records_only", "order_identity"],
+)
+def test_verify_keeps_states_only_for_checks_that_read_them(checks, keeps):
+    text = PDE_IDENTICAL.replace(PDE_IDENTICAL.splitlines()[-1], f"checks = {checks}")
+    ctx = VerifyContext(parse_scenario(text))
+    trajectory = ctx.trajectory
+    assert len(trajectory.diagnostics_stream) == trajectory.n_samples == 101
+    assert len(trajectory.states) == (101 if keeps else 0)
+    if not keeps:
+        with pytest.raises(ConfigurationError, match="keeps no states"):
+            ctx.state_trajectory
+    # the same checks pass either way, on the same records
+    assert all(r.passed for r in run_checks(parse_scenario(text)))
