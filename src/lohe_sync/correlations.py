@@ -246,11 +246,16 @@ def mixing_flow(omega: np.ndarray, coupling: float):
 
     Fields psi = D q over r orthonormal basis fields q have the Gram matrix
     conj(D) D^T, so this is the coupling and detuning flow psi' = M psi
-    written on D.
+    written on D. With s = 1^T D (the sum of D's rows) and g = K / (2N),
+    N w = D conj(s) and M D = (-i Omega - g N w)[:, None] D + g s: two
+    broadcasts, with no N x N Gram matrix, diagonal or product.
     """
+    rotation = -1j * np.asarray(omega)
+    gain = 0.5 * coupling / rotation.shape[-1]
 
     def deriv(d):
-        return coupling_generator(np.conj(d) @ d.T, omega, coupling) @ d
+        s = d.sum(axis=0)
+        return (rotation - gain * (d @ np.conj(s)))[:, None] * d + gain * s
 
     return deriv
 

@@ -17,7 +17,15 @@ from lohe_sync import (
     random_correlation_matrix,
     two_rhs,
 )
-from lohe_sync.correlations import _dz, fg_rhs, macro_rhs, full_rhs, step_count, zeta_norm_rhs
+from lohe_sync.correlations import (
+    _dz,
+    fg_rhs,
+    full_rhs,
+    macro_rhs,
+    mixing_flow,
+    step_count,
+    zeta_norm_rhs,
+)
 
 from conftest import assert_close
 
@@ -273,3 +281,14 @@ def test_integrate_rejects_unknown_system():
     config = config_for(2)
     with pytest.raises(ConfigurationError):
         integrate("macro", 0.0, config, 1e-3, 1.0)
+
+
+@pytest.mark.parametrize("n, r", [(2, 2), (5, 5), (40, 40), (2, 1), (5, 3), (40, 13)])
+def test_mixing_flow_is_the_coupling_generator_applied_to_d(n, r):
+    # D' = M(conj(D) D^T) D for fields psi = D q over r orthonormal q
+    rng = np.random.default_rng(10 * n + r)
+    d = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    omega = rng.uniform(-1.0, 1.0, n)
+    expected = coupling_generator(np.conj(d) @ d.T, omega, 1.7) @ d
+    assert_close(mixing_flow(omega, 1.7)(d), expected, 1e-14, "mixing flow")
