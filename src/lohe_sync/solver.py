@@ -136,8 +136,9 @@ def stability_report(grid: GridSpec, config: ModelConfig) -> StabilityReport:
 class Trajectory:
     """Sampled PDE run: states every snapshot_stride steps plus the endpoint.
 
-    evolve stores every state. A run that only needs its records (verify's
-    checks that read no fields) holds an empty states list."""
+    evolve stores every state. A run that only needs its records (verify
+    without a check that reads fields, a pde sweep cell) holds an empty
+    states list."""
 
     times: np.ndarray
     states: list[EnsembleState]
