@@ -31,7 +31,7 @@ import os
 import sys
 import time
 from contextlib import ExitStack
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +39,6 @@ import numpy as np
 from .core import ModelConfig
 from .correlations import (
     CorrelationSeries,
-    integrate,
     integrate_batch,
     pair_distance,
     random_correlation_matrix,
@@ -68,7 +67,7 @@ from .scenario import (
     build_ensemble,
     build_grid,
     build_model,
-    build_ode_initial,
+    integrate_ode,
     load_scenario,
     render_scenario,
     resolved_frequencies,
@@ -317,20 +316,8 @@ def cmd_simulate(sc: Scenario, args) -> int:
 def cmd_ode(sc: Scenario, args) -> int:
     if sc.ode is None:
         raise ConfigurationError("ode needs an [ode] section")
-    grid_free_config = ModelConfig(
-        coupling=sc.coupling,
-        frequencies=resolved_frequencies(sc),
-    )
-    initial = build_ode_initial(sc, grid_free_config)
-    series = integrate(
-        sc.ode.system,
-        initial,
-        grid_free_config,
-        sc.ode.dt,
-        sc.ode.t_end,
-        sample_stride=sc.ode.sample_stride,
-        self_check=sc.ode.self_check,
-    )
+    grid_free_config = ModelConfig(coupling=sc.coupling, frequencies=resolved_frequencies(sc))
+    series = integrate_ode(sc, grid_free_config)
 
     run_dir = _run_dir(args, sc.name)
     _write_manifest(run_dir, sc)
@@ -445,17 +432,7 @@ def cmd_verify(sc: Scenario, args) -> int:
     report = {
         "scenario": sc.name,
         "passed": all(r.passed for r in results),
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "measured": r.measured,
-                "expected": r.expected,
-                "tol": r.tol,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
     }
     _write(os.path.join(run_dir, "report.json"), dump_json(report))
     for r in results:

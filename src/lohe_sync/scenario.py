@@ -88,7 +88,7 @@ from typing import Callable
 import numpy as np
 
 from .core import EnsembleState, GridSpec, ModelConfig
-from .correlations import CorrelationState, random_correlation_matrix
+from .correlations import CorrelationSeries, CorrelationState, integrate, random_correlation_matrix
 from .errors import ConfigurationError
 from .initial_data import (
     gaussian_pair,
@@ -113,6 +113,7 @@ __all__ = [
     "build_model",
     "build_ensemble",
     "build_ode_initial",
+    "integrate_ode",
 ]
 
 
@@ -615,3 +616,18 @@ def build_ode_initial(sc: Scenario, config: ModelConfig):
         grid = build_grid(sc)
         return CorrelationState.from_ensemble(build_ensemble(sc, grid))
     raise ConfigurationError("[ode] needs z0, gram, or an [initial] ensemble to start from")
+
+
+def integrate_ode(sc: Scenario, config: ModelConfig) -> CorrelationSeries:
+    """The scenario's [ode] run: build_ode_initial integrated under config,
+    with the section's dt, t_end, sample_stride and self_check."""
+    ode = sc.ode
+    return integrate(
+        ode.system,
+        build_ode_initial(sc, config),
+        config,
+        ode.dt,
+        ode.t_end,
+        sample_stride=ode.sample_stride,
+        self_check=ode.self_check,
+    )

@@ -7,7 +7,8 @@ the parameters dictate. Checks are looked up by name from scenario
 [verify] sections, so the set of names below is a stable interface:
 
   mass                   max |  ||psi_j|| - 1  | over the PDE run
-  order_identity         residual of 1 - ||zeta||^2 = mean pair distance^2 / 2
+  order_identity         residual of 1 - ||zeta||^2 = mean pair distance^2 / 2,
+                         read from each record's zeta_norm and pair_l2
   energy_decomposition   residual of E = E_zeta + E_rel per sample
   pde_ode_closure        max |z_pde - z_ode| between measured and integrated
                          (the closure theorem on a grid scheme; under span,
@@ -25,16 +26,19 @@ the parameters dictate. Checks are looked up by name from scenario
   scattering             ||exp(iHt) psi_1(t) - psi~|| decreasing, final <= tol
 
 All checks return a CheckResult; nothing raises on a mere failure, so a
-verify pass always produces a complete report.
+verify pass always produces a complete report. Every check but scattering
+reads the PDE run's diagnostics records, so only scattering makes the run
+keep its sampled fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import ModelConfig, gram_matrix
+from .core import ModelConfig
 from .correlations import CorrelationSeries, CorrelationState, integrate, pair_distance
 from .diagnostics import (
     classify_correlation_sync,
@@ -53,7 +57,7 @@ from .oracles import (
     sync_limits_two,
     z_exact,
 )
-from .scenario import Scenario, build_ensemble, build_grid, build_model, build_ode_initial
+from .scenario import Scenario, build_ensemble, build_grid, build_model, integrate_ode
 from .solver import Trajectory, propagate_linear, samples
 
 __all__ = ["CheckResult", "VerifyContext", "run_checks", "CHECK_NAMES"]
@@ -70,12 +74,12 @@ class CheckResult:
 
 
 # the checks that read the sampled fields; every other check reads records
-_STATE_CHECKS = frozenset({"order_identity", "scattering"})
+_STATE_CHECKS = frozenset({"scattering"})
 
 
 class VerifyContext:
-    """Lazily runs and caches whatever artifacts the selected checks need,
-    so one scenario drives many checks without repeating the simulation.
+    """Runs and caches whatever artifacts the selected checks need, on first
+    use, so one scenario drives many checks without repeating the simulation.
     The PDE run keeps a diagnostics record per sample, and its states only
     when a requested check reads them."""
 
@@ -84,24 +88,18 @@ class VerifyContext:
         self.grid = build_grid(scenario)
         self.config: ModelConfig = build_model(scenario, self.grid)
         self.keep_states = any(name in _STATE_CHECKS for name, _ in scenario.checks)
-        self._trajectory: Trajectory | None = None
-        self._ode_series: CorrelationSeries | None = None
-        self._gram_series: CorrelationSeries | None = None
 
-    @property
+    @cached_property
     def trajectory(self) -> Trajectory:
-        if self._trajectory is None:
-            if self.scenario.solver is None:
-                raise ConfigurationError("this check needs a [solver] section (PDE run)")
-            initial = build_ensemble(self.scenario, self.grid)
-            states, records = [], []
-            for state in samples(initial, self.config, self.scenario.solver):
-                records.append(compute_record(state, self.config))
-                if self.keep_states:
-                    states.append(state)
-            times = np.array([rec.time for rec in records])
-            self._trajectory = Trajectory(times, states, records)
-        return self._trajectory
+        if self.scenario.solver is None:
+            raise ConfigurationError("this check needs a [solver] section (PDE run)")
+        initial = build_ensemble(self.scenario, self.grid)
+        states, records = [], []
+        for state in samples(initial, self.config, self.scenario.solver):
+            records.append(compute_record(state, self.config))
+            if self.keep_states:
+                states.append(state)
+        return Trajectory(np.array([rec.time for rec in records]), states, records)
 
     @property
     def state_trajectory(self) -> Trajectory:
@@ -110,29 +108,15 @@ class VerifyContext:
             raise ConfigurationError("this context keeps no states; no requested check reads them")
         return self.trajectory
 
-    @property
+    @cached_property
     def gram_series(self) -> CorrelationSeries:
-        if self._gram_series is None:
-            self._gram_series = self.trajectory.gram_series()
-        return self._gram_series
+        return self.trajectory.gram_series()
 
-    @property
+    @cached_property
     def ode_series(self) -> CorrelationSeries:
-        if self._ode_series is None:
-            if self.scenario.ode is None:
-                raise ConfigurationError("this check needs an [ode] section")
-            ode = self.scenario.ode
-            initial = build_ode_initial(self.scenario, self.config)
-            self._ode_series = integrate(
-                ode.system,
-                initial,
-                self.config,
-                ode.dt,
-                ode.t_end,
-                sample_stride=ode.sample_stride,
-                self_check=ode.self_check,
-            )
-        return self._ode_series
+        if self.scenario.ode is None:
+            raise ConfigurationError("this check needs an [ode] section")
+        return integrate_ode(self.scenario, self.config)
 
     def regime(self):
         w = self.config.frequencies
@@ -160,15 +144,11 @@ def _check_mass(ctx: VerifyContext, tol: float) -> CheckResult:
 
 
 def _check_order_identity(ctx: VerifyContext, tol: float) -> CheckResult:
-    worst = 0.0
-    for state in ctx.state_trajectory.states:
-        z = gram_matrix(state)
-        n = z.shape[0]
-        zeta_sq = float(np.sum(z).real) / (n * n)
-        diag = np.diag(z).real
-        dist_sq = diag[:, None] + diag[None, :] - 2.0 * z.real
-        mean_dist = float(np.sum(dist_sq)) / (2.0 * n * n)
-        worst = max(worst, abs((1.0 - zeta_sq) - mean_dist))
+    n = ctx.config.n_oscillators
+    worst = max(
+        abs(1.0 - r.zeta_norm**2 - float(np.sum(r.pair_l2**2)) / (2.0 * n * n))
+        for r in ctx.trajectory.diagnostics_stream
+    )
     return CheckResult(
         "order_identity", worst <= tol, worst, 0.0, tol, "1 - ||zeta||^2 vs mean pair distance"
     )

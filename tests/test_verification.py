@@ -5,10 +5,19 @@ so the whole file stays fast; the full-scale versions of these checks live
 in test_acceptance.py.
 """
 
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import lohe_sync.verification as verification
 from lohe_sync import CHECK_NAMES, ConfigurationError, parse_scenario, run_checks
+from lohe_sync.cli import main
+from lohe_sync.core import gram_matrix
+from lohe_sync.emit import write_series
+from lohe_sync.scenario import build_ensemble, build_grid, build_model
+from lohe_sync.solver import samples
 from lohe_sync.verification import VerifyContext
 
 ODE_SYNC = """
@@ -258,7 +267,7 @@ def test_no_checks_requested_is_an_error():
     "checks, keeps",
     [
         ("mass:1e-9, energy_decomposition:1e-10, pde_ode_closure:1e-6, phase_sync:1e-2", False),
-        ("mass:1e-9, order_identity:1e-12", True),
+        ("mass:1e-9, order_identity:1e-12", False),
     ],
     ids=["records_only", "order_identity"],
 )
@@ -273,3 +282,69 @@ def test_verify_keeps_states_only_for_checks_that_read_them(checks, keeps):
             ctx.state_trajectory
     # the same checks pass either way, on the same records
     assert all(r.passed for r in run_checks(parse_scenario(text)))
+
+
+def test_order_identity_from_records_matches_the_gram_formula():
+    # the reference is the Gram-from-fields residual the check used to form
+    sc = parse_scenario(PDE_IDENTICAL)
+    grid = build_grid(sc)
+    config = build_model(sc, grid)
+    reference = 0.0
+    for state in samples(build_ensemble(sc, grid), config, sc.solver):
+        z = gram_matrix(state)
+        n = z.shape[0]
+        diag = np.diag(z).real
+        dist_sq = diag[:, None] + diag[None, :] - 2.0 * z.real
+        mean_dist = float(np.sum(dist_sq)) / (2.0 * n * n)
+        reference = max(reference, abs(1.0 - float(np.sum(z).real) / (n * n) - mean_dist))
+    measured = by_name(run_checks(sc))["order_identity"].measured
+    assert abs(measured - reference) <= 1e-13, (measured, reference)
+
+
+def test_order_identity_memory_is_flat_in_the_sample_count():
+    # 10 and 100 samples of the same 99 steps: the check reads records, a
+    # few hundred bytes per sample, far less than one sample's fields
+    def peak(stride):
+        text = (
+            "[scenario]\nname = flat\nseed = 5\n[grid]\npoints = 4096\nlength = 40.0\n"
+            "[model]\nn = 2\ncoupling = 1.0\nlam = 0.5\n[initial]\nkind = perturbed_gaussians\n"
+            f"[solver]\ndt = 0.01\nt_end = 0.99\nsnapshot_stride = {stride}\n"
+            "[verify]\nchecks = mass:1e-9, order_identity:1e-10\n"
+        )
+        tracemalloc.start()
+        try:
+            assert all(r.passed for r in run_checks(parse_scenario(text)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(11)  # caches and first-call allocations
+    short, long = peak(11), peak(1)
+    one_sample = 2 * 4096 * 16
+    assert long - short < one_sample, (short, long)
+
+
+@pytest.mark.parametrize("text", [ODE_SYNC, ODE_UNSTABLE], ids=["two", "unstable"])
+def test_ode_subcommand_writes_the_verify_series(tmp_path, text):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["ode", "--scenario", str(cfg), "--out", str(out)]) == 0
+    buffer = io.StringIO()
+    write_series({"ndjson": buffer}, VerifyContext(parse_scenario(text)).ode_series)
+    assert (out / "correlations.ndjson").read_text() == buffer.getvalue()
+
+
+def test_pde_checks_step_the_pde_once(monkeypatch):
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return samples(*args)
+
+    monkeypatch.setattr(verification, "samples", counted)
+    checks = "mass:1e-9, order_identity:1e-12, energy_decomposition:1e-10, lyapunov_monotone:1e-10, phase_sync:1e-2"
+    text = PDE_IDENTICAL.replace(PDE_IDENTICAL.splitlines()[-1], f"checks = {checks}")
+    results = run_checks(parse_scenario(text))
+    assert len(results) == 5 and all(r.passed for r in results), results
+    assert len(runs) == 1
