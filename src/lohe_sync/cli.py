@@ -50,7 +50,7 @@ from .diagnostics import (
     classify_sync,
     compute_record,
     detect_period,
-    fit_rate,
+    fit_decay,
     tail_samples,
 )
 from .emit import dump_json, write_diagnostics, write_series, write_sweep_csv
@@ -207,9 +207,8 @@ def _two_oscillator_block(config: ModelConfig, times, pair_z) -> dict | None:
         dist = pair_distance(pair_z)
         block["distance_tail_measured"] = float(dist[-tail_samples(len(dist)) :].mean())
         if regime.regime == "underdamped_sync" and len(times) >= 8:
-            y = sync_distance_sq(pair_z, regime.phi)
             try:
-                fit = fit_rate(times, np.maximum(y, 1e-300))
+                fit = fit_decay(times, sync_distance_sq(pair_z, regime.phi))
                 block["sync_rate_fitted"] = fit.rate
                 block["sync_rate_r_squared"] = fit.r_squared
             except LoheSyncError:
@@ -534,18 +533,19 @@ def _sweep_point(task: tuple) -> dict:
             row["regime"] = regime.regime
             if regime.regime != "periodic":
                 row["distance_limit"] = sync_limits_two(regime).distance_limit
+        # the slowest pair sets the reported rate, expected >= coupling for
+        # identical oscillators; none when a decay falls to fit_decay's
+        # roundoff floor too soon to fit
+        decays = []
         if result.kind == "phase_sync":
-            # slowest pair sets the reported rate; expected >= coupling for
-            # identical oscillators
-            rates = []
-            for j, k in zip(iu[0], iu[1]):
-                y = np.maximum(1.0 - series.r[:, j, k], 1e-300)
-                rates.append(fit_rate(series.times, y).rate)
-            row["rate_fitted"] = float(min(rates)) if rates else None
-        elif n == 2 and row.get("regime") == "underdamped_sync":
-            regime = classify_two(coupling, omega)
-            y = np.maximum(sync_distance_sq(series.z[:, 0, 1], regime.phi), 1e-300)
-            row["rate_fitted"] = fit_rate(series.times, y).rate
+            decays = [1.0 - series.r[:, j, k] for j, k in zip(*iu)]
+        elif row.get("regime") == "underdamped_sync":
+            decays = [sync_distance_sq(series.z[:, 0, 1], regime.phi)]
+        if decays:
+            try:
+                row["rate_fitted"] = min(fit_decay(series.times, y).rate for y in decays)
+            except ContractViolationError:
+                row["rate_fitted"] = None
     except DivergenceError as exc:
         row["status"] = "divergence"
         row["detail"] = str(exc)

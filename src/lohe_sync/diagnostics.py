@@ -39,6 +39,7 @@ __all__ = [
     "classify_sync",
     "classify_correlation_sync",
     "fit_rate",
+    "fit_decay",
     "fit_algebraic_limit",
     "energy_bound_check",
     "detect_period",
@@ -320,6 +321,26 @@ def fit_rate(times, values, window=None, kind: str = "exponential") -> FitResult
     return FitResult(
         rate=float(sign * coef[1]), r_squared=r2, window=(ta, tb), n_points=int(mask.sum())
     )
+
+
+# A decay series such as 2(1 - Re(e^{-i phi} z)) is a difference of O(1)
+# numbers, so it carries their roundoff: it levels off near 1e-13, a few
+# hundred ulps, after the 30 000 steps of scattering_pair. A fit whose window
+# reaches that level fits the noise (there the rate moves in its fifth
+# digit). fit_decay ends the series where it first falls below a million
+# ulps, which keeps the roundoff under 0.1% of every value it fits.
+DECAY_FLOOR = 1e6 * np.finfo(float).eps
+
+
+def fit_decay(times, values) -> FitResult:
+    """fit_rate's exponential fit of a decaying series, over the samples
+    before the series first falls below DECAY_FLOOR."""
+    values = np.asarray(values, dtype=float)
+    below = np.flatnonzero(values < DECAY_FLOOR)
+    end = below[0] if below.size else len(values)
+    if end < 3:
+        raise SeriesTooShortError(f"the series is below {DECAY_FLOOR:.1e} from sample {end} on")
+    return fit_rate(np.asarray(times)[:end], values[:end])
 
 
 @dataclass(frozen=True)

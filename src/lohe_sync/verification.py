@@ -46,7 +46,7 @@ from .diagnostics import (
     compute_record,
     detect_period,
     fit_algebraic_limit,
-    fit_rate,
+    fit_decay,
     tail_samples,
 )
 from .errors import ConfigurationError, LoheSyncError
@@ -202,7 +202,7 @@ def _check_sync_rate(ctx: VerifyContext, tol: float) -> CheckResult:
     if regime.regime != "underdamped_sync":
         raise ConfigurationError("sync_rate applies below the critical coupling ratio")
     times, z = ctx.pair_z_series(prefer="ode")
-    fit = fit_rate(times, np.maximum(sync_distance_sq(z, regime.phi), 1e-300))
+    fit = fit_decay(times, sync_distance_sq(z, regime.phi))
     rel = abs(fit.rate - regime.rate) / regime.rate
     return CheckResult(
         "sync_rate",

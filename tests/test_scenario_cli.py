@@ -725,3 +725,43 @@ def test_cli_import_leaves_the_process_pool_out():
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        (
+            "simulate",
+            "[grid]\npoints = 64\n[initial]\nkind = gaussian_pair\n"
+            "[solver]\ndt = 0.01\nt_end = 30.0\nsnapshot_stride = 10\n",
+        ),
+        ("ode", "[ode]\nsystem = two\nz0 = 0.2+0.1j\ndt = 0.01\nt_end = 30.0\nsample_stride = 10\n"),
+    ],
+    ids=["simulate", "ode"],
+)
+def test_sync_rate_fit_stops_above_roundoff(tmp_path, command, body):
+    # a lam = 0 pair's squared distance falls to ~1e-13 by t = 30; a fit
+    # that reaches those samples is off by ~1e-4, one that stops above
+    # them recovers mu = K
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("[scenario]\nname = fit\n[model]\nn = 2\ncoupling = 1.0\nlam = 0.0\n" + body)
+    out = tmp_path / "o"
+    assert run_cli(command, "--scenario", str(cfg), "--out", str(out)) == 0
+    two = json.loads((out / "summary.json").read_text())["two_oscillator"]
+    assert two["rate"] == 1.0
+    assert abs(two["sync_rate_fitted"] - 1.0) <= 1e-6, two
+
+
+def test_sweep_cell_synchronized_from_the_start_reports_no_rate(tmp_path):
+    # two copies of one field: 1 - r sits at roundoff from t = 0, so there
+    # is no decay to fit; the cell is ok and its rate is empty
+    cfg = tmp_path / "same.cfg"
+    cfg.write_text(
+        "[scenario]\nname = same\n[grid]\npoints = 64\n"
+        "[initial]\nkind = perturbed_gaussians\nepsilon = 0.0\n"
+        "[sweep]\nmode = pde\nn = 2\nomega = 0.0\nt_end = 2.0\ndt = 0.01\n"
+    )
+    assert run_cli("sweep", "--scenario", str(cfg), "--out", str(tmp_path / "o")) == 0
+    with open(tmp_path / "o" / "sweep.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["status"], row["classification"], row["rate_fitted"]) == ("ok", "phase_sync", "")
