@@ -186,12 +186,12 @@ def _instant_classification(pair_max: float, zeta_norm: float) -> dict:
 
 
 def _two_oscillator_block(config: ModelConfig, times, pair_z) -> dict | None:
-    """Regime record plus measured tail quantities for N = 2 runs."""
+    """Regime record plus measured tail quantities for N = 2 runs, with
+    Omega = (w0 - w1)/2 whatever the mean detuning."""
     if config.n_oscillators != 2 or config.coupling <= 0:
         return None
-    w1, w2 = config.frequencies
-    omega = 0.5 * (w1 - w2)
-    if omega < 0 or abs(w1 + w2) > 1e-12 * max(abs(w1), abs(w2), 1.0):
+    omega = 0.5 * (config.frequencies[0] - config.frequencies[1])
+    if omega < 0:
         return None
     regime = classify_two(config.coupling, omega)
     block: dict = {

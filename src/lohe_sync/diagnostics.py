@@ -121,13 +121,12 @@ def compute_record(state: EnsembleState, config: ModelConfig) -> DiagnosticsReco
     relative = float(pair_energy.sum() / (2.0 * n * n))
     zeta_energy = float(b.mean().real)
 
+    # a pair's phase offset is set by Omega = (w0 - w1)/2 alone: a mean
+    # detuning only turns both fields by a common phase
     diff_energy_two = None
-    if n == 2:
-        try:
-            lam = config.lambda_ratio
-        except ContractViolationError:
-            lam = None
-        if lam is not None and abs(lam) <= 1.0:
+    if n == 2 and config.coupling > 0:
+        lam = (config.frequencies[0] - config.frequencies[1]) / config.coupling
+        if 0.0 <= lam <= 1.0:
             phi = np.arcsin(lam)
             diff_energy_two = float(
                 diag_b[0] + diag_b[1] - 2.0 * (np.exp(-1j * phi) * b[0, 1]).real

@@ -765,3 +765,29 @@ def test_sweep_cell_synchronized_from_the_start_reports_no_rate(tmp_path):
     with open(tmp_path / "o" / "sweep.csv") as fh:
         (row,) = csv.DictReader(fh)
     assert (row["status"], row["classification"], row["rate_fitted"]) == ("ok", "phase_sync", "")
+
+
+def test_uncentered_pair_reports_like_the_centered_one(tmp_path):
+    # a mean detuning turns both fields by one common phase, so z_01, the
+    # energies and every pair quantity match those of the centered pair
+    runs = {}
+    for tag, frequencies in (("centered", "0.1875, -0.1875"), ("shifted", "0.5, 0.125")):
+        cfg = tmp_path / f"{tag}.cfg"
+        cfg.write_text(
+            f"[scenario]\nname = {tag}\n[grid]\npoints = 128\n"
+            f"[model]\nn = 2\ncoupling = 1.0\nfrequencies = {frequencies}\n"
+            "[initial]\nkind = gaussian_pair\n[solver]\nt_end = 10.0\nsnapshot_stride = 20\n"
+        )
+        out = tmp_path / tag
+        assert run_cli("simulate", "--scenario", str(cfg), "--out", str(out)) == 0
+        two = json.loads((out / "summary.json").read_text())["two_oscillator"]
+        lines = (out / "diagnostics.ndjson").read_text().splitlines()
+        runs[tag] = two, np.array([json.loads(line)["energy_diff_two"] for line in lines])
+    (two, energy), (two_shifted, energy_shifted) = runs["centered"], runs["shifted"]
+    assert two["regime"] == two_shifted["regime"] == "underdamped_sync"
+    assert two.keys() == two_shifted.keys()
+    for key in ("lam", "phi", "rate", "distance_limit", "distance_tail_measured", "sync_rate_fitted"):
+        assert two_shifted[key] == pytest.approx(two[key], abs=1e-12), key
+    assert len(energy) == len(energy_shifted) == 501
+    assert energy[-1] > 1e-5
+    assert float(np.max(np.abs(energy - energy_shifted))) <= 1e-12
