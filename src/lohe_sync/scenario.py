@@ -600,6 +600,9 @@ def build_ode_initial(sc: Scenario, config: ModelConfig):
         if ode.z0 == "unstable":
             from .oracles import classify_two
 
+            n = config.n_oscillators
+            if n != 2:
+                raise ConfigurationError(f"z0 = unstable needs n = 2, got n = {n}")
             w1, w2 = config.frequencies
             regime = classify_two(config.coupling, 0.5 * (w1 - w2))
             if regime.unstable_point is None:

@@ -791,3 +791,17 @@ def test_uncentered_pair_reports_like_the_centered_one(tmp_path):
     assert len(energy) == len(energy_shifted) == 501
     assert energy[-1] > 1e-5
     assert float(np.max(np.abs(energy - energy_shifted))) <= 1e-12
+
+
+def test_unstable_z0_needs_a_pair(tmp_path, capsys):
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text(
+        "[scenario]\nname = three\n[model]\nn = 3\ncoupling = 1.0\n"
+        "[ode]\nsystem = two\nz0 = unstable\nt_end = 1.0\n[verify]\nchecks = stationary:1e-8\n"
+    )
+    assert run_cli("ode", "--scenario", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == "error: z0 = unstable needs n = 2, got n = 3\n"
+    # verify reports the check it could not run, with the same reason
+    assert run_cli("verify", "--scenario", str(cfg), "--out", str(tmp_path / "v")) == 1
+    (check,) = json.loads((tmp_path / "v" / "report.json").read_text())["checks"]
+    assert check["detail"] == "check could not run: z0 = unstable needs n = 2, got n = 3"
