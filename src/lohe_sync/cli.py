@@ -188,10 +188,8 @@ def _instant_classification(pair_max: float, zeta_norm: float) -> dict:
 def _two_oscillator_block(config: ModelConfig, times, pair_z) -> dict | None:
     """Regime record plus measured tail quantities for N = 2 runs, with
     Omega = (w0 - w1)/2 whatever the mean detuning."""
-    if config.n_oscillators != 2 or config.coupling <= 0:
-        return None
     omega = 0.5 * (config.frequencies[0] - config.frequencies[1])
-    if omega < 0:
+    if config.n_oscillators != 2 or config.coupling <= 0 or omega < 0:
         return None
     regime = classify_two(config.coupling, omega)
     block: dict = {

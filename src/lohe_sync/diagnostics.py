@@ -323,11 +323,9 @@ def fit_rate(times, values, window=None, kind: str = "exponential") -> FitResult
 
 
 # A decay series such as 2(1 - Re(e^{-i phi} z)) is a difference of O(1)
-# numbers, so it carries their roundoff: it levels off near 1e-13, a few
-# hundred ulps, after the 30 000 steps of scattering_pair. A fit whose window
-# reaches that level fits the noise (there the rate moves in its fifth
-# digit). fit_decay ends the series where it first falls below a million
-# ulps, which keeps the roundoff under 0.1% of every value it fits.
+# numbers and levels off at their roundoff (near 1e-13, a few hundred ulps,
+# after scattering_pair's 30 000 steps), where a fit bends in the fifth digit.
+# Ending it below a million ulps keeps that roundoff under 0.1% of each value.
 DECAY_FLOOR = 1e6 * np.finfo(float).eps
 
 

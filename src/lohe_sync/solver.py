@@ -42,8 +42,8 @@ line of output) and drops it holds one sample's fields however many samples
 the run takes. evolve is the library's collector over it: a Trajectory that
 stores every state and, by default, its diagnostics record. The command-line
 front end streams: simulate writes each record as it is made and keeps only
-what its summary reads, verify keeps states only for the checks that read
-fields, and pde sweep cells keep none.
+what its summary reads, verify keeps states only for the scattering check,
+the one check that reads fields, and pde sweep cells keep none.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ class Trajectory:
     """Sampled PDE run: states every snapshot_stride steps plus the endpoint.
 
     evolve stores every state. A run that only needs its records (verify
-    without a check that reads fields, a pde sweep cell) holds an empty
-    states list."""
+    without the scattering check, a pde sweep cell) holds an empty states
+    list."""
 
     times: np.ndarray
     states: list[EnsembleState]
