@@ -16,8 +16,10 @@ emitted file schemas; the integrator works on a stack of complex matrices
 and mirrors the lower triangles from the upper ones every step, so
 r_jk - r_kj and s_jk + s_kj are exactly zero along trajectories. A single
 run is a stack of one; integrate_batch steps many runs of one N together.
-The two-oscillator system is stepped as the single complex z_01 and returned
-as its 2 x 2 series.
+At N = 2 the system is the single pair correlation z_01: the two-oscillator
+system, a "full" run and a batch of pairs all step z_01 alone, with one
+rounding (a Python complex, or a vector of them rounded alike), and return
+2 x 2 series.
 """
 
 from __future__ import annotations
@@ -277,6 +279,27 @@ def two_rhs(z: complex, omega: float, k_coupling: float) -> complex:
     return 2j * omega * z + 0.5 * k_coupling * (1.0 - z * z)
 
 
+def _pair_flow(omega: np.ndarray, coupling: np.ndarray):
+    """two_rhs over a (B,) array of pair correlations, with B half-detunings
+    and B gains, rounded as two_rhs rounds one Python complex.
+
+    numpy may fuse the parts of a complex product (FMA), so z^2 is formed
+    from the real and imaginary parts in Python's order; every other product
+    has a real or purely imaginary factor, which rounds alike either way.
+    """
+    rotation = 2.0 * omega
+    gain = 0.5 * coupling
+
+    def dz(z):
+        x, y = z.real, z.imag
+        out = np.empty_like(z)
+        out.real = gain * (1.0 - (x * x - y * y)) - rotation * y
+        out.imag = rotation * x - gain * (x * y + y * x)
+        return out
+
+    return dz
+
+
 def macro_rhs(state: CorrelationState, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative of (r_tilde, s_tilde).
 
@@ -358,6 +381,18 @@ def random_correlation_matrix(
     return z
 
 
+def _pair_matrices(z) -> np.ndarray:
+    """The 2 x 2 correlation matrices of an array of pair correlations z_01,
+    shape z.shape + (2, 2)."""
+    z = np.asarray(z)
+    pair = np.empty(z.shape + (2, 2), dtype=np.complex128)
+    pair[..., 0, 0] = 1.0
+    pair[..., 1, 1] = 1.0
+    pair[..., 0, 1] = z
+    pair[..., 1, 0] = np.conj(z)
+    return pair
+
+
 @dataclass
 class CorrelationSeries:
     """Sampled trajectory of the pairwise system: times (S,), z (S, N, N).
@@ -372,13 +407,7 @@ class CorrelationSeries:
 
     @classmethod
     def from_pair(cls, times, z) -> "CorrelationSeries":
-        z = np.asarray(z)
-        pair = np.empty((len(z), 2, 2), dtype=np.complex128)
-        pair[:, 0, 0] = 1.0
-        pair[:, 1, 1] = 1.0
-        pair[:, 0, 1] = z
-        pair[:, 1, 0] = np.conj(z)
-        return cls(times=np.asarray(times), z=pair)
+        return cls(times=np.asarray(times), z=_pair_matrices(z))
 
     @property
     def n_oscillators(self) -> int:
@@ -422,15 +451,17 @@ def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
     """Fixed-step RK4 from y0, sampled every sample_stride steps plus the end.
 
     y0 is a stack of B cells: a (B, N, N) array, whose lower triangles are
-    mirrored from the upper ones after every step, or a Python complex (the
-    pair system, B = 1). Returns the sampled steps (S,), the samples
-    (S, *y0.shape) and, per cell, the first sampled step at which it held a
-    non-finite value, 0 when it stayed finite; a cell's samples from that
-    step on are not meaningful. Stepping stops once every cell has diverged.
+    mirrored from the upper ones after every step, a (B,) array of pair
+    correlations, or a Python complex (one pair, B = 1). Returns the sampled
+    steps (S,), the samples (S, *y0.shape) and, per cell, the first sampled
+    step at which it held a non-finite value, 0 when it stayed finite; a
+    cell's samples from that step on are not meaningful. Stepping stops once
+    every cell has diverged.
     """
-    matrix = isinstance(y0, np.ndarray)
-    y = y0.copy() if matrix else y0
-    first_bad = np.zeros(len(y0) if matrix else 1, dtype=np.int64)
+    stack = isinstance(y0, np.ndarray)
+    matrix = stack and y0.ndim == 3
+    y = y0.copy() if stack else y0
+    first_bad = np.zeros(len(y0) if stack else 1, dtype=np.int64)
     samples = [y]
     sample_steps = [0]
     for step in range(1, n_steps + 1):
@@ -493,22 +524,17 @@ def integrate(
     "fg" (pairwise system under identical oscillators, stepped in the decay
     variables F = 1 - z). initial is a CorrelationState or raw matrix for
     "full"/"fg", a complex number for "two"; every system returns an N x N
-    series. Samples land every sample_stride steps plus the final time.
-    self_check = True repeats the run at twice the step and attaches a
-    Richardson estimate of the terminal error.
+    series. At N = 2, "full" steps z_01 alone through "two", so both give
+    the same series bit for bit. Samples land every sample_stride steps plus
+    the final time. self_check = True repeats the run at twice the step and
+    attaches a Richardson estimate of the terminal error.
     """
     if sample_stride < 1:
         raise ConfigurationError("sample_stride must be >= 1")
     n_steps = step_count(dt, t_end)
     k = config.coupling
-    to_z = np.asarray
 
     if system == "two":
-        omega = _two_omega(config)
-
-        def deriv(z):
-            return two_rhs(z, omega, k)
-
         y0 = complex(initial)
     elif system in ("full", "fg"):
         state = initial if isinstance(initial, CorrelationState) else CorrelationState(0.0, initial)
@@ -526,6 +552,8 @@ def integrate(
 
             def to_z(big_f):
                 return 1.0 - big_f[:, 0]
+        elif state.n_oscillators == 2:
+            y0 = complex(state.z[0, 1])
         else:
             deriv = _correlation_flow(omega, k)
             y0 = state.z[None]
@@ -534,6 +562,14 @@ def integrate(
                 return z[:, 0]
     else:
         raise ConfigurationError(f"unknown system {system!r}; expected full, two, or fg")
+
+    if isinstance(y0, complex):
+        omega = _two_omega(config)
+
+        def deriv(z):
+            return two_rhs(z, omega, k)
+
+        to_z = _pair_matrices
 
     def run(step_dt, steps, stride, check_every=0):
         sample_steps, samples, bad = _rk4_samples(y0, deriv, step_dt, steps, stride, check_every)
@@ -551,38 +587,41 @@ def integrate(
             half = n_steps // 2
             last = run(2.0 * dt, half, half)[1][-1]
             richardson = float(np.max(np.abs(samples[-1] - last)) / 15.0)
-    if system == "two":
-        series = CorrelationSeries.from_pair(steps * dt, samples)
-    else:
-        series = CorrelationSeries(times=steps * dt, z=samples)
-    series.richardson_error = richardson
-    return series
+    return CorrelationSeries(times=steps * dt, z=samples, richardson_error=richardson)
 
 
 def integrate_batch(z0s, couplings, frequencies, dt: float, t_end: float, sample_stride: int = 1):
     """integrate("full") for B cells of one N at once, stepped as one
-    (B, N, N) stack: z0s holds B initial states (CorrelationStates or raw
-    matrices), couplings B gains, frequencies B rows of N detunings. Returns
-    one entry per cell, in order: its CorrelationSeries, bit for bit what
-    integrate("full") gives for that cell alone, or the DivergenceError that
-    call would raise. A diverging cell does not stop the others."""
+    (B, N, N) stack, or at N = 2 as the (B,) pair correlations z_01: z0s
+    holds B initial states (CorrelationStates or raw matrices), couplings B
+    gains, frequencies B rows of N detunings. Returns one entry per cell, in
+    order: its CorrelationSeries, bit for bit what integrate("full") gives
+    for that cell alone, or the DivergenceError that call would raise. A
+    diverging cell does not stop the others."""
     if sample_stride < 1:
         raise ConfigurationError("sample_stride must be >= 1")
     n_steps = step_count(dt, t_end)
     states = [z if isinstance(z, CorrelationState) else CorrelationState(0.0, z) for z in z0s]
     omega = np.asarray(frequencies, dtype=float)
-    k = np.asarray(couplings, dtype=float).reshape(-1, 1, 1)
+    k = np.asarray(couplings, dtype=float)
     n = states[0].n_oscillators if states else 0
-    if not states or omega.shape != (len(states), n) or len(k) != len(states) or any(
+    if not states or omega.shape != (len(states), n) or k.shape != (len(states),) or any(
         state.n_oscillators != n for state in states
     ):
         raise ConfigurationError(
             f"need B >= 1 initial states of one N, B couplings and B x N frequencies; got "
-            f"{len(states)} states, {len(k)} couplings and frequencies of shape {omega.shape}"
+            f"{len(states)} states, {k.size} couplings and frequencies of shape {omega.shape}"
         )
-    z0 = np.array([state.z for state in states])
-    steps, samples, bad = _rk4_samples(z0, _correlation_flow(omega, k), dt, n_steps, sample_stride)
+    if n == 2:
+        z0 = np.array([state.z[0, 1] for state in states])
+        deriv = _pair_flow(0.5 * (omega[:, 0] - omega[:, 1]), k)
+    else:
+        z0 = np.array([state.z for state in states])
+        deriv = _correlation_flow(omega, k.reshape(-1, 1, 1))
+    steps, samples, bad = _rk4_samples(z0, deriv, dt, n_steps, sample_stride)
     cells = np.ascontiguousarray(np.swapaxes(samples, 0, 1))
+    if n == 2:
+        cells = _pair_matrices(cells)
     return [
         _divergence(steps, cell, step, dt)
         if step

@@ -142,16 +142,18 @@ def test_integrate_batch_matches_solo_runs(n):
         assert np.array_equal(series.z, solo.z)
 
 
-def test_integrate_batch_isolates_a_diverging_cell():
+@pytest.mark.parametrize("n", [2, 3])
+def test_integrate_batch_isolates_a_diverging_cell(n):
     # K dt = 50 leaves the RK4 stability region; only that cell may fail,
-    # with the error, step and partial samples its solo run reports
-    z0s = [random_correlation_matrix(3, seed, coherence=0.4) for seed in (1, 2, 3)]
+    # with the error, step and partial samples its solo run reports, which
+    # are correlation matrices even where the run steps z_01 alone
+    z0s = [random_correlation_matrix(n, seed, coherence=0.4) for seed in (1, 2, 3)]
     couplings = [0.5, 1000.0, 1.0]
-    frequencies = np.zeros((3, 3))
+    frequencies = np.zeros((3, n))
     with np.errstate(all="ignore"):
         batch = integrate_batch(z0s, couplings, frequencies, 0.05, 5.0, sample_stride=10)
         with pytest.raises(DivergenceError) as info:
-            integrate("full", z0s[1], config_for(3, 1000.0), 0.05, 5.0, sample_stride=10)
+            integrate("full", z0s[1], config_for(n, 1000.0), 0.05, 5.0, sample_stride=10)
     solo = info.value
     error = batch[1]
     assert isinstance(error, DivergenceError)
@@ -160,9 +162,23 @@ def test_integrate_batch_isolates_a_diverging_cell():
     assert error.time == solo.time
     assert np.array_equal(error.partial["times"], solo.partial["times"])
     assert np.array_equal(error.partial["values"], solo.partial["values"])
+    assert solo.partial["values"].shape == (1, n, n)
+    assert np.array_equal(solo.partial["values"][0], z0s[1])
     for cell in (0, 2):
-        alone = integrate("full", z0s[cell], config_for(3, couplings[cell]), 0.05, 5.0, 10)
+        alone = integrate("full", z0s[cell], config_for(n, couplings[cell]), 0.05, 5.0, 10)
         assert np.array_equal(batch[cell].z, alone.z)
+
+
+def test_full_at_two_oscillators_is_the_pair_system():
+    # at N = 2 the pairwise system is z_01 alone; an uncentered pair, with
+    # the Richardson repeat
+    z0 = random_correlation_matrix(2, seed=5, coherence=0.5)
+    config = ModelConfig(coupling=1.3, frequencies=(0.7, -0.1))
+    full = integrate("full", z0, config, 1e-3, 4.0, sample_stride=30, self_check=True)
+    two = integrate("two", z0[0, 1], config, 1e-3, 4.0, sample_stride=30, self_check=True)
+    assert np.array_equal(full.times, two.times)
+    assert np.array_equal(full.z, two.z)
+    assert full.richardson_error == two.richardson_error > 0.0
 
 
 def test_integrate_batch_validation():
