@@ -73,6 +73,7 @@ from .oracles import (
     SyncLimits,
     TwoOscRegime,
     classify_fixed_point,
+    classify_pair,
     classify_two,
     scattering_state,
     sync_distance_sq,
@@ -148,6 +149,7 @@ __all__ = [
     "FixedPointClass",
     "ScatteringResult",
     "classify_two",
+    "classify_pair",
     "z_exact",
     "sync_limits_two",
     "sync_distance_sq",

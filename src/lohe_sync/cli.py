@@ -60,7 +60,7 @@ from .errors import (
     DivergenceError,
     LoheSyncError,
 )
-from .oracles import classify_two, sync_distance_sq, sync_limits_two, z_exact
+from .oracles import classify_pair, sync_distance_sq, sync_limits_two, z_exact
 from .potentials import build_potential
 from .scenario import (
     Scenario,
@@ -186,12 +186,13 @@ def _instant_classification(pair_max: float, zeta_norm: float) -> dict:
 
 
 def _two_oscillator_block(config: ModelConfig, times, pair_z) -> dict | None:
-    """Regime record plus measured tail quantities for N = 2 runs, with
-    Omega = (w0 - w1)/2 whatever the mean detuning."""
-    omega = 0.5 * (config.frequencies[0] - config.frequencies[1])
-    if config.n_oscillators != 2 or config.coupling <= 0 or omega < 0:
+    """Regime record plus measured tail quantities for N = 2 runs, in the
+    frame of classify_pair."""
+    if config.n_oscillators != 2 or config.coupling <= 0:
         return None
-    regime = classify_two(config.coupling, omega)
+    regime, swapped = classify_pair(config.coupling, config.frequencies)
+    if swapped:
+        pair_z = np.conj(pair_z)
     block: dict = {
         "lam": regime.lam,
         "regime": regime.regime,
@@ -370,12 +371,11 @@ def cmd_oracle(sc: Scenario, args) -> int:
             "[ode] needs a finite dt > 0 and t_end >= 0 and sample_stride >= 1, got "
             f"dt = {ode.dt!r}, t_end = {ode.t_end!r}, sample_stride = {ode.sample_stride}"
         )
-    omega = 0.5 * (freqs[0] - freqs[1])
-    regime = classify_two(sc.coupling, omega)
+    regime, swapped = classify_pair(sc.coupling, freqs)
     doc: dict = {
         "scenario": sc.name,
         "coupling": sc.coupling,
-        "omega": omega,
+        "omega": regime.omega,
         "regime": {
             "lam": regime.lam,
             "regime": regime.regime,
@@ -413,7 +413,8 @@ def cmd_oracle(sc: Scenario, args) -> int:
         times = times[:: sc.ode.sample_stride]
         if times[-1] != sc.ode.t_end:
             times = np.append(times, sc.ode.t_end)
-        series = CorrelationSeries.from_pair(times, z_exact(sc.ode.z0, times, regime))
+        z = z_exact(sc.ode.z0.conjugate() if swapped else sc.ode.z0, times, regime)
+        series = CorrelationSeries.from_pair(times, np.conj(z) if swapped else z)
         _write_formats(run_dir, "z_exact", sc.outputs.formats, write_series, series)
         wrote_series = True
     doc["series_written"] = wrote_series
@@ -525,8 +526,9 @@ def _sweep_point(task: tuple) -> dict:
         tail = tail_samples(len(series.times))
         row["distance_tail"] = float(dist[-tail:, iu[0], iu[1]].max(axis=0).mean())
 
-        if coupling > 0 and n == 2 and omega >= 0:
-            regime = classify_two(coupling, omega)
+        if coupling > 0 and n == 2:
+            regime, swapped = classify_pair(coupling, (omega, -omega))
+            pair_z = np.conj(series.z[:, 0, 1]) if swapped else series.z[:, 0, 1]
             row["lam"] = regime.lam
             row["regime"] = regime.regime
             if regime.regime != "periodic":
@@ -538,7 +540,7 @@ def _sweep_point(task: tuple) -> dict:
         if result.kind == "phase_sync":
             decays = [1.0 - series.r[:, j, k] for j, k in zip(*iu)]
         elif row.get("regime") == "underdamped_sync":
-            decays = [sync_distance_sq(series.z[:, 0, 1], regime.phi)]
+            decays = [sync_distance_sq(pair_z, regime.phi)]
         if decays:
             try:
                 row["rate_fitted"] = min(fit_decay(series.times, y).rate for y in decays)

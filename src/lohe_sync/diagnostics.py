@@ -121,15 +121,17 @@ def compute_record(state: EnsembleState, config: ModelConfig) -> DiagnosticsReco
     relative = float(pair_energy.sum() / (2.0 * n * n))
     zeta_energy = float(b.mean().real)
 
-    # a pair's phase offset is set by Omega = (w0 - w1)/2 alone: a mean
-    # detuning only turns both fields by a common phase
+    # a pair's phase offset is read in the frame of classify_pair (imported
+    # here: oracles imports solver, which imports this module)
     diff_energy_two = None
     if n == 2 and config.coupling > 0:
-        lam = (config.frequencies[0] - config.frequencies[1]) / config.coupling
-        if 0.0 <= lam <= 1.0:
-            phi = np.arcsin(lam)
+        from .oracles import classify_pair
+
+        regime, swapped = classify_pair(config.coupling, config.frequencies)
+        if regime.phi is not None:
+            b01 = np.conj(b[0, 1]) if swapped else b[0, 1]
             diff_energy_two = float(
-                diag_b[0] + diag_b[1] - 2.0 * (np.exp(-1j * phi) * b[0, 1]).real
+                diag_b[0] + diag_b[1] - 2.0 * (np.exp(-1j * regime.phi) * b01).real
             )
 
     diag_g = np.diag(raw_gram).real

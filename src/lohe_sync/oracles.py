@@ -44,6 +44,7 @@ __all__ = [
     "FixedPointClass",
     "ScatteringResult",
     "classify_two",
+    "classify_pair",
     "z_exact",
     "sync_limits_two",
     "sync_distance_sq",
@@ -106,6 +107,19 @@ def classify_two(k_coupling: float, omega: float) -> TwoOscRegime:
         rate=None,
         period=float(2.0 * np.pi / np.sqrt(4.0 * omega**2 - k_coupling**2)),
     )
+
+
+def classify_pair(k_coupling: float, frequencies) -> tuple[TwoOscRegime, bool]:
+    """classify_two for a pair of detunings (w0, w1) listed in either order.
+
+    The pair is read through Omega = |w0 - w1|/2: a mean detuning only turns
+    both fields by a common phase. When w0 < w1 the regime describes the pair
+    with its labels swapped, whose correlation is conj(z_01); the flag says
+    so, and a caller conjugates z_01 into that frame, or a point of the
+    regime out of it.
+    """
+    w0, w1 = frequencies
+    return classify_two(k_coupling, 0.5 * abs(w0 - w1)), bool(w0 < w1)
 
 
 def z_exact(z0: complex, t, regime: TwoOscRegime):

@@ -51,7 +51,7 @@ from .diagnostics import (
 )
 from .errors import ConfigurationError, LoheSyncError
 from .oracles import (
-    classify_two,
+    classify_pair,
     scattering_state,
     sync_distance_sq,
     sync_limits_two,
@@ -118,14 +118,17 @@ class VerifyContext:
             raise ConfigurationError("this check needs an [ode] section")
         return integrate_ode(self.scenario, self.config)
 
-    def regime(self):
+    def pair_frame(self):
+        """classify_pair of the scenario's pair: its regime, and whether z_01
+        reads conjugated in that regime's frame."""
         w = self.config.frequencies
         if len(w) != 2:
             raise ConfigurationError("this check is defined for two oscillators")
-        return classify_two(self.config.coupling, 0.5 * (w[0] - w[1]))
+        return classify_pair(self.config.coupling, w)
 
     def pair_z_series(self, prefer: str = "pde"):
-        """(times, z_01) from whichever level the scenario runs.
+        """(times, z_01) from whichever level the scenario runs, in the frame
+        of pair_frame.
 
         prefer="ode" flips the choice when both levels are configured; rate
         fits want the ODE series, whose tail is not polluted by the PDE
@@ -135,7 +138,8 @@ class VerifyContext:
         has_ode = self.scenario.ode is not None
         use_pde = has_pde and not (prefer == "ode" and has_ode)
         series = self.gram_series if use_pde else self.ode_series
-        return series.times, series.z[:, 0, 1]
+        z = series.z[:, 0, 1]
+        return series.times, np.conj(z) if self.pair_frame()[1] else z
 
 
 def _check_mass(ctx: VerifyContext, tol: float) -> CheckResult:
@@ -182,7 +186,7 @@ def _check_pde_ode_closure(ctx: VerifyContext, tol: float) -> CheckResult:
 
 
 def _check_two_exact(ctx: VerifyContext, tol: float) -> CheckResult:
-    regime = ctx.regime()
+    regime, swapped = ctx.pair_frame()
     runs = []
     if ctx.scenario.solver is not None:
         runs.append(ctx.gram_series)
@@ -190,15 +194,13 @@ def _check_two_exact(ctx: VerifyContext, tol: float) -> CheckResult:
         runs.append(ctx.ode_series)
     if not runs:
         raise ConfigurationError("two_exact needs a [solver] or [ode] section")
-    err = max(
-        float(np.max(np.abs(s.z[:, 0, 1] - z_exact(s.z[0, 0, 1], s.times, regime))))
-        for s in runs
-    )
+    pairs = [(s.times, np.conj(s.z[:, 0, 1]) if swapped else s.z[:, 0, 1]) for s in runs]
+    err = max(float(np.max(np.abs(z - z_exact(z[0], times, regime)))) for times, z in pairs)
     return CheckResult("two_exact", err <= tol, err, 0.0, tol, "max |z - closed form|")
 
 
 def _check_sync_rate(ctx: VerifyContext, tol: float) -> CheckResult:
-    regime = ctx.regime()
+    regime = ctx.pair_frame()[0]
     if regime.regime != "underdamped_sync":
         raise ConfigurationError("sync_rate applies below the critical coupling ratio")
     times, z = ctx.pair_z_series(prefer="ode")
@@ -215,7 +217,7 @@ def _check_sync_rate(ctx: VerifyContext, tol: float) -> CheckResult:
 
 
 def _check_distance_limit(ctx: VerifyContext, tol: float) -> CheckResult:
-    regime = ctx.regime()
+    regime = ctx.pair_frame()[0]
     limits = sync_limits_two(regime)
     times, z = ctx.pair_z_series()
     dist = pair_distance(z)
@@ -233,7 +235,7 @@ def _check_distance_limit(ctx: VerifyContext, tol: float) -> CheckResult:
 
 
 def _check_periodicity(ctx: VerifyContext, tol: float) -> CheckResult:
-    regime = ctx.regime()
+    regime = ctx.pair_frame()[0]
     if regime.regime != "periodic":
         raise ConfigurationError("periodicity applies to the lam > 1 regime")
     times, z = ctx.pair_z_series()

@@ -793,6 +793,55 @@ def test_uncentered_pair_reports_like_the_centered_one(tmp_path):
     assert float(np.max(np.abs(energy - energy_shifted))) <= 1e-12
 
 
+def test_pair_listed_in_either_order_reports_like_its_twin(tmp_path):
+    # (-Omega, Omega) is (Omega, -Omega) with its labels swapped, which
+    # conjugates z_01; with the mirror-symmetric gaussian_pair and a
+    # conjugated z0 the two runs are mirror images, so every check passes
+    # for both with one value, and the summaries and oracle agree
+    checks = "two_exact:1e-6, sync_rate:0.02, distance_limit:5e-3, pde_ode_closure:1e-6"
+    reads = {}
+    pairs = (("twin", "0.375, -0.375", "0.2+0.1j"), ("swapped", "-0.375, 0.375", "0.2-0.1j"))
+    for tag, frequencies, z0 in pairs:
+        text = (
+            f"[scenario]\nname = pair\n[grid]\npoints = 128\n"
+            f"[model]\nn = 2\ncoupling = 1.0\nfrequencies = {frequencies}\n"
+            "[initial]\nkind = gaussian_pair\n[solver]\nt_end = 10.0\nsnapshot_stride = 20\n"
+            f"[ode]\nsystem = two\nz0 = {z0}\nt_end = 20.0\nsample_stride = 20\n"
+        )
+        cfg = tmp_path / f"{tag}.cfg"
+        cfg.write_text(text + f"[verify]\nchecks = {checks}\n")
+        out = tmp_path / tag
+        for command in ("verify", "oracle", "ode", "simulate"):
+            assert run_cli(command, "--scenario", str(cfg), "--out", str(out / command)) == 0
+        # the repelling point of z0 = unstable is read in the same frame
+        unstable = tmp_path / f"{tag}-unstable.cfg"
+        unstable.write_text(
+            text.replace(f"z0 = {z0}", "z0 = unstable") + "[verify]\nchecks = stationary:1e-8\n"
+        )
+        assert run_cli("verify", "--scenario", str(unstable), "--out", str(out / "unstable")) == 0
+        report = json.loads((out / "verify" / "report.json").read_text())
+        lines = (out / "simulate" / "diagnostics.ndjson").read_text().splitlines()
+        reads[tag] = {
+            "measured": [check["measured"] for check in report["checks"]],
+            "oracle": json.loads((out / "oracle" / "oracle.json").read_text()),
+            "ode": json.loads((out / "ode" / "summary.json").read_text())["two_oscillator"],
+            "simulate": json.loads((out / "simulate" / "summary.json").read_text())[
+                "two_oscillator"
+            ],
+            "energy_diff_two": [json.loads(line)["energy_diff_two"] for line in lines],
+        }
+    twin, swapped = reads["twin"], reads["swapped"]
+    assert swapped["oracle"] == twin["oracle"]
+    assert swapped["oracle"]["omega"] == 0.375
+    assert swapped["measured"] == pytest.approx(twin["measured"], rel=1e-9, abs=1e-12)
+    for level in ("ode", "simulate"):
+        assert swapped[level].keys() == twin[level].keys()
+        for key, value in twin[level].items():
+            assert swapped[level][key] == pytest.approx(value, rel=1e-9), (level, key)
+    assert None not in twin["energy_diff_two"]
+    assert swapped["energy_diff_two"] == pytest.approx(twin["energy_diff_two"], abs=1e-12)
+
+
 def test_unstable_z0_needs_a_pair(tmp_path, capsys):
     cfg = tmp_path / "three.cfg"
     cfg.write_text(
