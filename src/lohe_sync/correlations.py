@@ -615,13 +615,13 @@ def integrate_batch(z0s, couplings, frequencies, dt: float, t_end: float, sample
     if n == 2:
         z0 = np.array([state.z[0, 1] for state in states])
         deriv = _pair_flow(0.5 * (omega[:, 0] - omega[:, 1]), k)
+        to_z = _pair_matrices
     else:
         z0 = np.array([state.z for state in states])
         deriv = _correlation_flow(omega, k.reshape(-1, 1, 1))
+        to_z = np.ascontiguousarray
     steps, samples, bad = _rk4_samples(z0, deriv, dt, n_steps, sample_stride)
-    cells = np.ascontiguousarray(np.swapaxes(samples, 0, 1))
-    if n == 2:
-        cells = _pair_matrices(cells)
+    cells = to_z(np.swapaxes(samples, 0, 1))
     return [
         _divergence(steps, cell, step, dt)
         if step

@@ -824,6 +824,10 @@ def test_pair_listed_in_either_order_reports_like_its_twin(tmp_path):
         reads[tag] = {
             "measured": [check["measured"] for check in report["checks"]],
             "oracle": json.loads((out / "oracle" / "oracle.json").read_text()),
+            "z_exact": [
+                json.loads(line)
+                for line in (out / "oracle" / "z_exact.ndjson").read_text().splitlines()
+            ],
             "ode": json.loads((out / "ode" / "summary.json").read_text())["two_oscillator"],
             "simulate": json.loads((out / "simulate" / "summary.json").read_text())[
                 "two_oscillator"
@@ -833,6 +837,11 @@ def test_pair_listed_in_either_order_reports_like_its_twin(tmp_path):
     twin, swapped = reads["twin"], reads["swapped"]
     assert swapped["oracle"] == twin["oracle"]
     assert swapped["oracle"]["omega"] == 0.375
+    # the closed form is written in the scenario's labels: z_01 conjugated
+    assert len(swapped["z_exact"]) == len(twin["z_exact"]) > 1
+    for a, b in zip(swapped["z_exact"], twin["z_exact"]):
+        assert a["r"] == b["r"]
+        assert a["s"] == [[-v for v in row] for row in b["s"]]
     assert swapped["measured"] == pytest.approx(twin["measured"], rel=1e-9, abs=1e-12)
     for level in ("ode", "simulate"):
         assert swapped[level].keys() == twin[level].keys()
