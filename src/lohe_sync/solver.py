@@ -15,6 +15,10 @@ D' = M(conj(D) D^T) D. Three schemes share one sampling loop, samples:
                it is Strang kinetic-potential-kinetic substeps of dt (adjacent
                kinetic half-steps merged, one FFT pair per step), the splitting
                strang_rk4 uses, and second order. No RK4 stage touches the grid.
+               At N = 2, D is four Python complexes (a zero column pads
+               r = 1) stepped by correlations.pair_mixing_step, with Python's
+               rounding (no fused multiply-add); N >= 3 steps the numpy D
+               through mixing_flow.
   strang_rk4   grid reference: exact kinetic half-steps in Fourier space
                around one RK4 step of the local sub-flow d psi_j/dt =
                -i (V + Omega_j) psi_j + (K/2)(zeta - <zeta, psi_j> psi_j).
@@ -48,6 +52,8 @@ the one check that reads fields, and pde sweep cells keep none.
 
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -60,6 +66,7 @@ from .correlations import (
     CorrelationSeries,
     CorrelationState,
     mixing_flow,
+    pair_mixing_step,
     rk4_step,
     step_count,
 )
@@ -212,10 +219,10 @@ class _GridStepper:
     def _kinetic_step(self, mult: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(mult * np.fft.fftn(self.psi, axes=self.axes), axes=self.axes)
 
-    def step(self) -> np.ndarray:
-        """Advance one dt; returns the array the caller checks for blow-up."""
-        # blow-up is detected by the caller's isfinite check; silence the
-        # transient nan/inf arithmetic warnings on the way there
+    def step(self) -> bool:
+        """Advance one dt; returns whether the fields stayed finite."""
+        # blow-up shows as non-finite fields; silence the transient nan/inf
+        # arithmetic warnings on the way there
         with np.errstate(invalid="ignore", over="ignore"):
             if self.scheme == "strang_rk4":
                 psi = self._kinetic_step(self.whole if self.pending else self.half)
@@ -228,7 +235,7 @@ class _GridStepper:
                 norms = np.sqrt(self.dv * np.sum(np.abs(psi) ** 2, axis=self.axes))
                 psi = psi / norms.reshape((-1,) + (1,) * self.grid.dim)
         self.psi = psi
-        return psi
+        return bool(np.all(np.isfinite(psi.view(np.float64))))
 
     def fields(self) -> np.ndarray:
         if self.pending:
@@ -258,27 +265,40 @@ class _SpanStepper:
         self.phi = basis.reshape((r,) + grid.shape)  # U(t - t0) q at the last formed sample
         self.lag = 0  # steps taken since then
         omega = np.asarray(config.frequencies, dtype=float)
-        self.deriv = mixing_flow(omega, config.coupling)
         self.dt = params.dt
         self.renormalize = params.renormalize_each_step
+        self.pair = n == 2
+        if self.pair:  # four Python complexes; zero columns pad r < 2
+            self.d = tuple(np.pad(self.d, ((0, 0), (0, 2 - r))).ravel().tolist())
+            self.pair_step = pair_mixing_step(omega, config.coupling, params.dt)
+        else:
+            self.deriv = mixing_flow(omega, config.coupling)
 
-    def step(self) -> np.ndarray:
-        """Advance one dt; returns D, which the caller checks for blow-up."""
+    def step(self) -> bool:
+        """Advance one dt; returns whether D stayed finite. q is orthonormal,
+        so under renormalization the field norms are the row norms of D."""
+        self.lag += 1
+        if self.pair:
+            a0, a1, b0, b1 = self.d = self.pair_step(self.d)
+            if self.renormalize:  # a zero row gives nan, as 0 / 0 does below
+                na = math.hypot(a0.real, a0.imag, a1.real, a1.imag) or math.nan
+                nb = math.hypot(b0.real, b0.imag, b1.real, b1.imag) or math.nan
+                self.d = (a0 / na, a1 / na, b0 / nb, b1 / nb)
+            return all(map(cmath.isfinite, self.d))
         with np.errstate(invalid="ignore", over="ignore"):
             d = rk4_step(self.d, self.deriv, self.dt)
             if self.renormalize:
-                # q is orthonormal, so the field norms are the row norms of D
                 d = d / np.linalg.norm(d, axis=1)[:, None]
         self.d = d
-        self.lag += 1
-        return d
+        return bool(np.all(np.isfinite(d.view(np.float64))))
 
     def fields(self) -> np.ndarray:
         self.phi = propagate_linear(
             self.grid, self.potential, self.phi, self.lag * self.dt, substeps=self.lag
         )
         self.lag = 0
-        return np.tensordot(self.d, self.phi, axes=1)
+        d = np.array(self.d).reshape(2, 2)[:, : len(self.phi)] if self.pair else self.d
+        return np.tensordot(d, self.phi, axes=1)
 
 
 def _stepper(initial: EnsembleState, config: ModelConfig, params: SolverParams):
@@ -336,7 +356,7 @@ def propagate_linear(
 def step(state: EnsembleState, config: ModelConfig, params: SolverParams) -> EnsembleState:
     """Advance one step of params.dt. See evolve for whole trajectories."""
     stepper = _stepper(state, config, params)
-    if not np.all(np.isfinite(stepper.step().view(np.float64))):
+    if not stepper.step():
         raise DivergenceError(
             "time step produced non-finite values", step_index=1, time=state.time + params.dt
         )
@@ -370,9 +390,9 @@ def _stream(stepper, initial: EnsembleState, params: SolverParams) -> Iterator[E
     n_steps = params.n_steps
     t0 = initial.time
     for n in range(1, n_steps + 1):
-        stepped = stepper.step()
+        finite = stepper.step()
         t = t0 + n * params.dt
-        if not np.all(np.isfinite(stepped.view(np.float64))):
+        if not finite:
             raise DivergenceError(f"solver diverged at step {n} (t = {t:g})", step_index=n, time=t)
         if n % params.snapshot_stride == 0 or n == n_steps:
             yield EnsembleState(initial.grid, stepper.fields(), t)

@@ -22,9 +22,10 @@ from lohe_sync import (
     stability_report,
 )
 from lohe_sync.core import k_squared
+from lohe_sync.correlations import mixing_flow, rk4_step
 from lohe_sync.initial_data import gaussian, gaussian_pair, incoherent_pair, perturbed_gaussians
 from lohe_sync.potentials import cosine_potential
-from lohe_sync.solver import step
+from lohe_sync.solver import _stepper, step
 
 from conftest import assert_close
 
@@ -389,10 +390,14 @@ def test_renormalize_each_step_every_scheme(grid64, pair_config, scheme):
         assert_close(state.norms(), np.ones(2), 1e-14, f"{scheme} renormalized")
 
 
-def test_step_matches_evolve_under_span(grid64):
-    initial = perturbed_gaussians(grid64, 3, seed=4)
+# n = 2 steps D as four Python complexes, n = 3 through numpy
+@pytest.mark.parametrize("n", [2, 3])
+def test_step_matches_evolve_under_span(grid64, n):
+    initial = perturbed_gaussians(grid64, n, seed=4)
     config = ModelConfig(
-        coupling=1.0, frequencies=(0.2, 0.0, -0.2), potential=cosine_potential(grid64)
+        coupling=1.0,
+        frequencies=tuple(np.linspace(0.2, -0.2, n)),
+        potential=cosine_potential(grid64),
     )
     params = SolverParams(dt=1e-3, t_end=1e-3)
     one = step(initial, config, params)
@@ -401,7 +406,42 @@ def test_step_matches_evolve_under_span(grid64):
     grid_step = step(initial, config, SolverParams(dt=1e-3, t_end=1e-3, scheme="strang_rk4"))
     assert_close(one.psi, grid_step.psi, 1e-14, "span vs strang_rk4 step")
     with pytest.raises(DivergenceError, match="non-finite"):
-        step(initial, ModelConfig(coupling=1e300, frequencies=(0.0,) * 3), params)
+        step(initial, ModelConfig(coupling=1e300, frequencies=(0.0,) * n), params)
+
+
+def _matrix_path_d(d, config, params, n_steps):
+    """D after n_steps of the numpy path: rk4_step on mixing_flow, with the
+    row renormalization when params asks for it; None once it goes
+    non-finite, with the step it did so."""
+    deriv = mixing_flow(np.asarray(config.frequencies), config.coupling)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in range(1, n_steps + 1):
+            d = rk4_step(d, deriv, params.dt)
+            if params.renormalize_each_step:
+                d = d / np.linalg.norm(d, axis=1)[:, None]
+            if not np.all(np.isfinite(d)):
+                return None, n
+    return d, n_steps
+
+
+@pytest.mark.parametrize("renormalize", [False, True], ids=["plain", "renormalized"])
+@pytest.mark.parametrize("case", ["detuned_rank_2", "antiphase_rank_1"])
+def test_span_pair_d_matches_the_matrix_path(grid64, case, renormalize):
+    if case == "detuned_rank_2":
+        initial, rank = perturbed_gaussians(grid64, 2, seed=6), 2
+    else:
+        initial, rank = incoherent_pair(grid64), 1
+    config = ModelConfig(coupling=1.3, frequencies=(0.4, -0.25))
+    params = SolverParams(dt=1e-2, t_end=20.0, renormalize_each_step=renormalize)
+    stepper = _stepper(initial, config, params)
+    assert len(stepper.phi) == rank
+    d0 = np.array(stepper.d).reshape(2, 2)
+    for _ in range(params.n_steps):
+        assert stepper.step()
+    d = np.array(stepper.d).reshape(2, 2)
+    assert np.all(d[:, rank:] == 0.0), "the padding column left zero"
+    reference, _ = _matrix_path_d(d0[:, :rank], config, params, params.n_steps)
+    assert_close(d[:, :rank], reference, 1e-13, "pair path vs rk4_step(d, mixing_flow)")
 
 
 def test_span_divergence_carries_partial_trajectory(grid64):
@@ -415,6 +455,25 @@ def test_span_divergence_carries_partial_trajectory(grid64):
     partial = err.value.partial
     assert 1 <= partial.n_samples == err.value.step_index
     assert all(np.all(np.isfinite(s.psi)) for s in partial.states)
+
+
+def test_span_pair_divergence_carries_partial_trajectory(grid64):
+    # the n = 2 twin of the test above: the pair path blows up at the step
+    # the numpy path does, and keeps the finite samples before it
+    config = ModelConfig(coupling=1000.0, frequencies=(0.0, 0.0))
+    initial = perturbed_gaussians(grid64, 2, seed=4)
+    params = SolverParams(dt=0.01, t_end=1.0, snapshot_stride=1)
+    with pytest.warns(UserWarning):
+        with pytest.raises(DivergenceError, match=r"solver diverged at step \d+ \(t = ") as err:
+            evolve(initial, config, params, collect_diagnostics=False)
+    d0 = np.array(_stepper(initial, config, params).d).reshape(2, 2)
+    _, bad_step = _matrix_path_d(d0, config, params, params.n_steps)
+    assert err.value.step_index == bad_step
+    assert err.value.time == pytest.approx(bad_step * params.dt)
+    partial = err.value.partial
+    assert 1 <= partial.n_samples == err.value.step_index
+    assert all(np.all(np.isfinite(s.psi)) for s in partial.states)
+    assert_close(partial.times, np.arange(bad_step) * params.dt, 1e-15, "partial times")
 
 
 def test_span_keeps_a_dependent_pair_incoherent(grid256):
