@@ -20,6 +20,7 @@ At N = 2 the system is the single pair correlation z_01: the two-oscillator
 system, a "full" run and a batch of pairs all step z_01 alone, with one
 rounding (a Python complex, or a vector of them rounded alike), and return
 2 x 2 series.
+
 mixing_flow is the coupling on the fields' coefficients D over an orthonormal
 basis, which the solver's span scheme steps; at N = 2, pair_mixing_step steps
 D as four Python complexes, with Python's rounding (no fused multiply-add).
@@ -267,8 +268,9 @@ def mixing_flow(omega: np.ndarray, coupling: float):
 
 
 def pair_mixing_step(omega, coupling: float, dt: float):
-    """One RK4 step of mixing_flow at N = 2 on D held as four Python complex
-    numbers (a0, a1, b0, b1), row by row. With s = a + b and g = K/4:
+    """The RK4 step of mixing_flow over dt at N = 2, as a function of D held as
+    four Python complex numbers (a0, a1, b0, b1), row by row. With s = a + b
+    and g = K/4:
 
         row_j' = c_j row_j + g s,  c_j = -i Omega_j - g (row_j . conj(s)).
 
