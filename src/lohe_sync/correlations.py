@@ -80,7 +80,8 @@ def step_count(dt: float, t_end: float) -> int:
 def rk4_step(y, deriv, dt: float):
     """One classical RK4 step of dy/dt = deriv(y). y is an array of any shape
     or a Python complex; every fixed-step integration in the package goes
-    through this one combination."""
+    through this one combination, except span's pair D (pair_mixing_step),
+    which unrolls the same one."""
     k1 = deriv(y)
     k2 = deriv(y + 0.5 * dt * k1)
     k3 = deriv(y + 0.5 * dt * k2)
