@@ -439,7 +439,7 @@ def test_span_pair_d_matches_the_matrix_path(grid64, case, renormalize):
     for _ in range(params.n_steps):
         assert stepper.step()
     d = np.array(stepper.d).reshape(2, 2)
-    assert np.all(d[:, rank:] == 0.0), "the padding column left zero"
+    assert np.all(d[:, rank:] == 0.0), "the padding column is no longer zero"
     reference, _ = _matrix_path_d(d0[:, :rank], config, params, params.n_steps)
     assert_close(d[:, :rank], reference, 1e-13, "pair path vs rk4_step(d, mixing_flow)")
 
