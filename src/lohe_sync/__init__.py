@@ -42,6 +42,7 @@ from .diagnostics import (
     classify_correlation_sync,
     classify_sync,
     compute_record,
+    compute_records,
     detect_period,
     energy_bound_check,
     fit_algebraic_limit,
@@ -91,6 +92,7 @@ from .solver import (
     propagate_linear,
     samples,
     stability_report,
+    with_records,
 )
 from .verification import CHECK_NAMES, CheckResult, run_checks
 
@@ -126,6 +128,7 @@ __all__ = [
     "Trajectory",
     "evolve",
     "samples",
+    "with_records",
     "propagate_linear",
     "stability_report",
     # diagnostics
@@ -136,6 +139,7 @@ __all__ = [
     "FitResult",
     "LimitFit",
     "compute_record",
+    "compute_records",
     "classify_sync",
     "classify_correlation_sync",
     "fit_rate",

@@ -48,7 +48,6 @@ from .diagnostics import (
     CLASSIFY_MIN_SAMPLES,
     classify_correlation_sync,
     classify_sync,
-    compute_record,
     detect_period,
     fit_decay,
     tail_samples,
@@ -73,7 +72,7 @@ from .scenario import (
     resolved_frequencies,
 )
 from .snapshots import write_snapshot
-from .solver import SolverParams, Trajectory, samples
+from .solver import SolverParams, Trajectory, samples, with_records
 from .verification import run_checks
 
 __all__ = ["main"]
@@ -248,9 +247,8 @@ def cmd_simulate(sc: Scenario, args) -> int:
     last: dict = {}  # the newest state and record
 
     def records():
-        for state in stream:
-            last["state"] = state
-            last["record"] = rec = compute_record(state, config)
+        for state, rec in with_records(stream, config):
+            last["state"], last["record"] = state, rec
             kept.append(_Sample(rec.time, rec.pair_l2, rec.zeta_norm, rec.correlations.z[0, 1]))
             yield rec
 
@@ -512,7 +510,8 @@ def _sweep_point(task: tuple) -> dict:
                 sc.solver or SolverParams(dt, t_end), dt=dt, t_end=t_end, snapshot_stride=stride
             )
             # records only: a cell keeps none of its fields
-            records = [compute_record(state, config) for state in samples(initial, config, solver)]
+            stream = samples(initial, config, solver)
+            records = [rec for _, rec in with_records(stream, config)]
             series = Trajectory(np.array([r.time for r in records]), [], records).gram_series()
             result = classify_sync(records, CLASSIFY_TOL)
         else:

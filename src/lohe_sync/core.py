@@ -33,6 +33,7 @@ __all__ = [
     "inner_product",
     "order_parameter",
     "gram_matrix",
+    "gram_matrices",
     "center_frequencies",
     "coupling_term",
     "wavenumbers",
@@ -364,15 +365,20 @@ def gram_matrix(state: EnsembleState) -> np.ndarray:
     Only the upper triangle is computed; the lower one is its conjugate
     mirror, so z and z.conj().T are bit-identical and the diagonal is real.
     """
-    n = state.n_oscillators
-    dv = state.grid.dv
-    flat = state.psi.reshape(n, -1)
-    z = np.empty((n, n), dtype=np.complex128)
+    return gram_matrices(state.psi[None], state.grid.dv)[0]
+
+
+def gram_matrices(psi: np.ndarray, dv: float) -> np.ndarray:
+    """gram_matrix of every ensemble of a (B, N, *grid) stack, as (B, N, N):
+    row j of all B at once, so each matrix has the same bits in any stack."""
+    b, n = psi.shape[:2]
+    flat = psi.reshape(b, n, -1)
+    z = np.empty((b, n, n), dtype=np.complex128)
     for j in range(n):
-        row = dv * (np.conj(flat[j]) @ flat[j:].T)
-        z[j, j:] = row
-        z[j, j] = row[0].real
-        z[j + 1 :, j] = np.conj(row[1:])
+        row = dv * (np.conj(flat[:, j, None]) @ np.swapaxes(flat[:, j:], 1, 2))[:, 0]
+        z[:, j, j:] = row
+        z[:, j, j] = row[:, 0].real
+        z[:, j + 1 :, j] = np.conj(row[:, 1:])
     return z
 
 

@@ -111,6 +111,37 @@ def _mirror(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _admissible(z) -> np.ndarray:
+    """The checked copy a CorrelationState holds, for every matrix of a
+    (..., N, N) stack at once: each check runs once on the whole stack (one
+    batched eigvalsh for the warning). The copy is symmetrized, mirrored
+    and given an exact unit diagonal."""
+    z = np.asarray(z, dtype=np.complex128)
+    if z.ndim < 2 or z.shape[-2] != z.shape[-1] or z.shape[-1] < 2:
+        raise ConfigurationError(f"z must be square with N >= 2, got shape {z.shape}")
+    if not np.all(np.isfinite(z.view(np.float64))):
+        raise ConfigurationError("z must be finite")
+    adjoint = np.conj(np.swapaxes(z, -1, -2))
+    if np.max(np.abs(z - adjoint)) > _HERMITIAN_TOL:
+        raise ConfigurationError("z is not Hermitian within tolerance")
+    if np.max(np.abs(np.diagonal(z, axis1=-2, axis2=-1) - 1.0)) > _HERMITIAN_TOL:
+        raise ConfigurationError("diagonal of z must be 1 (unit-norm states)")
+    if np.max(np.abs(z)) > 1.0 + _HERMITIAN_TOL:
+        raise ConfigurationError("|z_jk| must be <= 1 (Cauchy-Schwarz)")
+    z = 0.5 * (z + adjoint)
+    eigs = np.linalg.eigvalsh(z)
+    if np.any(eigs[..., 0] < -1e-9 * np.maximum(1.0, eigs[..., -1])):
+        warnings.warn(
+            "correlation matrix is not positive semidefinite; "
+            "no unit-vector ensemble realizes it",
+            stacklevel=3,
+        )
+    _mirror(z)
+    diagonal = range(z.shape[-1])
+    z[..., diagonal, diagonal] = 1.0
+    return z
+
+
 @dataclass
 class CorrelationState:
     """N x N correlation matrix z_jk = r_jk + i s_jk at one instant.
@@ -124,35 +155,29 @@ class CorrelationState:
     z: np.ndarray
 
     def __post_init__(self):
-        z = np.array(self.z, dtype=np.complex128)
-        if z.ndim != 2 or z.shape[0] != z.shape[1] or z.shape[0] < 2:
-            raise ConfigurationError(f"z must be square with N >= 2, got shape {z.shape}")
-        if not np.all(np.isfinite(z.view(np.float64))):
-            raise ConfigurationError("z must be finite")
-        if np.max(np.abs(z - z.conj().T)) > _HERMITIAN_TOL:
-            raise ConfigurationError("z is not Hermitian within tolerance")
-        if np.max(np.abs(np.diag(z) - 1.0)) > _HERMITIAN_TOL:
-            raise ConfigurationError("diagonal of z must be 1 (unit-norm states)")
-        if np.max(np.abs(z)) > 1.0 + _HERMITIAN_TOL:
-            raise ConfigurationError("|z_jk| must be <= 1 (Cauchy-Schwarz)")
-        z = 0.5 * (z + z.conj().T)
-        eigs = np.linalg.eigvalsh(z)
-        if eigs.min() < -1e-9 * max(1.0, eigs.max()):
-            warnings.warn(
-                "correlation matrix is not positive semidefinite; "
-                "no unit-vector ensemble realizes it",
-                stacklevel=2,
-            )
-        _mirror(z)
-        np.fill_diagonal(z, 1.0)
-        self.z = z
+        if np.ndim(self.z) != 2:
+            raise ConfigurationError(f"z must be square with N >= 2, got shape {np.shape(self.z)}")
+        self.z = _admissible(self.z)
 
     @classmethod
     def from_gram(cls, time: float, z: np.ndarray) -> "CorrelationState":
         """Correlations from the measured Gram matrix of near-unit states,
         with the diagonal drift rescaled away."""
-        d = np.sqrt(np.abs(np.diag(z)))
-        return cls(time=time, z=z / np.outer(d, d))
+        return cls.from_grams([time], np.asarray(z)[None])[0]
+
+    @classmethod
+    def from_grams(cls, times, z: np.ndarray) -> list["CorrelationState"]:
+        """from_gram of each matrix of a (B, N, N) stack: the constructor's
+        checks run once on the whole stack, then each matrix is wrapped
+        without checking it again."""
+        d = np.sqrt(np.abs(np.diagonal(z, axis1=-2, axis2=-1)))
+        z = _admissible(z / (d[..., :, None] * d[..., None, :]))
+        states = []
+        for time, zb in zip(times, z):
+            state = cls.__new__(cls)
+            state.time, state.z = time, zb
+            states.append(state)
+        return states
 
     @classmethod
     def from_ensemble(cls, state: EnsembleState) -> "CorrelationState":

@@ -20,8 +20,7 @@ import numpy as np
 from .core import (
     EnsembleState,
     ModelConfig,
-    gram_matrix,
-    order_parameter,
+    gram_matrices,
     spectral_gradient,
 )
 from .correlations import CorrelationSeries, CorrelationState, pair_distance
@@ -36,6 +35,7 @@ __all__ = [
     "LimitFit",
     "EnergyBoundCheck",
     "compute_record",
+    "compute_records",
     "classify_sync",
     "classify_correlation_sync",
     "fit_rate",
@@ -86,97 +86,117 @@ class DiagnosticsRecord:
 
 
 def compute_record(state: EnsembleState, config: ModelConfig) -> DiagnosticsRecord:
-    """All observables of one snapshot: N FFT gradients, N x N Gram products,
-    and the pairwise Madelung L1 distances in O(N^2 M) time (M grid points).
-    Those are reduced one row at a time, oscillator j against every later
-    one, so the extra memory is O(N M), not O(N^2 M)."""
-    grid = state.grid
-    n = state.n_oscillators
-    dv = grid.dv
-    psi = state.psi
+    """All observables of one snapshot: compute_records of a one-sample block."""
+    return compute_records([state], config)[0]
 
-    norms = state.norms()
-    raw_gram = gram_matrix(state)
+
+def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
+    """compute_record of each of B snapshots of one run, in one vectorized
+    pass over a leading sample axis: N FFT gradients, N x N Gram products,
+    and the pairwise Madelung L1 distances in O(B N^2 M) time (M grid
+    points). Those are reduced one row at a time, oscillator j against every
+    later one, so the extra memory is O(B N M), not O(B N^2 M), and
+    solver.with_records keeps B N M under a fixed field budget. Every sample
+    goes through the same arithmetic in any block, so its record has the
+    same bits whichever block it is computed in."""
+    grid = states[0].grid
+    n = states[0].n_oscillators
+    dv = grid.dv
+    psi = states[0].psi[None] if len(states) == 1 else np.stack([s.psi for s in states])
+    count = len(states)
+    flat = psi.reshape(count, n, -1)
+
+    norms = np.sqrt(dv * np.sum(np.abs(flat) ** 2, axis=2))
+    raw_gram = gram_matrices(psi, dv)
 
     # spectral gradients of all fields at once, one array per axis
     grads = spectral_gradient(grid, psi)
 
-    flat = psi.reshape(n, -1)
-    grad_gram = np.zeros((n, n), dtype=np.complex128)
+    grad_gram = np.zeros((count, n, n), dtype=np.complex128)
     for g in grads:
-        gf = g.reshape(n, -1)
-        grad_gram += dv * (np.conj(gf) @ gf.T)
+        gf = g.reshape(count, n, -1)
+        grad_gram += dv * (np.conj(gf) @ np.swapaxes(gf, 1, 2))
 
     if config.potential is not None:
         vflat = config.potential.reshape(-1)
-        pot_gram = dv * (np.conj(flat) * vflat) @ flat.T
+        pot_gram = dv * (np.conj(flat) * vflat) @ np.swapaxes(flat, 1, 2)
     else:
-        pot_gram = np.zeros((n, n), dtype=np.complex128)
+        pot_gram = np.zeros((count, n, n), dtype=np.complex128)
 
     b = 0.5 * grad_gram + pot_gram
 
-    diag_b = np.diag(b).real
-    pair_energy = diag_b[:, None] + diag_b[None, :] - 2.0 * b.real
-    total = float(diag_b.mean())
-    relative = float(pair_energy.sum() / (2.0 * n * n))
-    zeta_energy = float(b.mean().real)
+    diag_b = np.diagonal(b, axis1=1, axis2=2).real
+    pair_energy = diag_b[:, :, None] + diag_b[:, None, :] - 2.0 * b.real
+    total = diag_b.mean(axis=1).tolist()
+    relative = (pair_energy.sum(axis=(1, 2)) / (2.0 * n * n)).tolist()
+    zeta_energy = b.mean(axis=(1, 2)).real.tolist()
 
     # a pair's phase offset is read in the frame of classify_pair (imported
-    # here: oracles imports solver, which imports this module)
-    diff_energy_two = None
+    # here: oracles imports solver, which imports this module); Re(e^{-i phi}
+    # b01) is spelled out in real arithmetic, as numpy's complex scalars
+    # multiply, so no fused multiply-add can enter
+    diff_energy_two = [None] * count
     if n == 2 and config.coupling > 0:
         from .oracles import classify_pair
 
         regime, swapped = classify_pair(config.coupling, config.frequencies)
         if regime.phi is not None:
-            b01 = np.conj(b[0, 1]) if swapped else b[0, 1]
-            diff_energy_two = float(
-                diag_b[0] + diag_b[1] - 2.0 * (np.exp(-1j * regime.phi) * b01).real
-            )
+            b01 = np.conj(b[:, 0, 1]) if swapped else b[:, 0, 1]
+            rot = np.exp(-1j * regime.phi)
+            rotated = rot.real * b01.real - rot.imag * b01.imag
+            diff_energy_two = (diag_b[:, 0] + diag_b[:, 1] - 2.0 * rotated).tolist()
 
-    diag_g = np.diag(raw_gram).real
-    l2_sq = np.maximum(0.0, diag_g[:, None] + diag_g[None, :] - 2.0 * raw_gram.real)
+    diag_g = np.diagonal(raw_gram, axis1=1, axis2=2).real
+    l2_sq = np.maximum(0.0, diag_g[:, :, None] + diag_g[:, None, :] - 2.0 * raw_gram.real)
     pair_l2 = np.sqrt(l2_sq)
-    diag_gg = np.diag(grad_gram).real
+    diag_gg = np.diagonal(grad_gram, axis1=1, axis2=2).real
     h1_sq = l2_sq + np.maximum(
-        0.0, diag_gg[:, None] + diag_gg[None, :] - 2.0 * grad_gram.real
+        0.0, diag_gg[:, :, None] + diag_gg[:, None, :] - 2.0 * grad_gram.real
     )
     pair_h1 = np.sqrt(h1_sq)
 
-    # row j against every later oscillator at once: (n - j - 1, M) temporaries
-    rho = (np.abs(psi) ** 2).reshape(n, -1)
-    currents = [np.imag(np.conj(psi) * g).reshape(n, -1) for g in grads]
-    rho_l1 = np.zeros((n, n))
-    cur_l1 = np.zeros((n, n))
+    # row j against every later oscillator at once: (B, n - j - 1, M) temporaries
+    rho = (np.abs(psi) ** 2).reshape(count, n, -1)
+    currents = [np.imag(np.conj(psi) * g).reshape(count, n, -1) for g in grads]
+    rho_l1 = np.zeros((count, n, n))
+    cur_l1 = np.zeros((count, n, n))
     for j in range(n - 1):
-        rho_l1[j, j + 1 :] = dv * np.sum(np.abs(rho[j] - rho[j + 1 :]), axis=1)
-        diff_sq = np.zeros((n - j - 1, rho.shape[1]))
+        rho_l1[:, j, j + 1 :] = dv * np.sum(np.abs(rho[:, j, None] - rho[:, j + 1 :]), axis=2)
+        diff_sq = np.zeros((count, n - j - 1, rho.shape[2]))
         for cur in currents:
-            diff_sq = diff_sq + (cur[j] - cur[j + 1 :]) ** 2
-        cur_l1[j, j + 1 :] = dv * np.sum(np.sqrt(diff_sq), axis=1)
-    rho_l1 = rho_l1 + rho_l1.T
-    cur_l1 = cur_l1 + cur_l1.T
+            diff_sq = diff_sq + (cur[:, j, None] - cur[:, j + 1 :]) ** 2
+        cur_l1[:, j, j + 1 :] = dv * np.sum(np.sqrt(diff_sq), axis=2)
+    rho_l1 = rho_l1 + np.swapaxes(rho_l1, 1, 2)
+    cur_l1 = cur_l1 + np.swapaxes(cur_l1, 1, 2)
 
-    op = order_parameter(state)
+    # the order parameter's norm, as core.order_parameter forms it
+    zeta = flat.mean(axis=1)
+    zeta_norm = np.sqrt(dv * np.sum(np.abs(zeta) ** 2, axis=1)).tolist()
 
-    return DiagnosticsRecord(
-        time=state.time,
-        pair_l2=pair_l2,
-        pair_h1=pair_h1,
-        zeta_norm=op.norm,
-        correlations=CorrelationState.from_gram(state.time, raw_gram),
-        energies=EnergyReport(
-            total=total,
-            per_osc=diag_b,
-            pair=pair_energy,
-            relative=relative,
-            zeta_energy=zeta_energy,
-            diff_energy_two=diff_energy_two,
-        ),
-        mass_drift=norms - 1.0,
-        madelung_rho_l1=rho_l1,
-        madelung_current_l1=cur_l1,
-    )
+    times = [state.time for state in states]
+    correlations = CorrelationState.from_grams(times, raw_gram)
+    mass_drift = norms - 1.0
+    return [
+        DiagnosticsRecord(
+            time=times[i],
+            pair_l2=pair_l2[i],
+            pair_h1=pair_h1[i],
+            zeta_norm=zeta_norm[i],
+            correlations=correlations[i],
+            energies=EnergyReport(
+                total=total[i],
+                per_osc=diag_b[i],
+                pair=pair_energy[i],
+                relative=relative[i],
+                zeta_energy=zeta_energy[i],
+                diff_energy_two=diff_energy_two[i],
+            ),
+            mass_drift=mass_drift[i],
+            madelung_rho_l1=rho_l1[i],
+            madelung_current_l1=cur_l1[i],
+        )
+        for i in range(count)
+    ]
 
 
 @dataclass(frozen=True)

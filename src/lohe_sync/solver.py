@@ -43,11 +43,13 @@ stage; lagging them would break the mass-flux identity at O(dt).
 samples yields the sampled states one at a time and keeps none, so a
 consumer that reduces each state (a diagnostics record, a Gram matrix, a
 line of output) and drops it holds one sample's fields however many samples
-the run takes. evolve is the library's collector over it: a Trajectory that
-stores every state and, by default, its diagnostics record. The command-line
-front end streams: simulate writes each record as it is made and keeps only
-what its summary reads, verify keeps states only for the scattering check,
-the one check that reads fields, and pde sweep cells keep none.
+the run takes. with_records pairs each state with its diagnostics record,
+made a block of samples at a time, and holds at most one block. evolve is
+the library's collector over them: a Trajectory that stores every state
+and, by default, its diagnostics record. The command-line front end streams:
+simulate writes the records as they are made and keeps only what its
+summary reads, verify keeps states only for the scattering check, the one
+check that reads fields, and pde sweep cells keep none.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from .correlations import (
     rk4_step,
     step_count,
 )
-from .diagnostics import DiagnosticsRecord, compute_record
+from .diagnostics import DiagnosticsRecord, compute_records
 from .errors import ConfigurationError, DivergenceError
 
 __all__ = [
@@ -80,11 +82,16 @@ __all__ = [
     "step",
     "evolve",
     "samples",
+    "with_records",
     "propagate_linear",
     "stability_report",
 ]
 
 _SCHEMES = ("span", "strang_rk4", "full_rk4")
+
+# sample fields that with_records takes into one compute_records call (at
+# least one sample): 16 samples at N = 2 on 256 points, one at N = 40
+_RECORD_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -412,6 +419,29 @@ def samples(
     return _stream(_checked_stepper(initial, config, params), initial, params)
 
 
+def with_records(
+    states, config: ModelConfig
+) -> Iterator[tuple[EnsembleState, DiagnosticsRecord]]:
+    """(state, diagnostics record) for each state of a sample stream, in
+    order. The records are made a block of consecutive samples at a time,
+    as many as fit _RECORD_BLOCK_BYTES of fields, so at most one block of
+    states is held. When the stream raises DivergenceError, the finite
+    samples of the open block come out with their records first."""
+    block: list[EnsembleState] = []
+    try:
+        for state in states:
+            block.append(state)
+            if (len(block) + 1) * state.psi.nbytes > _RECORD_BLOCK_BYTES:
+                yield from zip(block, compute_records(block, config))
+                block = []
+    except DivergenceError:
+        if block:
+            yield from zip(block, compute_records(block, config))
+        raise
+    if block:
+        yield from zip(block, compute_records(block, config))
+
+
 def evolve(
     initial: EnsembleState,
     config: ModelConfig,
@@ -425,15 +455,16 @@ def evolve(
     trajectory up to the last finite sample is attached to the error.
     """
     stream = _stream(_checked_stepper(initial, config, params), initial, params)
+    pairs = with_records(stream, config) if collect_diagnostics else ((s, None) for s in stream)
     times: list[float] = []
     states: list[EnsembleState] = []
     records: list[DiagnosticsRecord] = []
     try:
-        for state in stream:
+        for state, record in pairs:
             times.append(state.time)
             states.append(state)
-            if collect_diagnostics:
-                records.append(compute_record(state, config))
+            if record is not None:
+                records.append(record)
     except DivergenceError as exc:
         exc.partial = Trajectory(np.array(times), states, records)
         raise

@@ -43,7 +43,6 @@ from .correlations import CorrelationSeries, CorrelationState, integrate, pair_d
 from .diagnostics import (
     classify_correlation_sync,
     classify_sync,
-    compute_record,
     detect_period,
     fit_algebraic_limit,
     fit_decay,
@@ -58,7 +57,7 @@ from .oracles import (
     z_exact,
 )
 from .scenario import Scenario, build_ensemble, build_grid, build_model, integrate_ode
-from .solver import Trajectory, propagate_linear, samples
+from .solver import Trajectory, propagate_linear, samples, with_records
 
 __all__ = ["CheckResult", "VerifyContext", "run_checks", "CHECK_NAMES"]
 
@@ -95,8 +94,9 @@ class VerifyContext:
             raise ConfigurationError("this check needs a [solver] section (PDE run)")
         initial = build_ensemble(self.scenario, self.grid)
         states, records = [], []
-        for state in samples(initial, self.config, self.scenario.solver):
-            records.append(compute_record(state, self.config))
+        stream = samples(initial, self.config, self.scenario.solver)
+        for state, record in with_records(stream, self.config):
+            records.append(record)
             if self.keep_states:
                 states.append(state)
         return Trajectory(np.array([rec.time for rec in records]), states, records)

@@ -284,6 +284,45 @@ def test_correlation_state_validation():
     assert state.z[1, 0] == np.conj(state.z[0, 1])
 
 
+# one inadmissible 3 x 3 matrix per check of the constructor, each failing
+# that check alone
+_BAD = {
+    "non-finite": np.array([[1, np.nan, 0], [np.nan, 1, 0], [0, 0, 1]], dtype=complex),
+    "non-Hermitian": np.array([[1, 0.5, 0], [0.9, 1, 0], [0, 0, 1]], dtype=complex),
+    "off-unit diagonal": np.array([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=complex),
+    "|z| > 1": np.array([[1, 2, 0], [2, 1, 0], [0, 0, 1]], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD), ids=list(_BAD))
+def test_stack_validation_raises_what_one_matrix_raises(bad):
+    good = random_correlation_matrix(3, seed=1)
+    stack = np.stack([good, _BAD[bad], good])
+    with pytest.raises(ConfigurationError) as one:
+        CorrelationState(0.0, _BAD[bad])
+    with pytest.raises(ConfigurationError) as gram:
+        CorrelationState.from_gram(0.0, _BAD[bad])
+    with pytest.raises(ConfigurationError) as block:
+        CorrelationState.from_grams([0.0, 1.0, 2.0], stack)
+    assert str(block.value) == str(gram.value) == str(one.value)
+
+
+def test_stack_validation_warns_on_a_non_psd_matrix_and_keeps_the_rest():
+    # unit diagonal, |z| <= 1 and Hermitian, but z_01 = z_12 = 0.9 = -z_02
+    # has a negative eigenvalue
+    bad = np.array([[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]], dtype=complex)
+    good = random_correlation_matrix(3, seed=1)
+    with pytest.warns(UserWarning, match="not positive semidefinite") as one:
+        expected = CorrelationState(0.0, bad).z
+    with pytest.warns(UserWarning) as block:
+        states = CorrelationState.from_grams([0.0, 1.0, 2.0], np.stack([good, bad, good]))
+    assert [str(w.message) for w in block] == [str(w.message) for w in one]
+    assert [s.time for s in states] == [0.0, 1.0, 2.0]
+    assert np.array_equal(states[1].z, expected)
+    for state in (states[0], states[2]):
+        assert np.array_equal(state.z, CorrelationState.from_gram(0.0, good).z)
+
+
 def test_step_count_validation():
     assert step_count(1e-3, 2.0) == 2000
     assert step_count(0.1, 0.0) == 0

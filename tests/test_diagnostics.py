@@ -14,16 +14,20 @@ from lohe_sync import (
     WaveField,
     classify_correlation_sync,
     compute_record,
+    compute_records,
     detect_period,
     energy_bound_check,
     evolve,
     fit_algebraic_limit,
     fit_rate,
     interpolate_series,
+    samples,
+    with_records,
 )
 from lohe_sync.core import spectral_gradient
 from lohe_sync.initial_data import gaussian, overlap_pair, perturbed_gaussians, plane_waves
 from lohe_sync.potentials import cosine_potential
+from lohe_sync.solver import _RECORD_BLOCK_BYTES
 
 from conftest import assert_close
 
@@ -150,6 +154,50 @@ def test_madelung_rows_match_pair_loop_bitwise(dim, points, n, potential):
     assert float(cur_l1.min(initial=np.inf, where=~np.eye(n, dtype=bool))) > 0.0
     assert np.array_equal(rec.madelung_rho_l1, rho_l1)
     assert np.array_equal(rec.madelung_current_l1, cur_l1)
+
+
+def _record_values(rec):
+    """Every number a diagnostics record holds, field by field."""
+    en = rec.energies
+    values = [rec.time, rec.pair_l2, rec.pair_h1, rec.zeta_norm, rec.correlations.time]
+    values += [rec.correlations.z, en.total, en.per_osc, en.pair, en.relative, en.zeta_energy]
+    values += [en.diff_energy_two, rec.mass_drift, rec.madelung_rho_l1, rec.madelung_current_l1]
+    return [None if v is None else np.asarray(v) for v in values]
+
+
+def _same_bits(a, b):
+    return all(
+        (x is None and y is None)
+        or (x is not None and y is not None and x.tobytes() == y.tobytes())
+        for x, y in zip(_record_values(a), _record_values(b))
+    )
+
+
+@pytest.mark.parametrize("scheme", ["span", "strang_rk4", "full_rk4"])
+@pytest.mark.parametrize("potential", [False, True], ids=["free", "cosine"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_records_do_not_depend_on_their_block(n, dim, potential, scheme):
+    # 256 grid points either way, so with_records' field budget makes blocks
+    # of 16, 10 and 6 samples; 31 samples end on a partial block
+    grid = GridSpec(dim=dim, points=256 if dim == 1 else 16, length=20.0)
+    config = ModelConfig(
+        coupling=1.0,
+        frequencies=tuple(np.linspace(-0.375, 0.375, n)),
+        potential=cosine_potential(grid, amplitude=1.0, offset=1.0) if potential else None,
+    )
+    params = SolverParams(0.002, 0.06, scheme=scheme)
+    initial = perturbed_gaussians(grid, n, seed=7)
+    assert _RECORD_BLOCK_BYTES // initial.psi.nbytes > 3
+    pairs = list(with_records(samples(initial, config, params), config))
+    states = [state for state, _ in pairs]
+    assert len(states) == 31
+    assert all(_same_bits(rec, compute_record(state, config)) for state, rec in pairs)
+    for size in (1, 3):
+        blocks = [compute_records(states[i : i + size], config) for i in range(0, 31, size)]
+        records = [rec for block in blocks for rec in block]
+        assert all(_same_bits(a, b) for (_, a), b in zip(pairs, records))
+    assert (pairs[0][1].energies.diff_energy_two is None) == (n != 2)
 
 
 # -- classification ------------------------------------------------------------

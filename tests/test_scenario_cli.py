@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 
 from lohe_sync import (
     ConfigurationError,
+    DivergenceError,
     EnsembleState,
     GridSpec,
     SolverParams,
+    compute_record,
+    evolve,
     load_scenario,
     parse_scenario,
     read_snapshot,
@@ -34,7 +37,9 @@ from lohe_sync.scenario import (
     SweepSpec,
     build_ensemble,
     build_grid,
+    build_model,
 )
+from lohe_sync.solver import _RECORD_BLOCK_BYTES
 
 BASE = """
 [scenario]
@@ -687,6 +692,41 @@ def test_diverging_simulate_keeps_its_finite_samples(tmp_path, capsys):
     with open(out / "diagnostics.csv") as fh:
         assert [row["t"] for row in csv.DictReader(fh)] == ["0.0", "0.01"]
     assert load_scenario(str(out / "manifest.cfg")) == load_scenario(str(cfg))
+
+
+@pytest.mark.parametrize("points", [64, 1024])
+def test_divergence_inside_a_record_block_keeps_every_finite_sample(tmp_path, capsys, points):
+    # records are made a block of samples at a time: 64 samples of a 64-point
+    # pair fit one block and 4 of a 1024-point pair do, so the blow-up at
+    # step 6 lands inside the first block on 64 points and inside the second
+    # on 1024; both runs keep the 6 finite samples
+    assert _RECORD_BLOCK_BYTES // (2 * 16 * points) in (64, 4)
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(
+        f"[scenario]\nname = diverge\n[grid]\npoints = {points}\n[model]\nn = 2\n"
+        "coupling = 300.0\n[initial]\nkind = perturbed_gaussians\n"
+        "[solver]\ndt = 0.01\nt_end = 1.0\n[outputs]\nformats = ndjson, csv\n"
+    )
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning):
+        assert run_cli("simulate", "--scenario", str(cfg), "--out", str(out)) == 3
+    assert capsys.readouterr().err == "numerical divergence: solver diverged at step 6 (t = 0.06)\n"
+    times = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05]
+    lines = (out / "diagnostics.ndjson").read_text().splitlines()
+    assert [json.loads(line)["t"] for line in lines] == times
+    with open(out / "diagnostics.csv") as fh:
+        assert [float(row["t"]) for row in csv.DictReader(fh)] == times
+
+    sc = load_scenario(str(cfg))
+    grid = build_grid(sc)
+    config = build_model(sc, grid)
+    with pytest.warns(UserWarning), pytest.raises(DivergenceError) as err:
+        evolve(build_ensemble(sc, grid), config, sc.solver)
+    partial = err.value.partial
+    assert list(partial.times) == times
+    assert [rec.time for rec in partial.diagnostics_stream] == times
+    for state, rec in zip(partial.states, partial.diagnostics_stream):
+        assert np.array_equal(rec.pair_l2, compute_record(state, config).pair_l2)
 
 
 def test_simulate_memory_is_flat_in_the_sample_count(tmp_path):
