@@ -117,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=_worker_count,
             default=1,
             help="parallel workers for the pde cells of a sweep; ode cells are "
-            "integrated together, one batch per n, in this process",
+            "integrated together, one batch per n, in this process; every other "
+            "subcommand takes only 1",
         )
     return parser
 
@@ -600,6 +601,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads > 1 and args.command != "sweep":
+        parser.error(
+            f"--threads {args.threads}: {args.command} runs in one process; only sweep takes more"
+        )
     try:
         sc = _apply_overrides(load_scenario(args.scenario), args)
         return _COMMANDS[args.command](sc, args)

@@ -460,6 +460,18 @@ def test_threads_below_one_is_rejected(tmp_path, capsys, scenario_file, threads)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "ode", "oracle"])
+def test_threads_above_one_outside_sweep_is_rejected(tmp_path, capsys, scenario_file, command):
+    # only sweep spreads work over processes; the others would ignore the flag
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--scenario", scenario_file, "--out", str(out), "--threads", "2")
+    assert exc.value.code == 2
+    assert f"--threads 2: {command} runs in one process" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(command, "--scenario", scenario_file, "--out", str(out), "--threads", "1") == 0
+
+
 @pytest.mark.parametrize("kind, key", [("cosine", "foo"), ("zero", "amplitude")])
 def test_unknown_potential_parameter_is_rejected(tmp_path, capsys, kind, key):
     # potential.<name> keys are free-form at parse time; the builder decides
