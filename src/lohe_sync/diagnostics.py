@@ -106,7 +106,7 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     count = len(states)
     flat = psi.reshape(count, n, -1)
 
-    norms = np.sqrt(dv * np.sum(np.abs(flat) ** 2, axis=2))
+    mass_drift = np.sqrt(dv * np.sum(np.abs(flat) ** 2, axis=2)) - 1.0
     raw_gram = gram_matrices(psi, dv)
 
     # spectral gradients of all fields at once, one array per axis
@@ -133,8 +133,7 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
 
     # a pair's phase offset is read in the frame of classify_pair (imported
     # here: oracles imports solver, which imports this module); Re(e^{-i phi}
-    # b01) is spelled out in real arithmetic, as numpy's complex scalars
-    # multiply, so no fused multiply-add can enter
+    # b01) is spelled out in real arithmetic, so no fused multiply-add enters
     diff_energy_two = [None] * count
     if n == 2 and config.coupling > 0:
         from .oracles import classify_pair
@@ -170,12 +169,10 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     cur_l1 = cur_l1 + np.swapaxes(cur_l1, 1, 2)
 
     # the order parameter's norm, as core.order_parameter forms it
-    zeta = flat.mean(axis=1)
-    zeta_norm = np.sqrt(dv * np.sum(np.abs(zeta) ** 2, axis=1)).tolist()
+    zeta_norm = np.sqrt(dv * np.sum(np.abs(flat.mean(axis=1)) ** 2, axis=1)).tolist()
 
     times = [state.time for state in states]
     correlations = CorrelationState.from_grams(times, raw_gram)
-    mass_drift = norms - 1.0
     return [
         DiagnosticsRecord(
             time=times[i],

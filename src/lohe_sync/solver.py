@@ -427,19 +427,27 @@ def with_records(
     as many as fit _RECORD_BLOCK_BYTES of fields, so at most one block of
     states is held. When the stream raises DivergenceError, the finite
     samples of the open block come out with their records first."""
+
+    def made(block):
+        # a block that fails the record checks is redone a sample at a
+        # time, so the samples before the bad one still come out
+        try:
+            records = compute_records(block, config) if block else []
+        except ConfigurationError:
+            records = (compute_records([state], config)[0] for state in block)
+        yield from zip(block, records)
+
     block: list[EnsembleState] = []
     try:
         for state in states:
             block.append(state)
             if (len(block) + 1) * state.psi.nbytes > _RECORD_BLOCK_BYTES:
-                yield from zip(block, compute_records(block, config))
+                yield from made(block)
                 block = []
     except DivergenceError:
-        if block:
-            yield from zip(block, compute_records(block, config))
+        yield from made(block)
         raise
-    if block:
-        yield from zip(block, compute_records(block, config))
+    yield from made(block)
 
 
 def evolve(

@@ -741,6 +741,25 @@ def test_divergence_inside_a_record_block_keeps_every_finite_sample(tmp_path, ca
         assert np.array_equal(rec.pair_l2, compute_record(state, config).pair_l2)
 
 
+def test_record_block_that_fails_its_checks_keeps_the_samples_before_it(tmp_path, capsys):
+    # at K = 1000 the pair's fields at t = 0.02 are finite but so large that
+    # their Gram matrix overflows, and the record checks refuse it (exit 2,
+    # not a divergence); the block is redone a sample at a time, so the two
+    # samples before it are written, as when each record was made alone
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        "[scenario]\nname = overflow\nseed = 1\n[grid]\npoints = 64\n[model]\nn = 2\n"
+        "coupling = 1000.0\n[initial]\nkind = perturbed_gaussians\n"
+        "[solver]\ndt = 0.01\nt_end = 1.0\n[outputs]\nformats = ndjson\n"
+    )
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning), np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("simulate", "--scenario", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: z must be finite\n"
+    lines = (out / "diagnostics.ndjson").read_text().splitlines()
+    assert [json.loads(line)["t"] for line in lines] == [0.0, 0.01]
+
+
 def test_simulate_memory_is_flat_in_the_sample_count(tmp_path):
     # 10 and 100 samples of the same 99 steps: simulate keeps a few numbers
     # per sample, far less than one sample's fields (2 x 4096 complex)
