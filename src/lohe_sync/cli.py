@@ -112,13 +112,14 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=("ndjson", "csv"),
             help="emit only this format, overriding [outputs]",
         )
+        # only sweep runs workers; the other subcommands take 1 and refuse more
         cmd.add_argument(
             "--threads",
             type=_worker_count,
             default=1,
+            choices=None if name == "sweep" else (1,),
             help="parallel workers for the pde cells of a sweep; ode cells are "
-            "integrated together, one batch per n, in this process; every other "
-            "subcommand takes only 1",
+            "integrated together, one batch per n, in this process",
         )
     return parser
 
@@ -601,10 +602,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads > 1 and args.command != "sweep":
-        parser.error(
-            f"--threads {args.threads}: {args.command} runs in one process; only sweep takes more"
-        )
     try:
         sc = _apply_overrides(load_scenario(args.scenario), args)
         return _COMMANDS[args.command](sc, args)
