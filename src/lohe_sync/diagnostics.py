@@ -102,6 +102,7 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     grid = states[0].grid
     n = states[0].n_oscillators
     dv = grid.dv
+    # a one-sample block (the large fields) is read in place, not copied
     psi = states[0].psi[None] if len(states) == 1 else np.stack([s.psi for s in states])
     count = len(states)
     flat = psi.reshape(count, n, -1)
