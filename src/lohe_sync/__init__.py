@@ -14,7 +14,6 @@ from .core import (
     ModelConfig,
     OrderParameterState,
     WaveField,
-    center_frequencies,
     coupling_term,
     gram_matrix,
     inner_product,
@@ -24,7 +23,6 @@ from .correlations import (
     CorrelationSeries,
     CorrelationState,
     MacroCorrelation,
-    coupling_generator,
     full_rhs,
     integrate,
     integrate_batch,
@@ -34,7 +32,6 @@ from .correlations import (
 )
 from .diagnostics import (
     DiagnosticsRecord,
-    EnergyBoundCheck,
     EnergyReport,
     FitResult,
     LimitFit,
@@ -44,7 +41,6 @@ from .diagnostics import (
     compute_record,
     compute_records,
     detect_period,
-    energy_bound_check,
     fit_algebraic_limit,
     fit_rate,
     interpolate_series,
@@ -109,13 +105,11 @@ __all__ = [
     "inner_product",
     "gram_matrix",
     "order_parameter",
-    "center_frequencies",
     "coupling_term",
     # correlations
     "CorrelationState",
     "MacroCorrelation",
     "CorrelationSeries",
-    "coupling_generator",
     "full_rhs",
     "two_rhs",
     "macro_rhs",
@@ -134,7 +128,6 @@ __all__ = [
     # diagnostics
     "DiagnosticsRecord",
     "EnergyReport",
-    "EnergyBoundCheck",
     "SyncClassification",
     "FitResult",
     "LimitFit",
@@ -144,7 +137,6 @@ __all__ = [
     "classify_correlation_sync",
     "fit_rate",
     "fit_algebraic_limit",
-    "energy_bound_check",
     "detect_period",
     "interpolate_series",
     # oracles

@@ -17,7 +17,7 @@ wavenumber tables are cached per grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "order_parameter",
     "gram_matrix",
     "gram_matrices",
-    "center_frequencies",
     "coupling_term",
     "wavenumbers",
     "k_squared",
@@ -198,15 +197,12 @@ class ModelConfig:
     coupling is the gain K >= 0 in front of the mean-field term (K = 0 is the
     decoupled reference configuration). frequencies are the per-oscillator
     detunings Omega_j; their length fixes the ensemble size N >= 2. potential
-    is a real array on the grid, or None for free motion. centering_shift
-    records the mean detuning removed by center_frequencies; it is 0.0 for
-    configs built directly.
+    is a real array on the grid, or None for free motion.
     """
 
     coupling: float
     frequencies: tuple[float, ...]
     potential: np.ndarray | None = None
-    centering_shift: float = 0.0
 
     def __post_init__(self):
         freqs = tuple(float(w) for w in self.frequencies)
@@ -222,56 +218,10 @@ class ModelConfig:
             if not np.all(np.isfinite(pot)):
                 raise ConfigurationError("potential must be finite everywhere")
             object.__setattr__(self, "potential", pot)
-        if not np.isfinite(self.centering_shift):
-            raise ConfigurationError("centering_shift must be finite")
 
     @property
     def n_oscillators(self) -> int:
         return len(self.frequencies)
-
-    @property
-    def lambda_ratio(self) -> float:
-        """Detuning-to-coupling ratio Lambda = 2 Omega / K >= 0.
-
-        Defined only for a two-oscillator ensemble with frequencies
-        (Omega, -Omega), Omega >= 0, where the pair correlation obeys a
-        closed scalar equation governed by this single ratio.
-        """
-        if self.n_oscillators != 2:
-            raise ContractViolationError("lambda_ratio needs exactly two oscillators")
-        w1, w2 = self.frequencies
-        scale = max(abs(w1), abs(w2), 1.0)
-        if abs(w1 + w2) > 1e-12 * scale:
-            raise ContractViolationError(
-                "lambda_ratio needs antisymmetric frequencies; center them first"
-            )
-        if w1 < 0:
-            raise ContractViolationError(
-                "lambda_ratio uses the (Omega, -Omega) ordering with Omega >= 0"
-            )
-        if self.coupling == 0.0:
-            raise ContractViolationError("lambda_ratio is undefined at zero coupling")
-        return (w1 - w2) / self.coupling
-
-
-def center_frequencies(config: ModelConfig) -> ModelConfig:
-    """Remove the mean detuning and record it in centering_shift.
-
-    The removed mean alpha only rotates the global phase (the centered
-    solution is exp(i alpha t) times the uncentered one), so all correlations
-    and observables are unchanged. Idempotent: an already centered config is
-    returned as is, and pairwise differences Omega_j - Omega_k are preserved
-    exactly.
-    """
-    alpha = float(np.mean(config.frequencies))
-    scale = max(1.0, max(abs(w) for w in config.frequencies))
-    if abs(alpha) <= 1e-15 * scale:
-        return config
-    return replace(
-        config,
-        frequencies=tuple(w - alpha for w in config.frequencies),
-        centering_shift=config.centering_shift + alpha,
-    )
 
 
 @dataclass

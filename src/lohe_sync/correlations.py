@@ -51,7 +51,6 @@ __all__ = [
     "fg_rhs",
     "zeta_norm_rhs",
     "random_correlation_matrix",
-    "coupling_generator",
     "mixing_flow",
     "pair_mixing_step",
     "pair_distance",
@@ -241,9 +240,9 @@ def _require_n(config: ModelConfig, n: int) -> None:
 
 
 def _correlation_flow(omega: np.ndarray, coupling):
-    """dz/dt as a function of a (..., N, N) stack, with the detuning matrix
-    and the gain built once; omega is (..., N) and coupling a scalar or
-    (..., 1, 1)."""
+    """dz/dt = conj(M) z + z M^T (M as in mixing_flow) as a function of a
+    (..., N, N) stack, with the detuning matrix and the gain built once;
+    omega is (..., N) and coupling a scalar or (..., 1, 1)."""
     detune = 1j * (omega[..., :, None] - omega[..., None, :])
     gain = 0.5 * coupling / omega.shape[-1]
 
@@ -255,30 +254,14 @@ def _correlation_flow(omega: np.ndarray, coupling):
     return dz
 
 
-def _dz(z: np.ndarray, omega: np.ndarray, coupling) -> np.ndarray:
-    """dz/dt for a (..., N, N) stack; omega is (..., N) and coupling a scalar
-    or (..., 1, 1). Equals conj(M) z + z M^T for M = coupling_generator(z)."""
-    return _correlation_flow(omega, coupling)(z)
-
-
-def coupling_generator(z: np.ndarray, omega: np.ndarray, coupling: float) -> np.ndarray:
-    """M = -i diag(Omega) + (K/2)((1/N) 1 1^T - diag(w)), w_j = (1/N) sum_l z_lj.
-
-    The coupling and detuning flow of the fields is psi' = M psi, row j of
-    psi being oscillator j; it only mixes the fields, which is why the
-    correlations close on themselves. z is one N x N matrix.
-    """
-    gain = 0.5 * coupling / z.shape[-1]
-    m = np.diag(-1j * omega - gain * z.sum(axis=0))
-    m += gain
-    return m
-
-
 def mixing_flow(omega: np.ndarray, coupling: float):
     """dD/dt = M(conj(D) D^T) D as a function of an N x r coefficient matrix D.
 
-    Fields psi = D q over r orthonormal basis fields q have the Gram matrix
-    conj(D) D^T, so this is the coupling and detuning flow psi' = M psi
+    The coupling and detuning flow of the fields is psi' = M(z) psi, row j of
+    psi being oscillator j, with M(z) = -i diag(Omega) + (K/2)((1/N) 1 1^T -
+    diag(w)), w_j = (1/N) sum_l z_lj; it only mixes the fields, which is why
+    the correlations close on themselves. Fields psi = D q over r orthonormal
+    basis fields q have the Gram matrix conj(D) D^T, so this is that flow
     written on D. With s = 1^T D (the sum of D's rows) and g = K / (2N),
     N w = D conj(s) and M D = (-i Omega - g N w)[:, None] D + g s: two
     broadcasts, with no N x N Gram matrix, diagonal or product.
@@ -333,7 +316,7 @@ def pair_mixing_step(omega, coupling: float, dt: float):
 def full_rhs(state: CorrelationState, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative of the full pairwise system, split as (dr, ds)."""
     _require_n(config, state.n_oscillators)
-    dz = _dz(state.z, np.asarray(config.frequencies), config.coupling)
+    dz = _correlation_flow(np.asarray(config.frequencies), config.coupling)(state.z)
     return dz.real, dz.imag
 
 

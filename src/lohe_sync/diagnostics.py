@@ -33,7 +33,6 @@ __all__ = [
     "SyncClassification",
     "FitResult",
     "LimitFit",
-    "EnergyBoundCheck",
     "compute_record",
     "compute_records",
     "classify_sync",
@@ -41,7 +40,6 @@ __all__ = [
     "fit_rate",
     "fit_decay",
     "fit_algebraic_limit",
-    "energy_bound_check",
     "detect_period",
     "interpolate_series",
     "tail_samples",
@@ -298,6 +296,30 @@ def _default_window(times) -> tuple[float, float]:
     return (start + 0.1 * (t1 - start), t1)
 
 
+def _windowed(times, values, window, positive_times: bool = False):
+    """(t, y, (ta, tb)): the samples inside the window (by default
+    _default_window), and only those at t > 0 when positive_times is set."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if window is None:
+        window = _default_window(times)
+    ta, tb = float(window[0]), float(window[1])
+    mask = (times >= ta) & (times <= tb)
+    if positive_times:
+        mask &= times > 0.0
+    return times[mask], values[mask], (ta, tb)
+
+
+def _line_fit(x, y) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients (c0, c1) of y = c0 + c1 x, and r^2."""
+    design = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    pred = design @ coef
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return coef, 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
+
+
 def fit_rate(times, values, window=None, kind: str = "exponential") -> FitResult:
     """Least-squares decay fit over a time window.
 
@@ -306,18 +328,9 @@ def fit_rate(times, values, window=None, kind: str = "exponential") -> FitResult
     rate = -1. Values must be strictly positive inside the window (and times
     positive for the algebraic kind).
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if window is None:
-        window = _default_window(times)
-    ta, tb = float(window[0]), float(window[1])
-    mask = (times >= ta) & (times <= tb)
-    if mask.sum() < 3:
-        raise ContractViolationError(
-            f"fit window [{ta}, {tb}] holds {int(mask.sum())} samples; need >= 3"
-        )
-    t = times[mask]
-    y = values[mask]
+    t, y, (ta, tb) = _windowed(times, values, window)
+    if len(t) < 3:
+        raise ContractViolationError(f"fit window [{ta}, {tb}] holds {len(t)} samples; need >= 3")
     if np.any(y <= 0.0):
         raise ContractViolationError("fit requires strictly positive values in the window")
     if kind == "exponential":
@@ -330,16 +343,8 @@ def fit_rate(times, values, window=None, kind: str = "exponential") -> FitResult
         sign = 1.0
     else:
         raise ContractViolationError(f"unknown fit kind {kind!r}")
-    logy = np.log(y)
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, logy, rcond=None)
-    pred = design @ coef
-    ss_res = float(np.sum((logy - pred) ** 2))
-    ss_tot = float(np.sum((logy - logy.mean()) ** 2))
-    r2 = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
-    return FitResult(
-        rate=float(sign * coef[1]), r_squared=r2, window=(ta, tb), n_points=int(mask.sum())
-    )
+    coef, r2 = _line_fit(x, np.log(y))
+    return FitResult(rate=float(sign * coef[1]), r_squared=r2, window=(ta, tb), n_points=len(t))
 
 
 # A decay series such as 2(1 - Re(e^{-i phi} z)) is a difference of O(1)
@@ -371,67 +376,11 @@ class LimitFit:
 def fit_algebraic_limit(times, values, window=None) -> LimitFit:
     """Fit y(t) = limit + coefficient / t on the window; the t -> infinity
     extrapolation for quantities with a verified 1/t approach."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if window is None:
-        window = _default_window(times)
-    ta, tb = float(window[0]), float(window[1])
-    mask = (times >= ta) & (times <= tb) & (times > 0.0)
-    if mask.sum() < 3:
+    t, y, window = _windowed(times, values, window, positive_times=True)
+    if len(t) < 3:
         raise ContractViolationError("limit fit needs >= 3 positive-time samples in the window")
-    t = times[mask]
-    y = values[mask]
-    design = np.column_stack([np.ones_like(t), 1.0 / t])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    pred = design @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
-    return LimitFit(
-        limit=float(coef[0]), coefficient=float(coef[1]), r_squared=r2, window=(ta, tb)
-    )
-
-
-@dataclass(frozen=True)
-class EnergyBoundCheck:
-    c_measured: float
-    bounded: bool
-    initial_energy: float
-    relative_rate: float | None
-    relative_r_squared: float | None
-
-
-def energy_bound_check(times, reports, rtol: float = 1e-9) -> EnergyBoundCheck:
-    """Growth constant max E(t)/E(0) plus a decay fit of the relative energy.
-
-    E(0) must be positive relative to the series scale (pick potentials
-    V >= 0 for meaningful checks). The relative-energy fit is skipped (None)
-    when the relative energy is not strictly positive, e.g. for identical
-    ensembles where it vanishes identically.
-    """
-    times = np.asarray(times, dtype=float)
-    total = np.array([rep.total for rep in reports])
-    relative = np.array([rep.relative for rep in reports])
-    if len(total) != len(times) or len(total) < 2:
-        raise ContractViolationError("need matching times and at least 2 energy reports")
-    scale = float(np.max(np.abs(total)))
-    e0 = float(total[0])
-    if e0 <= rtol * scale:
-        raise ContractViolationError(
-            f"initial energy {e0:g} is not positive at relative tolerance {rtol:g}"
-        )
-    c = float(total.max() / e0)
-    rate = r2 = None
-    if np.all(relative > 0.0):
-        fit = fit_rate(times, relative)
-        rate, r2 = fit.rate, fit.r_squared
-    return EnergyBoundCheck(
-        c_measured=c,
-        bounded=bool(np.isfinite(c)),
-        initial_energy=e0,
-        relative_rate=rate,
-        relative_r_squared=r2,
-    )
+    coef, r2 = _line_fit(1.0 / t, y)
+    return LimitFit(limit=float(coef[0]), coefficient=float(coef[1]), r_squared=r2, window=window)
 
 
 def interpolate_series(times, values, t: float):

@@ -29,8 +29,6 @@ __all__ = [
     "fmt_float",
     "to_jsonable",
     "dump_json",
-    "write_ode_ndjson",
-    "write_ode_csv",
     "write_diagnostics_ndjson",
     "write_diagnostics_csv",
     "write_diagnostics",
@@ -161,14 +159,6 @@ def write_series(handles: dict, series: CorrelationSeries) -> None:
                 ndjson.write(_ndjson_line(shapes, row))
             if csv is not None:
                 csv.write(",".join(row) + "\n")
-
-
-def write_ode_ndjson(fh, series: CorrelationSeries) -> None:
-    write_series({"ndjson": fh}, series)
-
-
-def write_ode_csv(fh, series: CorrelationSeries) -> None:
-    write_series({"csv": fh}, series)
 
 
 def _diagnostics_arrays(rec) -> dict:

@@ -249,16 +249,23 @@ def scattering_state(
     once per sample instead of building each exp(iHs_n) anew. The neglected
     tail is bounded by the measured final integrand norm divided by the
     contraction rate and must come in under tail_tol, otherwise the
-    trajectory is too short to certify.
+    trajectory is too short to certify. The pair may be listed in either
+    order (classify_pair reads it), but must be centered.
     """
     if config.n_oscillators != 2:
         raise ContractViolationError("scattering profile is defined for the pair system")
     if oscillator not in (0, 1):
         raise ContractViolationError(f"oscillator index must be 0 or 1, got {oscillator}")
-    lam = config.lambda_ratio
-    if lam >= 1.0:
+    w0, w1 = config.frequencies
+    if abs(w0 + w1) > 1e-12 * max(abs(w0), abs(w1), 1.0):
+        raise ContractViolationError(
+            "scattering needs centered frequencies (w0 + w1 = 0): the pulled-back "
+            "fields of an uncentered pair rotate and have no limit"
+        )
+    regime = classify_pair(config.coupling, config.frequencies)[0]
+    if regime.lam >= 1.0:
         raise UnsupportedRegimeError(
-            f"scattering requires lam < 1 (exponential tail), got lam = {lam}"
+            f"scattering requires lam < 1 (exponential tail), got lam = {regime.lam}"
         )
     times = np.asarray(trajectory.times, dtype=float)
     if times.size < 2:
@@ -273,14 +280,13 @@ def scattering_state(
     dv = grid.dv
     k = config.coupling
     omega_j = config.frequencies[oscillator]
-    rate = float(np.sqrt(k * k - 4.0 * config.frequencies[0] ** 2))
 
     integrands = [
         0.5 * k * coupling_term(s.psi, dv)[oscillator] - 1j * omega_j * s.psi[oscillator]
         for s in trajectory.states
     ]
     final_norm = float(np.sqrt(dv * np.sum(np.abs(integrands[-1]) ** 2)))
-    tail = final_norm / rate
+    tail = final_norm / regime.rate
     if tail > tail_tol:
         raise SeriesTooShortError(
             f"tail bound {tail:.3e} exceeds {tail_tol:.3e}; integrand norm is still "
@@ -297,6 +303,6 @@ def scattering_state(
     return ScatteringResult(
         field=WaveField(grid, profile),
         tail_bound=tail,
-        rate=rate,
+        rate=regime.rate,
         final_integrand_norm=final_norm,
     )

@@ -2,7 +2,7 @@
 
 Every oscillator has the same linear part H = -Laplacian/2 + V, and the
 coupling and detuning only mix the N fields: psi' = -i H psi + M(z) psi with
-M = correlations.coupling_generator. The linear flow U(t) = exp(-i t H) is
+M as in correlations.mixing_flow. The linear flow U(t) = exp(-i t H) is
 unitary and commutes with any mixing of the fields, so the semidiscrete system
 is exactly psi(t) = U(t - t0) D(t) q, where q holds r <= N orthonormal basis
 fields of span(psi0), psi0 = D(t0) q, and the N x r coefficient matrix obeys
@@ -392,6 +392,13 @@ def _checked_stepper(initial: EnsembleState, config: ModelConfig, params: Solver
     return _stepper(initial, config, params)
 
 
+def _norms_finite(psi: np.ndarray, dv: float) -> bool:
+    """Whether every field's squared norm, the diagonal of its Gram matrix,
+    is finite: fields can be finite while it overflows."""
+    flat = psi.reshape(len(psi), -1).view(np.float64)
+    return all(math.isfinite(dv * s) for s in np.einsum("ij,ij->i", flat, flat).tolist())
+
+
 def _stream(stepper, initial: EnsembleState, params: SolverParams) -> Iterator[EnsembleState]:
     yield initial.copy()
     n_steps = params.n_steps
@@ -399,10 +406,14 @@ def _stream(stepper, initial: EnsembleState, params: SolverParams) -> Iterator[E
     for n in range(1, n_steps + 1):
         finite = stepper.step()
         t = t0 + n * params.dt
+        sampled = n % params.snapshot_stride == 0 or n == n_steps
+        if finite and sampled:
+            psi = stepper.fields()
+            finite = _norms_finite(psi, initial.grid.dv)
         if not finite:
             raise DivergenceError(f"solver diverged at step {n} (t = {t:g})", step_index=n, time=t)
-        if n % params.snapshot_stride == 0 or n == n_steps:
-            yield EnsembleState(initial.grid, stepper.fields(), t)
+        if sampled:
+            yield EnsembleState(initial.grid, psi, t)
 
 
 def samples(
@@ -414,7 +425,8 @@ def samples(
     The run's checks (and the advisory dt warning) happen at the call; the
     stepping happens as the states are taken, so a consumer that reduces
     each state and drops it holds one sample's fields at a time. On blow-up
-    the iteration raises DivergenceError with the step index and time.
+    (non-finite fields, or a sample whose squared field norms overflow) the
+    iteration raises DivergenceError with the step index and time.
     """
     return _stream(_checked_stepper(initial, config, params), initial, params)
 

@@ -13,7 +13,6 @@ from lohe_sync import (
     ModelConfig,
     SolverParams,
     WaveField,
-    center_frequencies,
     coupling_term,
     evolve,
     gram_matrix,
@@ -166,53 +165,6 @@ def test_rhs_rejects_mismatched_config(pair_state):
     config = ModelConfig(coupling=1.0, frequencies=(0.1, 0.2, 0.3))
     with pytest.raises(ConfigurationError):
         evolve(pair_state, config, SolverParams(dt=1e-3, t_end=1e-3))
-
-
-# -- frequency centering -----------------------------------------------------
-
-# dyadic values with a power-of-two count keep every step of the mean
-# subtraction exact, so pairwise differences must survive bitwise
-dyadic = st.integers(-64, 64).map(lambda k: k / 16.0)
-dyadic_lists = st.sampled_from([2, 4]).flatmap(
-    lambda n: st.lists(dyadic, min_size=n, max_size=n)
-)
-
-
-@settings(max_examples=50, deadline=None)
-@given(dyadic_lists)
-def test_center_frequencies_exact_on_dyadic_lattice(freqs):
-    config = ModelConfig(coupling=1.0, frequencies=tuple(freqs))
-    centered = center_frequencies(config)
-    w0 = np.asarray(config.frequencies)
-    w1 = np.asarray(centered.frequencies)
-    assert np.mean(w1) == 0.0
-    assert np.array_equal(w1[:, None] - w1[None, :], w0[:, None] - w0[None, :])
-    assert centered.centering_shift == pytest.approx(np.mean(w0))
-    again = center_frequencies(centered)
-    assert again.frequencies == centered.frequencies
-    assert again.centering_shift == centered.centering_shift
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-10, 10), min_size=2, max_size=7))
-def test_center_frequencies_general(freqs):
-    config = ModelConfig(coupling=1.0, frequencies=tuple(freqs))
-    centered = center_frequencies(config)
-    scale = max(1.0, float(np.max(np.abs(config.frequencies))))
-    w1 = np.asarray(centered.frequencies)
-    w0 = np.asarray(config.frequencies)
-    assert abs(np.mean(w1)) <= 1e-15 * scale
-    diff = (w1[:, None] - w1[None, :]) - (w0[:, None] - w0[None, :])
-    assert float(np.max(np.abs(diff))) <= 1e-15 * scale
-
-
-def test_lambda_ratio():
-    config = ModelConfig(coupling=1.0, frequencies=(0.375, -0.375))
-    assert config.lambda_ratio == pytest.approx(0.75)
-    from lohe_sync import ContractViolationError
-
-    with pytest.raises(ContractViolationError):
-        ModelConfig(coupling=1.0, frequencies=(0.3, -0.2)).lambda_ratio
 
 
 def _low_mode_field_by_modes(grid, rng, max_mode):

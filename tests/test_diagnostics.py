@@ -16,7 +16,6 @@ from lohe_sync import (
     compute_record,
     compute_records,
     detect_period,
-    energy_bound_check,
     evolve,
     fit_algebraic_limit,
     fit_rate,
@@ -308,24 +307,3 @@ def test_detect_period():
     assert period == pytest.approx(np.pi, rel=1e-4)
     with pytest.raises(ContractViolationError):
         detect_period(t, np.ones_like(t))  # no dips at all
-
-
-def test_energy_bound_check():
-    class Rep:
-        def __init__(self, total, relative):
-            self.total = total
-            self.relative = relative
-
-    t = np.linspace(0.0, 10.0, 40)
-    reports = [Rep(1.0 + 0.01 * np.sin(x), 0.5 * np.exp(-0.8 * x)) for x in t]
-    out = energy_bound_check(t, reports)
-    assert out.bounded
-    assert out.c_measured < 1.02
-    assert out.relative_rate == pytest.approx(0.8, abs=1e-6)
-
-    flat = [Rep(1.0, 0.0) for _ in t]
-    out = energy_bound_check(t, flat)
-    assert out.relative_rate is None
-
-    with pytest.raises(ContractViolationError):
-        energy_bound_check(t, [Rep(0.0, 0.1) for _ in t])

@@ -23,8 +23,7 @@ from lohe_sync.emit import (
     write_diagnostics,
     write_diagnostics_csv,
     write_diagnostics_ndjson,
-    write_ode_csv,
-    write_ode_ndjson,
+    write_series,
 )
 from lohe_sync.initial_data import perturbed_gaussians
 from lohe_sync.potentials import cosine_potential
@@ -49,6 +48,12 @@ def _series():
 def _written(writer, data) -> str:
     fh = io.StringIO()
     writer(fh, data)
+    return fh.getvalue()
+
+
+def _series_written(fmt, series) -> str:
+    fh = io.StringIO()
+    write_series({fmt: fh}, series)
     return fh.getvalue()
 
 
@@ -180,8 +185,8 @@ def test_ode_writers_match_value_by_value_rendering():
         row += [fmt_float(v) for v in s_t[i]]
         row.append(fmt_float(zeta[i]))
         csv_rows.append(",".join(row) + "\n")
-    assert _written(write_ode_ndjson, series) == "".join(ndjson)
-    assert _written(write_ode_csv, series).splitlines(keepends=True)[1:] == csv_rows
+    assert _series_written("ndjson", series) == "".join(ndjson)
+    assert _series_written("csv", series).splitlines(keepends=True)[1:] == csv_rows
 
 
 @pytest.mark.parametrize(
@@ -206,9 +211,9 @@ def test_one_diagnostics_call_refuses_non_finite_values_for_both_formats(bad):
     assert handles["csv"].getvalue() == _diagnostics_csv_reference(records[:1])
 
 
-@pytest.mark.parametrize("writer", [write_ode_ndjson, write_ode_csv], ids=["ndjson", "csv"])
-def test_ode_writers_refuse_non_finite_values(writer):
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_ode_writers_refuse_non_finite_values(fmt):
     series = _series()
     series.z[-1, 0, 2] = complex(np.nan, 0.0)
     with pytest.raises(ConfigurationError, match="refusing to serialize non-finite value nan"):
-        _written(writer, series)
+        _series_written(fmt, series)

@@ -223,3 +223,6 @@ def test_scattering_contract_errors(grid64, pair_config):
     periodic_config = ModelConfig(coupling=1.0, frequencies=(1.0, -1.0))
     with pytest.raises(UnsupportedRegimeError):
         scattering_state(short, periodic_config, 0)
+    uncentered = ModelConfig(coupling=1.0, frequencies=(0.3, -0.1))
+    with pytest.raises(ContractViolationError, match="centered frequencies"):
+        scattering_state(short, uncentered, 0)

@@ -18,6 +18,7 @@ from lohe_sync import (
     DivergenceError,
     EnsembleState,
     GridSpec,
+    ModelConfig,
     SolverParams,
     compute_record,
     evolve,
@@ -25,6 +26,8 @@ from lohe_sync import (
     parse_scenario,
     read_snapshot,
     render_scenario,
+    samples,
+    with_records,
     write_snapshot,
 )
 import lohe_sync.scenario as scenario_module
@@ -741,23 +744,45 @@ def test_divergence_inside_a_record_block_keeps_every_finite_sample(tmp_path, ca
         assert np.array_equal(rec.pair_l2, compute_record(state, config).pair_l2)
 
 
-def test_record_block_that_fails_its_checks_keeps_the_samples_before_it(tmp_path, capsys):
+def test_record_block_that_fails_its_checks_keeps_the_samples_before_it():
+    # a zero field has no normalized correlations, so the record checks
+    # refuse it; the block is redone a sample at a time, so the two samples
+    # before it come out with their records, as when each was made alone
+    grid = GridSpec(dim=1, points=64, length=20.0)
+    initial = gaussian_pair(grid)
+    config = ModelConfig(coupling=1.0, frequencies=(0.1, -0.1))
+    states = list(samples(initial, config, SolverParams(dt=0.01, t_end=0.04)))
+    states[2] = EnsembleState(grid, np.zeros_like(initial.psi), states[2].time)
+    made = []
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+        ConfigurationError, match="z must be finite"
+    ):
+        for state, record in with_records(iter(states), config):
+            made.append((state, record))
+    assert [state.time for state, _ in made] == [0.0, 0.01]
+    for state, record in made:
+        assert np.array_equal(record.pair_l2, compute_record(state, config).pair_l2)
+
+
+@pytest.mark.parametrize("scheme", ["span", "strang_rk4"])
+def test_sample_whose_gram_matrix_overflows_is_a_divergence(tmp_path, capsys, scheme):
     # at K = 1000 the pair's fields at t = 0.02 are finite but so large that
-    # their Gram matrix overflows, and the record checks refuse it (exit 2,
-    # not a divergence); the block is redone a sample at a time, so the two
-    # samples before it are written, as when each record was made alone
+    # their squared norms overflow: the run diverged there, and the two
+    # samples before it are written
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(
         "[scenario]\nname = overflow\nseed = 1\n[grid]\npoints = 64\n[model]\nn = 2\n"
         "coupling = 1000.0\n[initial]\nkind = perturbed_gaussians\n"
-        "[solver]\ndt = 0.01\nt_end = 1.0\n[outputs]\nformats = ndjson\n"
+        f"[solver]\ndt = 0.01\nt_end = 1.0\nscheme = {scheme}\n[outputs]\nformats = ndjson, csv\n"
     )
     out = tmp_path / "o"
-    with pytest.warns(UserWarning), np.errstate(over="ignore", invalid="ignore"):
-        assert run_cli("simulate", "--scenario", str(cfg), "--out", str(out)) == 2
-    assert capsys.readouterr().err == "error: z must be finite\n"
+    with pytest.warns(UserWarning):
+        assert run_cli("simulate", "--scenario", str(cfg), "--out", str(out)) == 3
+    assert capsys.readouterr().err == "numerical divergence: solver diverged at step 2 (t = 0.02)\n"
     lines = (out / "diagnostics.ndjson").read_text().splitlines()
     assert [json.loads(line)["t"] for line in lines] == [0.0, 0.01]
+    with open(out / "diagnostics.csv") as fh:
+        assert [row["t"] for row in csv.DictReader(fh)] == ["0.0", "0.01"]
 
 
 def test_simulate_memory_is_flat_in_the_sample_count(tmp_path):

@@ -15,7 +15,6 @@ from lohe_sync import (
     ModelConfig,
     SolverParams,
     WaveField,
-    center_frequencies,
     evolve,
     propagate_linear,
     samples,
@@ -146,8 +145,7 @@ def test_gauge_covariance(grid64):
     # the centered run equals exp(+i alpha t) times the uncentered one
     initial = gaussian_pair(grid64)
     shifted = ModelConfig(coupling=1.0, frequencies=(0.375 + 0.4, -0.375 + 0.4))
-    centered = center_frequencies(shifted)
-    assert centered.centering_shift == pytest.approx(0.4)
+    centered = ModelConfig(coupling=1.0, frequencies=(0.375, -0.375))
     params = SolverParams(dt=1e-3, t_end=1.0, snapshot_stride=1000)
     psi = evolve(initial, shifted, params, collect_diagnostics=False).final.psi
     chi = evolve(initial, centered, params, collect_diagnostics=False).final.psi
@@ -194,6 +192,24 @@ def test_divergence_carries_partial_trajectory(grid256):
     assert err.value.partial is not None
     assert err.value.partial.n_samples >= 1
     assert err.value.step_index is not None
+
+
+@pytest.mark.parametrize("scheme", ["span", "strang_rk4"])
+@pytest.mark.parametrize("n, coupling, step_index", [(2, 1000.0, 2), (3, 450.0, 3)])
+def test_sample_whose_gram_matrix_overflows_is_a_divergence(
+    grid64, scheme, n, coupling, step_index
+):
+    # the sample at step_index has finite fields whose squared norms
+    # overflow, so no record can be made of it: the run diverged there
+    initial = perturbed_gaussians(grid64, n, seed=1)
+    config = ModelConfig(coupling=coupling, frequencies=(0.0,) * n)
+    params = SolverParams(dt=0.01, t_end=1.0, scheme=scheme)
+    with pytest.warns(UserWarning), pytest.raises(DivergenceError) as err:
+        evolve(initial, config, params)
+    assert err.value.step_index == step_index
+    partial = err.value.partial
+    assert np.allclose(partial.times, 0.01 * np.arange(step_index), rtol=0.0, atol=1e-15)
+    assert [rec.time for rec in partial.diagnostics_stream] == list(partial.times)
 
 
 def test_stability_report_scales(grid256):
@@ -412,14 +428,15 @@ def test_step_matches_evolve_under_span(grid64, n):
 def _matrix_path_d(d, config, params, n_steps):
     """D after n_steps of the numpy path: rk4_step on mixing_flow, with the
     row renormalization when params asks for it; None once it goes
-    non-finite, with the step it did so."""
+    non-finite or its squared row norms, the fields' squared norms,
+    overflow, with the step it did so."""
     deriv = mixing_flow(np.asarray(config.frequencies), config.coupling)
     with np.errstate(invalid="ignore", over="ignore"):
         for n in range(1, n_steps + 1):
             d = rk4_step(d, deriv, params.dt)
             if params.renormalize_each_step:
                 d = d / np.linalg.norm(d, axis=1)[:, None]
-            if not np.all(np.isfinite(d)):
+            if not np.all(np.isfinite(np.sum(np.abs(d) ** 2, axis=1))):
                 return None, n
     return d, n_steps
 

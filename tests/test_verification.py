@@ -236,6 +236,18 @@ def test_scattering_check_passes():
     assert "monotone: True" in results[0].detail
 
 
+def test_scattering_check_reads_a_pair_listed_in_either_order():
+    # (-Omega, Omega) is (Omega, -Omega) with its labels swapped; the
+    # mirror-symmetric gaussian_pair makes the two runs mirror images
+    measured = []
+    for frequencies in ("0.1, -0.1", "-0.1, 0.1"):
+        text = SCATTERING.replace("lam = 0.0", f"frequencies = {frequencies}")
+        (result,) = run_checks(parse_scenario(text))
+        assert result.passed, result
+        measured.append(result.measured)
+    assert measured[1] == pytest.approx(measured[0], rel=1e-8)
+
+
 def test_unknown_check_name_is_a_config_error():
     sc = parse_scenario(
         "[scenario]\nname = x\n[ode]\nsystem = two\nz0 = 0.1\nt_end = 1\n[verify]\nchecks = entropy:1e-3\n"
