@@ -19,7 +19,8 @@ run is a stack of one; integrate_batch steps many runs of one N together.
 At N = 2 the system is the single pair correlation z_01: the two-oscillator
 system, a "full" run and a batch of pairs all step z_01 alone, with one
 rounding (a Python complex, or a vector of them rounded alike), and return
-2 x 2 series.
+2 x 2 series. A single pair is stepped by _pair_samples, one loop that
+writes RK4's four stages out on the Python complex and samples as it goes.
 
 mixing_flow is the coupling on the fields' coefficients D over an orthonormal
 basis, which the solver's span scheme steps; at N = 2, pair_mixing_step steps
@@ -28,6 +29,7 @@ D as four Python complexes, with Python's rounding (no fused multiply-add).
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 from functools import cache
@@ -79,8 +81,9 @@ def step_count(dt: float, t_end: float) -> int:
 def rk4_step(y, deriv, dt: float):
     """One classical RK4 step of dy/dt = deriv(y). y is an array of any shape
     or a Python complex; every fixed-step integration in the package goes
-    through this one combination, except span's pair D (pair_mixing_step),
-    which unrolls the same one."""
+    through this one combination, except two that write the same one out on
+    Python complexes: span's pair D (pair_mixing_step) and the pair
+    correlation z_01 (_pair_samples)."""
     k1 = deriv(y)
     k2 = deriv(y + 0.5 * dt * k1)
     k3 = deriv(y + 0.5 * dt * k2)
@@ -502,17 +505,15 @@ def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
     """Fixed-step RK4 from y0, sampled every sample_stride steps plus the end.
 
     y0 is a stack of B cells: a (B, N, N) array, whose lower triangles are
-    mirrored from the upper ones after every step, a (B,) array of pair
-    correlations, or a Python complex (one pair, B = 1). Returns the sampled
-    steps (S,), the samples (S, *y0.shape) and, per cell, the first sampled
-    step at which it held a non-finite value, 0 when it stayed finite; a
-    cell's samples from that step on are not meaningful. Stepping stops once
-    every cell has diverged.
+    mirrored from the upper ones after every step, or a (B,) array of pair
+    correlations. Returns the sampled steps (S,), the samples (S, *y0.shape)
+    and, per cell, the first sampled step at which it held a non-finite
+    value, 0 when it stayed finite; a cell's samples from that step on are
+    not meaningful. Stepping stops once every cell has diverged.
     """
-    stack = isinstance(y0, np.ndarray)
-    matrix = stack and y0.ndim == 3
-    y = y0.copy() if stack else y0
-    first_bad = np.zeros(len(y0) if stack else 1, dtype=np.int64)
+    matrix = y0.ndim == 3
+    y = y0.copy()
+    first_bad = np.zeros(len(y0), dtype=np.int64)
     samples = [y]
     sample_steps = [0]
     for step in range(1, n_steps + 1):
@@ -538,6 +539,36 @@ def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
             samples.append(y)
             sample_steps.append(n_steps)
     return np.array(sample_steps), np.array(samples), first_bad
+
+
+def _pair_samples(z: complex, omega: float, coupling: float, dt, n_steps, sample_stride):
+    """RK4 on two_rhs from the pair correlation z, sampled every
+    sample_stride steps plus the end. The four stages are written out on one
+    Python complex, in rk4_step's and two_rhs's order, so the samples are
+    the bits rk4_step(z, two_rhs) gives. Returns the sampled steps (S,), the
+    samples (S,) and the first sampled step at which z was not finite, 0
+    when it stayed finite; stepping stops there."""
+    rotation, gain = 2j * omega, 0.5 * coupling
+    half, sixth = 0.5 * dt, dt / 6.0
+    sample_steps, samples = [0], [z]
+    bad = 0
+    for start in range(0, n_steps, sample_stride):
+        for _ in range(min(sample_stride, n_steps - start)):
+            k1 = rotation * z + gain * (1.0 - z * z)
+            u = z + half * k1
+            k2 = rotation * u + gain * (1.0 - u * u)
+            u = z + half * k2
+            k3 = rotation * u + gain * (1.0 - u * u)
+            u = z + dt * k3
+            k4 = rotation * u + gain * (1.0 - u * u)
+            z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        step = min(start + sample_stride, n_steps)
+        if not cmath.isfinite(z):
+            bad = step
+            break
+        samples.append(z)
+        sample_steps.append(step)
+    return np.array(sample_steps), np.array(samples), bad
 
 
 def _divergence(sample_steps, samples, bad_step, dt) -> DivergenceError:
@@ -614,19 +645,21 @@ def integrate(
     else:
         raise ConfigurationError(f"unknown system {system!r}; expected full, two, or fg")
 
-    if isinstance(y0, complex):
+    pair = isinstance(y0, complex)
+    if pair:
         omega = _two_omega(config)
-
-        def deriv(z):
-            return two_rhs(z, omega, k)
-
         to_z = _pair_matrices
 
     def run(step_dt, steps, stride, check_every=0):
-        sample_steps, samples, bad = _rk4_samples(y0, deriv, step_dt, steps, stride, check_every)
+        if pair:
+            sample_steps, samples, bad = _pair_samples(y0, omega, k, step_dt, steps, stride)
+        else:
+            sample_steps, samples, (bad,) = _rk4_samples(
+                y0, deriv, step_dt, steps, stride, check_every
+            )
         samples = to_z(samples)
-        if bad[0]:
-            raise _divergence(sample_steps, samples, bad[0], step_dt)
+        if bad:
+            raise _divergence(sample_steps, samples, bad, step_dt)
         return sample_steps, samples
 
     steps, samples = run(dt, n_steps, sample_stride, 8 if self_check else 0)

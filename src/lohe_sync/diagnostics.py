@@ -24,7 +24,7 @@ from .core import (
     spectral_gradient,
 )
 from .correlations import CorrelationSeries, CorrelationState, pair_distance
-from .errors import ContractViolationError, SeriesTooShortError
+from .errors import ContractViolationError, DivergenceError, SeriesTooShortError
 
 __all__ = [
     "CLASSIFY_MIN_SAMPLES",
@@ -88,6 +88,7 @@ def compute_record(state: EnsembleState, config: ModelConfig) -> DiagnosticsReco
     return compute_records([state], config)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     """compute_record of each of B snapshots of one run, in one vectorized
     pass over a leading sample axis: N FFT gradients, N x N Gram products,
@@ -96,7 +97,12 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     later one, so the extra memory is O(B N M), not O(B N^2 M), and
     solver.with_records keeps B N M under a fixed field budget. Every sample
     goes through the same arithmetic in any block, so its record has the
-    same bits whichever block it is computed in."""
+    same bits whichever block it is computed in.
+
+    Fields can be finite while a quadratic or quartic form of them
+    overflows: a sample whose record would hold a non-finite value raises
+    DivergenceError at its time, found in one pass over the block, with the
+    arithmetic warnings on the way there silenced."""
     grid = states[0].grid
     n = states[0].n_oscillators
     dv = grid.dv
@@ -126,14 +132,14 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
 
     diag_b = np.diagonal(b, axis1=1, axis2=2).real
     pair_energy = diag_b[:, :, None] + diag_b[:, None, :] - 2.0 * b.real
-    total = diag_b.mean(axis=1).tolist()
-    relative = (pair_energy.sum(axis=(1, 2)) / (2.0 * n * n)).tolist()
-    zeta_energy = b.mean(axis=(1, 2)).real.tolist()
+    total = diag_b.mean(axis=1)
+    relative = pair_energy.sum(axis=(1, 2)) / (2.0 * n * n)
+    zeta_energy = b.mean(axis=(1, 2)).real
 
     # a pair's phase offset is read in the frame of classify_pair (imported
     # here: oracles imports solver, which imports this module); Re(e^{-i phi}
     # b01) is spelled out in real arithmetic, so no fused multiply-add enters
-    diff_energy_two = [None] * count
+    diff_energy_two = np.zeros(0)  # no phase offset: None in every record
     if n == 2 and config.coupling > 0:
         from .oracles import classify_pair
 
@@ -142,7 +148,7 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
             b01 = np.conj(b[:, 0, 1]) if swapped else b[:, 0, 1]
             rot = np.exp(-1j * regime.phi)
             rotated = rot.real * b01.real - rot.imag * b01.imag
-            diff_energy_two = (diag_b[:, 0] + diag_b[:, 1] - 2.0 * rotated).tolist()
+            diff_energy_two = diag_b[:, 0] + diag_b[:, 1] - 2.0 * rotated
 
     diag_g = np.diagonal(raw_gram, axis1=1, axis2=2).real
     l2_sq = np.maximum(0.0, diag_g[:, :, None] + diag_g[:, None, :] - 2.0 * raw_gram.real)
@@ -160,17 +166,31 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     cur_l1 = np.zeros((count, n, n))
     for j in range(n - 1):
         rho_l1[:, j, j + 1 :] = dv * np.sum(np.abs(rho[:, j, None] - rho[:, j + 1 :]), axis=2)
-        diff_sq = np.zeros((count, n - j - 1, rho.shape[2]))
-        for cur in currents:
-            diff_sq = diff_sq + (cur[:, j, None] - cur[:, j + 1 :]) ** 2
-        cur_l1[:, j, j + 1 :] = dv * np.sum(np.sqrt(diff_sq), axis=2)
+        if grid.dim == 1:  # |dj|, the sqrt of dj^2 without its overflow
+            dist = np.abs(currents[0][:, j, None] - currents[0][:, j + 1 :])
+        else:
+            diff_sq = np.zeros((count, n - j - 1, rho.shape[2]))
+            for cur in currents:
+                diff_sq = diff_sq + (cur[:, j, None] - cur[:, j + 1 :]) ** 2
+            dist = np.sqrt(diff_sq)
+        cur_l1[:, j, j + 1 :] = dv * np.sum(dist, axis=2)
     rho_l1 = rho_l1 + np.swapaxes(rho_l1, 1, 2)
     cur_l1 = cur_l1 + np.swapaxes(cur_l1, 1, 2)
 
     # the order parameter's norm, as core.order_parameter forms it
-    zeta_norm = np.sqrt(dv * np.sum(np.abs(flat.mean(axis=1)) ** 2, axis=1)).tolist()
+    zeta_norm = np.sqrt(dv * np.sum(np.abs(flat.mean(axis=1)) ** 2, axis=1))
 
     times = [state.time for state in states]
+    values = (pair_l2, pair_h1, zeta_norm, total, diag_b, pair_energy, relative, zeta_energy)
+    values += (diff_energy_two, mass_drift, rho_l1, cur_l1)
+    finite = np.isfinite(np.concatenate([v.reshape(count, -1) for v in values], axis=1))
+    if not finite.all():
+        t = times[int(np.argmin(finite.all(axis=1)))]
+        raise DivergenceError(f"the diagnostics record at t = {t:g} is not finite", time=t)
+    total, relative, zeta_energy, zeta_norm = (
+        v.tolist() for v in (total, relative, zeta_energy, zeta_norm)
+    )
+    diff_energy_two = diff_energy_two.tolist() or [None] * count
     correlations = CorrelationState.from_grams(times, raw_gram)
     return [
         DiagnosticsRecord(

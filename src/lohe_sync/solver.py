@@ -40,6 +40,10 @@ potential inside RK4; its magnitude is bounded by K, which keeps that
 sub-step mild. Inner products are recomputed from the stage fields at every
 stage; lagging them would break the mass-flux identity at O(dt).
 
+samples loops over sample intervals, not steps: a stepper advances a whole
+interval per call, checking every step for non-finite values, and forms the
+fields only at its end.
+
 samples yields the sampled states one at a time and keeps none, so a
 consumer that reduces each state (a diagnostics record, a Gram matrix, a
 line of output) and drops it holds one sample's fields however many samples
@@ -63,7 +67,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EnsembleState, GridSpec, ModelConfig, coupling_term, k_squared
+from .core import EnsembleState, GridSpec, ModelConfig, coupling_term, fourier_transforms, k_squared
 from .correlations import (
     CorrelationSeries,
     CorrelationState,
@@ -186,7 +190,18 @@ def _kinetic(dim: int, points: int, length: float, h: float) -> np.ndarray:
     return mult
 
 
-class _GridStepper:
+class _Stepper:
+    def advance(self, count: int) -> int:
+        """Take count steps; returns the first one after which the state was
+        not finite, where stepping stopped, or 0 when every one stayed
+        finite."""
+        for n in range(1, count + 1):
+            if not self.step():
+                return n
+        return 0
+
+
+class _GridStepper(_Stepper):
     """strang_rk4 and full_rk4: the fields themselves are stepped, with the
     multipliers and config views cached per run.
 
@@ -198,6 +213,7 @@ class _GridStepper:
         grid = initial.grid
         self.grid = grid
         self.axes = tuple(range(1, grid.dim + 1))
+        self.fft, self.ifft = fourier_transforms(grid.dim)
         self.dv = grid.dv
         self.dt = params.dt
         self.scheme = params.scheme
@@ -219,12 +235,11 @@ class _GridStepper:
         return self.linear * psi + self.gain * coupling_term(psi, self.dv)
 
     def _full_rhs(self, psi: np.ndarray) -> np.ndarray:
-        psi_hat = np.fft.fftn(psi, axes=self.axes)
-        kinetic = np.fft.ifftn(-0.5j * self.k2 * psi_hat, axes=self.axes)
+        kinetic = self.ifft(-0.5j * self.k2 * self.fft(psi))
         return kinetic + self._local_rhs(psi)
 
     def _kinetic_step(self, mult: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(mult * np.fft.fftn(self.psi, axes=self.axes), axes=self.axes)
+        return self.ifft(mult * self.fft(self.psi))
 
     def step(self) -> bool:
         """Advance one dt; returns whether the fields stayed finite."""
@@ -251,13 +266,14 @@ class _GridStepper:
         return self.psi.copy()
 
 
-class _SpanStepper:
+class _SpanStepper(_Stepper):
     """span: psi0 = D q for r <= N orthonormal basis fields q (one thin SVD,
     dropping directions at roundoff level), and the fields stay U D q. RK4
     steps the N x r matrix D alone, and U is caught up on the r basis fields
-    only when the fields are asked for, by propagate_linear in substeps of dt.
-    Dependent fields (r < N) need no special case: D has no null space for
-    the flow to grow."""
+    only when the fields are asked for, as propagate_linear does in substeps
+    of dt, with the multipliers of each lag formed once per run. Dependent
+    fields (r < N) need no special case: D has no null space for the flow to
+    grow."""
 
     def __init__(self, initial: EnsembleState, config: ModelConfig, params: SolverParams):
         self.grid = grid = initial.grid
@@ -271,6 +287,7 @@ class _SpanStepper:
         basis /= scale
         self.phi = basis.reshape((r,) + grid.shape)  # U(t - t0) q at the last formed sample
         self.lag = 0  # steps taken since then
+        self.flows = {}  # lag -> the linear flow over lag steps
         omega = np.asarray(config.frequencies, dtype=float)
         self.dt = params.dt
         self.renormalize = params.renormalize_each_step
@@ -281,17 +298,30 @@ class _SpanStepper:
         else:
             self.deriv = mixing_flow(omega, config.coupling)
 
+    def advance(self, count: int) -> int:
+        """_Stepper.advance. q is orthonormal, so under renormalization the
+        field norms are the row norms of D. The pair's D is stepped here, in
+        one local loop over the four complexes."""
+        self.lag += count
+        if not self.pair:
+            return super().advance(count)
+        step, renormalize, d = self.pair_step, self.renormalize, self.d
+        isfinite, hypot, nan = cmath.isfinite, math.hypot, math.nan
+        bad = 0
+        for n in range(1, count + 1):
+            a0, a1, b0, b1 = d = step(d)
+            if renormalize:  # a zero row gives nan, as 0 / 0 does in step
+                na = hypot(a0.real, a0.imag, a1.real, a1.imag) or nan
+                nb = hypot(b0.real, b0.imag, b1.real, b1.imag) or nan
+                a0, a1, b0, b1 = d = (a0 / na, a1 / na, b0 / nb, b1 / nb)
+            if not (isfinite(a0) and isfinite(a1) and isfinite(b0) and isfinite(b1)):
+                bad = n
+                break
+        self.d = d
+        return bad
+
     def step(self) -> bool:
-        """Advance one dt; returns whether D stayed finite. q is orthonormal,
-        so under renormalization the field norms are the row norms of D."""
-        self.lag += 1
-        if self.pair:
-            a0, a1, b0, b1 = self.d = self.pair_step(self.d)
-            if self.renormalize:  # a zero row gives nan, as 0 / 0 does below
-                na = math.hypot(a0.real, a0.imag, a1.real, a1.imag) or math.nan
-                nb = math.hypot(b0.real, b0.imag, b1.real, b1.imag) or math.nan
-                self.d = (a0 / na, a1 / na, b0 / nb, b1 / nb)
-            return all(map(cmath.isfinite, self.d))
+        """One step of the numpy D (N >= 3); returns whether it stayed finite."""
         with np.errstate(invalid="ignore", over="ignore"):
             d = rk4_step(self.d, self.deriv, self.dt)
             if self.renormalize:
@@ -300,12 +330,16 @@ class _SpanStepper:
         return bool(np.all(np.isfinite(d.view(np.float64))))
 
     def fields(self) -> np.ndarray:
-        self.phi = propagate_linear(
-            self.grid, self.potential, self.phi, self.lag * self.dt, substeps=self.lag
-        )
+        flow = self.flows.get(self.lag)
+        if flow is None:
+            flow = self.flows[self.lag] = _linear_flow(
+                self.grid, self.potential, self.lag * self.dt, self.lag
+            )
+        self.phi = flow(self.phi)
         self.lag = 0
-        d = np.array(self.d).reshape(2, 2)[:, : len(self.phi)] if self.pair else self.d
-        return np.tensordot(d, self.phi, axes=1)
+        r = len(self.phi)
+        d = np.array(self.d).reshape(2, 2)[:, :r] if self.pair else self.d
+        return (d @ self.phi.reshape(r, -1)).reshape((len(d),) + self.grid.shape)
 
 
 def _stepper(initial: EnsembleState, config: ModelConfig, params: SolverParams):
@@ -335,35 +369,47 @@ def propagate_linear(
     values may be a single field of grid.shape or a stack (n, *grid.shape).
     """
     values = np.asarray(values, dtype=np.complex128)
-    axes = tuple(range(values.ndim - grid.dim, values.ndim))
     if values.shape[values.ndim - grid.dim :] != grid.shape:
         raise ConfigurationError("values shape does not match the grid")
     if time == 0.0:
         return values.copy()
-    fftn, ifftn = np.fft.fftn, np.fft.ifftn
+    if potential is not None:
+        if potential.shape != grid.shape:
+            raise ConfigurationError("potential shape does not match the grid")
+        if substeps is None:
+            v_max = float(np.max(np.abs(potential)))
+            substeps = max(1, int(np.ceil(abs(time) * v_max / 0.1)))
+    return _linear_flow(grid, potential, time, substeps)(values)
+
+
+def _linear_flow(grid: GridSpec, potential: np.ndarray | None, time: float, substeps: int):
+    """propagate_linear over time as a function of the values, with its
+    multipliers formed once: one exact multiplier with no potential, else
+    substeps Strang substeps."""
+    fft, ifft = fourier_transforms(grid.dim)
     k2 = k_squared(grid)
     if potential is None:
-        return ifftn(np.exp(-0.5j * time * k2) * fftn(values, axes=axes), axes=axes)
-    if potential.shape != grid.shape:
-        raise ConfigurationError("potential shape does not match the grid")
-    if substeps is None:
-        v_max = float(np.max(np.abs(potential)))
-        substeps = max(1, int(np.ceil(abs(time) * v_max / 0.1)))
+        mult = np.exp(-0.5j * time * k2)
+        return lambda values: ifft(mult * fft(values))
     h = time / substeps
     half = np.exp(-0.25j * h * k2)
     whole = np.exp(-0.5j * h * k2)
     phase = np.exp(-1j * h * potential)
-    hat = half * fftn(values, axes=axes)
-    for n in range(1, substeps + 1):
-        hat = fftn(phase * ifftn(hat, axes=axes), axes=axes)
-        hat *= whole if n < substeps else half
-    return ifftn(hat, axes=axes)
+
+    def flow(values):
+        hat = half * fft(values)
+        for n in range(1, substeps + 1):
+            hat = fft(phase * ifft(hat))
+            hat *= whole if n < substeps else half
+        return ifft(hat)
+
+    return flow
 
 
 def step(state: EnsembleState, config: ModelConfig, params: SolverParams) -> EnsembleState:
     """Advance one step of params.dt. See evolve for whole trajectories."""
     stepper = _stepper(state, config, params)
-    if not stepper.step():
+    if stepper.advance(1):
         raise DivergenceError(
             "time step produced non-finite values", step_index=1, time=state.time + params.dt
         )
@@ -400,20 +446,20 @@ def _norms_finite(psi: np.ndarray, dv: float) -> bool:
 
 
 def _stream(stepper, initial: EnsembleState, params: SolverParams) -> Iterator[EnsembleState]:
+    """The run's samples: one stepper.advance per sample interval."""
     yield initial.copy()
-    n_steps = params.n_steps
-    t0 = initial.time
-    for n in range(1, n_steps + 1):
-        finite = stepper.step()
-        t = t0 + n * params.dt
-        sampled = n % params.snapshot_stride == 0 or n == n_steps
-        if finite and sampled:
+    n_steps, stride = params.n_steps, params.snapshot_stride
+    for start in range(0, n_steps, stride):
+        count = min(stride, n_steps - start)
+        bad = stepper.advance(count)
+        n = start + (bad or count)
+        t = initial.time + n * params.dt
+        if not bad:
             psi = stepper.fields()
-            finite = _norms_finite(psi, initial.grid.dv)
-        if not finite:
+            bad = not _norms_finite(psi, initial.grid.dv)
+        if bad:
             raise DivergenceError(f"solver diverged at step {n} (t = {t:g})", step_index=n, time=t)
-        if sampled:
-            yield EnsembleState(initial.grid, psi, t)
+        yield EnsembleState(initial.grid, psi, t)
 
 
 def samples(
@@ -438,14 +484,16 @@ def with_records(
     order. The records are made a block of consecutive samples at a time,
     as many as fit _RECORD_BLOCK_BYTES of fields, so at most one block of
     states is held. When the stream raises DivergenceError, the finite
-    samples of the open block come out with their records first."""
+    samples of the open block come out with their records first; a sample
+    whose record is not finite raises it too, after the samples before it."""
 
     def made(block):
-        # a block that fails the record checks is redone a sample at a
-        # time, so the samples before the bad one still come out
+        # a block that fails the record checks, or holds a non-finite
+        # record, is redone a sample at a time, so the samples before the
+        # bad one still come out
         try:
             records = compute_records(block, config) if block else []
-        except ConfigurationError:
+        except (ConfigurationError, DivergenceError):
             records = (compute_records([state], config)[0] for state in block)
         yield from zip(block, records)
 
@@ -454,8 +502,8 @@ def with_records(
         for state in states:
             block.append(state)
             if (len(block) + 1) * state.psi.nbytes > _RECORD_BLOCK_BYTES:
-                yield from made(block)
-                block = []
+                full, block = block, []
+                yield from made(full)
     except DivergenceError:
         yield from made(block)
         raise

@@ -19,7 +19,13 @@ from lohe_sync import (
     inner_product,
     order_parameter,
 )
-from lohe_sync.core import k_squared, spectral_gradient, spectral_laplacian, wavenumbers
+from lohe_sync.core import (
+    fourier_transforms,
+    k_squared,
+    spectral_gradient,
+    spectral_laplacian,
+    wavenumbers,
+)
 from lohe_sync.initial_data import gaussian, perturbed_gaussians
 from lohe_sync.solver import _GridStepper
 
@@ -80,6 +86,25 @@ def test_spectral_derivatives_on_plane_wave():
     (grad,) = spectral_gradient(GRID, f)
     assert_close(grad, 1j * k * f, 1e-12)
     assert_close(spectral_laplacian(GRID, f), -(k**2) * f, 1e-11)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fourier_transforms_match_fftn_over_the_trailing_axes(dim):
+    # in 1-D the transforms are numpy's one-axis fft and ifft: on a stack
+    # they, and the gradient built on them, give fftn's bits
+    grid = GridSpec(dim=dim, points=64 if dim == 1 else 16, length=20.0)
+    stack = perturbed_gaussians(grid, 3, seed=2).psi
+    axes = tuple(range(1, dim + 1))
+    fft, ifft = fourier_transforms(dim)
+    assert np.array_equal(fft(stack), np.fft.fftn(stack, axes=axes))
+    assert np.array_equal(ifft(stack), np.fft.ifftn(stack, axes=axes))
+    k = wavenumbers(grid)[0].copy()
+    k[grid.points // 2] = 0.0
+    hat = np.fft.fftn(stack, axes=axes)
+    for axis, grad in enumerate(spectral_gradient(grid, stack)):
+        shape = [1] * dim
+        shape[axis] = grid.points
+        assert np.array_equal(grad, np.fft.ifftn(1j * k.reshape(shape) * hat, axes=axes))
 
 
 def test_inner_product_conventions():

@@ -18,10 +18,12 @@ from lohe_sync import (
 )
 from lohe_sync.correlations import (
     _correlation_flow,
+    _pair_matrices,
     fg_rhs,
     full_rhs,
     macro_rhs,
     mixing_flow,
+    rk4_step,
     step_count,
     zeta_norm_rhs,
 )
@@ -187,6 +189,65 @@ def test_full_at_two_oscillators_is_the_pair_system():
     assert np.array_equal(full.times, two.times)
     assert np.array_equal(full.z, two.z)
     assert full.richardson_error == two.richardson_error > 0.0
+
+
+def _generic_pair_run(z, omega, coupling, dt, n_steps, stride):
+    """Reference for the pair loop: rk4_step over two_rhs on one Python
+    complex, sampled as _rk4_samples samples a stack (every stride steps and
+    the end, finiteness checked at those steps only, stopping at the first
+    non-finite one). Returns the sampled steps, the 2 x 2 samples and the
+    first non-finite sampled step, 0 when there is none."""
+    steps, values = [0], [z]
+    for step in range(1, n_steps + 1):
+        z = rk4_step(z, lambda y: two_rhs(y, omega, coupling), dt)
+        if step % stride == 0 or step == n_steps:
+            if not np.isfinite(z):
+                return np.array(steps), _pair_matrices(values), step
+            steps.append(step)
+            values.append(z)
+    return np.array(steps), _pair_matrices(values), 0
+
+
+def _pair_initial(system, z0):
+    return z0 if system == "two" else np.array([[1.0, z0], [np.conj(z0), 1.0]])
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("system", ["two", "full"])
+def test_pair_loop_matches_the_generic_rk4_loop(system, lam, stride):
+    # 702 steps: a stride of 10 does not divide them, and half of them
+    # make the Richardson repeat
+    k, dt, t_end = 1.2, 0.01, 7.02
+    omega = 0.5 * lam * k
+    config = ModelConfig(coupling=k, frequencies=(omega, -omega))
+    z0 = 0.3 - 0.4j
+    series = integrate(system, _pair_initial(system, z0), config, dt, t_end, stride, True)
+    n_steps = step_count(dt, t_end)
+    steps, z, bad = _generic_pair_run(z0, omega, k, dt, n_steps, stride)
+    assert bad == 0 and steps[-1] == n_steps and n_steps % stride == (0 if stride == 1 else 2)
+    assert np.array_equal(series.times, steps * dt)
+    assert np.array_equal(series.z, z)
+    half = n_steps // 2
+    last = _generic_pair_run(z0, omega, k, 2.0 * dt, half, half)[1][-1]
+    assert series.richardson_error == float(np.max(np.abs(z[-1] - last)) / 15.0) > 0.0
+
+
+@pytest.mark.parametrize("system", ["two", "full"])
+def test_pair_loop_diverges_where_the_generic_loop_does(system):
+    # K dt = 3.5 leaves the RK4 stability region around z = 1; the run
+    # overflows at step 12, after four finite samples
+    k, dt = 70.0, 0.05
+    config = ModelConfig(coupling=k, frequencies=(0.1, -0.2))
+    z0 = 0.1 + 0.2j
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        integrate(system, _pair_initial(system, z0), config, dt, 5.0, sample_stride=3)
+    steps, z, bad = _generic_pair_run(z0, 0.15, k, dt, 100, 3)
+    assert bad == 12 and len(steps) == 4
+    assert info.value.step_index == bad
+    assert info.value.time == bad * dt
+    assert np.array_equal(info.value.partial["times"], steps * dt)
+    assert np.array_equal(info.value.partial["values"], z)
 
 
 def test_integrate_batch_validation():

@@ -1,11 +1,14 @@
 """Per-sample observables, energies, classification, and the fit helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from lohe_sync import (
     ContractViolationError,
     CorrelationSeries,
+    DivergenceError,
     EnsembleState,
     GridSpec,
     ModelConfig,
@@ -197,6 +200,36 @@ def test_records_do_not_depend_on_their_block(n, dim, potential, scheme):
         records = [rec for block in blocks for rec in block]
         assert all(_same_bits(a, b) for (_, a), b in zip(pairs, records))
     assert (pairs[0][1].energies.diff_energy_two is None) == (n != 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_record_that_is_not_finite_is_a_divergence_at_its_sample(dim):
+    # the third sample's fields and their squared norms are finite, but a
+    # form of them overflows: in 1-D, where the fields get a phase ramp of
+    # wavenumber 2.5, the gradient Gram; in 2-D the squared current
+    # difference. The block raises at that sample with no arithmetic
+    # warning, and with_records first gives the two samples before it, with
+    # the records they get alone, once each: the stream goes on past a full
+    # record block
+    grid = GridSpec(dim=dim, points=64 if dim == 1 else 16, length=20.0)
+    config = ModelConfig(coupling=1.0, frequencies=(0.1, -0.1))
+    states = list(samples(perturbed_gaussians(grid, 2, seed=3), config, SolverParams(0.01, 0.03)))
+    x = grid.coordinates()[0]
+    scale = 5e153 * np.exp(2.5j * x) if dim == 1 else 1e100
+    states[2] = EnsembleState(grid, scale * states[2].psi, states[2].time)
+    assert np.all(np.isfinite(states[2].norms()))
+    states += states[3:] * (_RECORD_BLOCK_BYTES // states[0].psi.nbytes)
+    made = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=r"record at t = 0\.02 is not finite") as err:
+            compute_records(states, config)
+        assert err.value.time == states[2].time
+        with pytest.raises(DivergenceError, match=r"record at t = 0\.02 is not finite"):
+            for pair in with_records(iter(states), config):
+                made.append(pair)
+    assert [state.time for state, _ in made] == [0.0, 0.01]
+    assert all(_same_bits(rec, compute_record(state, config)) for state, rec in made)
 
 
 # -- classification ------------------------------------------------------------

@@ -785,6 +785,52 @@ def test_sample_whose_gram_matrix_overflows_is_a_divergence(tmp_path, capsys, sc
         assert [row["t"] for row in csv.DictReader(fh)] == ["0.0", "0.01"]
 
 
+def _finite_numbers(value):
+    """Whether every number in a parsed JSON value is finite."""
+    if isinstance(value, dict):
+        return all(_finite_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
+    return not isinstance(value, float) or np.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "dim, coupling, seed, kept, message",
+    [
+        (1, 296.2, 1, 9, "solver diverged at step 9 (t = 0.09)"),
+        (1, 359.1, 1, 5, "solver diverged at step 5 (t = 0.05)"),
+        (2, 386.5, 2, 3, "the diagnostics record at t = 0.03 is not finite"),
+    ],
+    ids=["1d_296", "1d_359", "2d_386"],
+)
+def test_diverging_run_whose_records_overflow_exits_3(
+    tmp_path, capsys, dim, coupling, seed, kept, message
+):
+    # the Madelung current norm was the sqrt of summed squared current
+    # differences, quartic in the fields, so it overflowed a sample or more
+    # before the fields' squared norms did and the writer refused the inf
+    # (exit 2). In 1-D it is |dj| now and the run diverges in the solver;
+    # in 2-D the sample's non-finite record is the divergence. Either way
+    # the finite records are kept and no summary is written
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(
+        f"[scenario]\nname = diverge\nseed = {seed}\n[grid]\ndim = {dim}\n"
+        f"points = {64 if dim == 1 else 16}\nlength = 20.0\n[model]\nn = 2\n"
+        f"coupling = {coupling}\n[initial]\nkind = perturbed_gaussians\n[solver]\n"
+        "dt = 0.01\nt_end = 2.0\nsnapshot_stride = 1\n[outputs]\nformats = ndjson, csv\n"
+    )
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning):
+        assert run_cli("simulate", "--scenario", str(cfg), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"numerical divergence: {message}\n"
+    assert sorted(os.listdir(out)) == ["diagnostics.csv", "diagnostics.ndjson", "manifest.cfg"]
+    records = [json.loads(line) for line in (out / "diagnostics.ndjson").read_text().splitlines()]
+    assert [rec["t"] for rec in records] == [0.01 * i for i in range(kept)]
+    assert all(_finite_numbers(rec) for rec in records)
+    with open(out / "diagnostics.csv") as fh:
+        assert [float(row["t"]) for row in csv.DictReader(fh)] == [rec["t"] for rec in records]
+
+
 def test_simulate_memory_is_flat_in_the_sample_count(tmp_path):
     # 10 and 100 samples of the same 99 steps: simulate keeps a few numbers
     # per sample, far less than one sample's fields (2 x 4096 complex)

@@ -1,6 +1,7 @@
 """Time integration against closed forms the solver does not know about."""
 
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -24,7 +25,7 @@ from lohe_sync.core import k_squared
 from lohe_sync.correlations import mixing_flow, rk4_step
 from lohe_sync.initial_data import gaussian, gaussian_pair, incoherent_pair, perturbed_gaussians
 from lohe_sync.potentials import cosine_potential
-from lohe_sync.solver import _stepper, step
+from lohe_sync.solver import _norms_finite, _stepper, step
 
 from conftest import assert_close
 
@@ -80,6 +81,26 @@ def test_propagate_linear_batched_matches_loop(grid64):
     out = propagate_linear(grid64, v, batch, 0.4)
     for j in range(3):
         assert_close(out[j], propagate_linear(grid64, v, batch[j], 0.4), 1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_propagate_linear_matches_its_fftn_form(dim):
+    # one-axis transforms in 1-D and multipliers formed once per call give
+    # the bits of fftn over the trailing axes, free and with a potential
+    grid = GridSpec(dim=dim, points=64 if dim == 1 else 16, length=20.0)
+    values = perturbed_gaussians(grid, 3, seed=2).psi
+    axes = tuple(range(1, dim + 1))
+    fftn, ifftn = partial(np.fft.fftn, axes=axes), partial(np.fft.ifftn, axes=axes)
+    k2 = k_squared(grid)
+    free = ifftn(np.exp(-0.5j * 0.37 * k2) * fftn(values))
+    assert np.array_equal(propagate_linear(grid, None, values, 0.37), free)
+    v = cosine_potential(grid, amplitude=0.8)
+    h = 0.37 / 5
+    hat = np.exp(-0.25j * h * k2) * fftn(values)
+    for n in range(1, 6):
+        hat = fftn(np.exp(-1j * h * v) * ifftn(hat))
+        hat *= np.exp(-0.5j * h * k2) if n < 5 else np.exp(-0.25j * h * k2)
+    assert np.array_equal(propagate_linear(grid, v, values, 0.37, substeps=5), ifftn(hat))
 
 
 # -- full evolution against closed forms --------------------------------------
@@ -453,8 +474,7 @@ def test_span_pair_d_matches_the_matrix_path(grid64, case, renormalize):
     stepper = _stepper(initial, config, params)
     assert len(stepper.phi) == rank
     d0 = np.array(stepper.d).reshape(2, 2)
-    for _ in range(params.n_steps):
-        assert stepper.step()
+    assert stepper.advance(params.n_steps) == 0
     d = np.array(stepper.d).reshape(2, 2)
     assert np.all(d[:, rank:] == 0.0), "the padding column is no longer zero"
     reference, _ = _matrix_path_d(d0[:, :rank], config, params, params.n_steps)
@@ -474,12 +494,18 @@ def test_span_divergence_carries_partial_trajectory(grid64):
     assert all(np.all(np.isfinite(s.psi)) for s in partial.states)
 
 
-def test_span_pair_divergence_carries_partial_trajectory(grid64):
+@pytest.mark.parametrize(
+    "renormalize, coupling", [(False, 1000.0), (True, 1e150)], ids=["plain", "renormalized"]
+)
+def test_span_pair_divergence_carries_partial_trajectory(grid64, renormalize, coupling):
     # the n = 2 twin of the test above: the pair path blows up at the step
-    # the numpy path does, and keeps the finite samples before it
-    config = ModelConfig(coupling=1000.0, frequencies=(0.0, 0.0))
+    # the numpy path does, and keeps the finite samples before it; a
+    # renormalized D stays bounded at K = 1000, so it takes an overflow
+    config = ModelConfig(coupling=coupling, frequencies=(0.0, 0.0))
     initial = perturbed_gaussians(grid64, 2, seed=4)
-    params = SolverParams(dt=0.01, t_end=1.0, snapshot_stride=1)
+    params = SolverParams(
+        dt=0.01, t_end=1.0, snapshot_stride=1, renormalize_each_step=renormalize
+    )
     with pytest.warns(UserWarning):
         with pytest.raises(DivergenceError, match=r"solver diverged at step \d+ \(t = ") as err:
             evolve(initial, config, params, collect_diagnostics=False)
@@ -491,6 +517,64 @@ def test_span_pair_divergence_carries_partial_trajectory(grid64):
     assert 1 <= partial.n_samples == err.value.step_index
     assert all(np.all(np.isfinite(s.psi)) for s in partial.states)
     assert_close(partial.times, np.arange(bad_step) * params.dt, 1e-15, "partial times")
+
+
+def _per_step_samples(initial, config, params):
+    """samples() one step at a time: advance(1) per step, the fields formed
+    and checked at each sampled step. Returns the (time, fields) of every
+    sample and the step the run diverged at, 0 when it stayed finite."""
+    stepper = _stepper(initial, config, params)
+    out = [(initial.time, initial.psi)]
+    for n in range(1, params.n_steps + 1):
+        finite = stepper.advance(1) == 0
+        sampled = n % params.snapshot_stride == 0 or n == params.n_steps
+        if finite and sampled:
+            psi = stepper.fields()
+            finite = _norms_finite(psi, initial.grid.dv)
+        if not finite:
+            return out, n
+        if sampled:
+            out.append((initial.time + n * params.dt, psi))
+    return out, 0
+
+
+@pytest.mark.parametrize("coupling", [1.3, 300.0], ids=["finite", "diverging"])
+@pytest.mark.parametrize(
+    "scheme, n, renormalize",
+    [("span", 2, False), ("span", 2, True), ("span", 3, False), ("strang_rk4", 2, False)],
+    ids=["span_pair", "span_pair_renormalized", "span_three", "strang_rk4_pair"],
+)
+def test_samples_advance_a_stride_as_a_per_step_loop_does(grid64, scheme, n, renormalize, coupling):
+    # 50 steps sampled every 4, so the last interval is 2 steps; K = 300
+    # blows up at step 6, inside the second interval
+    if renormalize and coupling > 1.3:
+        coupling = 1e150  # a renormalized D stays bounded at K = 300
+    config = ModelConfig(
+        coupling=coupling,
+        frequencies=tuple(np.linspace(0.3, -0.2, n)),
+        potential=cosine_potential(grid64),
+    )
+    initial = perturbed_gaussians(grid64, n, seed=4)
+    params = SolverParams(
+        dt=0.01, t_end=0.5, scheme=scheme, renormalize_each_step=renormalize, snapshot_stride=4
+    )
+    streamed, diverged = [], 0
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        expected, bad = _per_step_samples(initial, config, params)
+        try:
+            for state in samples(initial, config, params):
+                streamed.append((state.time, state.psi))
+        except DivergenceError as err:
+            diverged = err.step_index
+            assert err.time == initial.time + bad * params.dt
+    assert diverged == bad
+    assert (bad > 0) == (coupling > 1.3)
+    assert bad in (0, 1, 6)
+    assert len(streamed) == len(expected) == (14 if bad == 0 else 1 + (bad - 1) // 4)
+    for (t, psi), (t_ref, psi_ref) in zip(streamed, expected):
+        assert t == t_ref
+        assert np.array_equal(psi, psi_ref)
 
 
 def test_span_keeps_a_dependent_pair_incoherent(grid256):
