@@ -167,13 +167,13 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     for j in range(n - 1):
         rho_l1[:, j, j + 1 :] = dv * np.sum(np.abs(rho[:, j, None] - rho[:, j + 1 :]), axis=2)
         if grid.dim == 1:  # |dj|, the sqrt of dj^2 without its overflow
-            dist = np.abs(currents[0][:, j, None] - currents[0][:, j + 1 :])
+            diff = np.abs(currents[0][:, j, None] - currents[0][:, j + 1 :])
         else:
-            diff_sq = np.zeros((count, n - j - 1, rho.shape[2]))
+            diff = np.zeros((count, n - j - 1, rho.shape[2]))
             for cur in currents:
-                diff_sq = diff_sq + (cur[:, j, None] - cur[:, j + 1 :]) ** 2
-            dist = np.sqrt(diff_sq)
-        cur_l1[:, j, j + 1 :] = dv * np.sum(dist, axis=2)
+                diff = diff + (cur[:, j, None] - cur[:, j + 1 :]) ** 2
+            diff = np.sqrt(diff)
+        cur_l1[:, j, j + 1 :] = dv * np.sum(diff, axis=2)
     rho_l1 = rho_l1 + np.swapaxes(rho_l1, 1, 2)
     cur_l1 = cur_l1 + np.swapaxes(cur_l1, 1, 2)
 
