@@ -37,6 +37,7 @@ __all__ = [
     "coupling_term",
     "wavenumbers",
     "k_squared",
+    "fourier_transforms",
     "spectral_gradient",
     "spectral_laplacian",
 ]
