@@ -118,8 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=_worker_count,
             default=1,
             choices=None if name == "sweep" else (1,),
-            help="parallel workers for the pde cells of a sweep; ode cells are "
-            "integrated together, one batch per n, in this process",
+            help="parallel workers for the pde cells of a sweep; ode cells run in "
+            "this process: n = 2 cells one at a time, n >= 3 cells of one n as one stack",
         )
     return parser
 
@@ -452,8 +452,10 @@ def _cell_config(coupling: float, omega: float, n: int) -> ModelConfig:
 
 def _ode_series(sc: Scenario, cells: list) -> list:
     """Correlation series, or the error that stops it, for each (coupling,
-    omega, n, seed) cell of an ode sweep. Cells that share n are integrated
-    as one batch, from random_correlation_matrix(n, seed, coherence = 0.5)."""
+    omega, n, seed) cell of an ode sweep, from random_correlation_matrix(n,
+    seed, coherence = 0.5). Cells that share n go to one integrate_batch
+    call: n = 2 cells step one at a time through the scalar pair loop, and
+    n >= 3 cells step as one stack."""
     dt, t_end = sc.sweep.dt, sc.sweep.t_end
     outcomes: list = [None] * len(cells)
     groups: dict = {}
@@ -550,6 +552,8 @@ def _sweep_point(task: tuple) -> dict:
     except DivergenceError as exc:
         row["status"] = "divergence"
         row["detail"] = str(exc)
+        if sc.sweep.mode == "ode":  # a pde cell's solver message names its step
+            row["detail"] += f" at step {exc.step_index} (t = {exc.time:g})"
     except LoheSyncError as exc:
         row["status"] = "config_error"
         row["detail"] = str(exc)

@@ -236,11 +236,14 @@ class EnsembleState:
     """N wave functions on a shared grid at one instant.
 
     psi is stacked as (N, *grid.shape) complex128; row j is oscillator j.
+    step is the solver step a run's sample was taken at (solver.samples
+    sets it), None for a state that is no run's sample.
     """
 
     grid: GridSpec
     psi: np.ndarray
     time: float = 0.0
+    step: int | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.psi, dtype=np.complex128)
@@ -282,7 +285,7 @@ class EnsembleState:
         return EnsembleState(self.grid, self.psi / norms.reshape(shape), self.time)
 
     def copy(self) -> "EnsembleState":
-        return EnsembleState(self.grid, self.psi.copy(), self.time)
+        return EnsembleState(self.grid, self.psi.copy(), self.time, self.step)
 
 
 @dataclass(frozen=True)

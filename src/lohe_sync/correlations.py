@@ -15,12 +15,12 @@ Derivatives are exposed in real/imaginary split form (r, s), matching the
 emitted file schemas; the integrator works on a stack of complex matrices
 and mirrors the lower triangles from the upper ones every step, so
 r_jk - r_kj and s_jk + s_kj are exactly zero along trajectories. A single
-run is a stack of one; integrate_batch steps many runs of one N together.
-At N = 2 the system is the single pair correlation z_01: the two-oscillator
-system, a "full" run and a batch of pairs all step z_01 alone, with one
-rounding (a Python complex, or a vector of them rounded alike), and return
-2 x 2 series. A single pair is stepped by _pair_samples, one loop that
-writes RK4's four stages out on the Python complex and samples as it goes.
+run is a stack of one; integrate_batch steps the N >= 3 runs of one N
+together as one stack. At N = 2 the system is the single pair correlation
+z_01: the two-oscillator system, a "full" run and every N = 2 cell of a
+batch step z_01 alone, one cell at a time, through _pair_samples, one loop
+that writes RK4's four stages out on a Python complex and samples as it
+goes, and return 2 x 2 series.
 
 mixing_flow is the coupling on the fields' coefficients D over an orthonormal
 basis, which the solver's span scheme steps; at N = 2, pair_mixing_step steps
@@ -333,27 +333,6 @@ def two_rhs(z: complex, omega: float, k_coupling: float) -> complex:
     return 2j * omega * z + 0.5 * k_coupling * (1.0 - z * z)
 
 
-def _pair_flow(omega: np.ndarray, coupling: np.ndarray):
-    """two_rhs over a (B,) array of pair correlations, with B half-detunings
-    and B gains, rounded as two_rhs rounds one Python complex.
-
-    numpy may fuse the parts of a complex product (FMA), so z^2 is formed
-    from the real and imaginary parts in Python's order; every other product
-    has a real or purely imaginary factor, which rounds alike either way.
-    """
-    rotation = 2.0 * omega
-    gain = 0.5 * coupling
-
-    def dz(z):
-        x, y = z.real, z.imag
-        out = np.empty_like(z)
-        out.real = gain * (1.0 - (x * x - y * y)) - rotation * y
-        out.imag = rotation * x - gain * (x * y + y * x)
-        return out
-
-    return dz
-
-
 def macro_rhs(state: CorrelationState, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative of (r_tilde, s_tilde).
 
@@ -504,28 +483,25 @@ class CorrelationSeries:
 def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
     """Fixed-step RK4 from y0, sampled every sample_stride steps plus the end.
 
-    y0 is a stack of B cells: a (B, N, N) array, whose lower triangles are
-    mirrored from the upper ones after every step, or a (B,) array of pair
-    correlations. Returns the sampled steps (S,), the samples (S, *y0.shape)
-    and, per cell, the first sampled step at which it held a non-finite
-    value, 0 when it stayed finite; a cell's samples from that step on are
-    not meaningful. Stepping stops once every cell has diverged.
+    y0 is a (B, N, N) stack of B cells, whose lower triangles are mirrored
+    from the upper ones after every step. Returns the sampled steps (S,),
+    the samples (S, B, N, N) and, per cell, the first sampled step at which
+    it held a non-finite value, 0 when it stayed finite; a cell's samples
+    from that step on are not meaningful. Stepping stops once every cell has
+    diverged.
     """
-    matrix = y0.ndim == 3
     y = y0.copy()
     first_bad = np.zeros(len(y0), dtype=np.int64)
     samples = [y]
     sample_steps = [0]
     for step in range(1, n_steps + 1):
-        y = rk4_step(y, deriv, dt)
-        if matrix:
-            _mirror(y)
+        y = _mirror(rk4_step(y, deriv, dt))
         if step % sample_stride == 0 or step == n_steps:
-            finite = np.isfinite(y).reshape(len(first_bad), -1).all(axis=1)
+            finite = np.isfinite(y).all(axis=(1, 2))
             first_bad[~finite & (first_bad == 0)] = step
             if first_bad.all():
                 break
-            if matrix and self_check_every and (step // sample_stride) % self_check_every == 0:
+            if self_check_every and (step // sample_stride) % self_check_every == 0:
                 drift = np.max(np.abs(y - np.conj(np.swapaxes(y, -1, -2))))
                 if drift > 1e-12:
                     raise ContractViolationError(
@@ -675,13 +651,16 @@ def integrate(
 
 
 def integrate_batch(z0s, couplings, frequencies, dt: float, t_end: float, sample_stride: int = 1):
-    """integrate("full") for B cells of one N at once, stepped as one
-    (B, N, N) stack, or at N = 2 as the (B,) pair correlations z_01: z0s
-    holds B initial states (CorrelationStates or raw matrices), couplings B
-    gains, frequencies B rows of N detunings. Returns one entry per cell, in
-    order: its CorrelationSeries, bit for bit what integrate("full") gives
-    for that cell alone, or the DivergenceError that call would raise. A
-    diverging cell does not stop the others."""
+    """integrate("full") for B cells of one N: z0s holds B initial states
+    (CorrelationStates or raw matrices), couplings B gains, frequencies B
+    rows of N detunings. N >= 3 cells step together as one (B, N, N) stack;
+    N = 2 cells step one at a time through the scalar pair loop, under a
+    microsecond per cell-step, where a (B,) vector of pairs pays numpy's
+    per-call overhead, tens of microseconds a step, and wins only above
+    about 30 cells. Returns one entry per cell, in order: its
+    CorrelationSeries, bit for bit what integrate("full") gives for that
+    cell alone, or the DivergenceError that call would raise. A diverging
+    cell does not stop the others."""
     if sample_stride < 1:
         raise ConfigurationError("sample_stride must be >= 1")
     n_steps = step_count(dt, t_end)
@@ -697,18 +676,21 @@ def integrate_batch(z0s, couplings, frequencies, dt: float, t_end: float, sample
             f"{len(states)} states, {k.size} couplings and frequencies of shape {omega.shape}"
         )
     if n == 2:
-        z0 = np.array([state.z[0, 1] for state in states])
-        deriv = _pair_flow(0.5 * (omega[:, 0] - omega[:, 1]), k)
-        to_z = _pair_matrices
+        # Python scalars, as integrate passes them: numpy scalars would
+        # round alike but cost several times more per step
+        pairs = zip(states, (0.5 * (omega[:, 0] - omega[:, 1])).tolist(), k.tolist())
+        runs = [
+            _pair_samples(complex(state.z[0, 1]), w, g, dt, n_steps, sample_stride)
+            for state, w, g in pairs
+        ]
+        cells = [(steps, _pair_matrices(z), bad) for steps, z, bad in runs]
     else:
         z0 = np.array([state.z for state in states])
         deriv = _correlation_flow(omega, k.reshape(-1, 1, 1))
-        to_z = np.ascontiguousarray
-    steps, samples, bad = _rk4_samples(z0, deriv, dt, n_steps, sample_stride)
-    cells = to_z(np.swapaxes(samples, 0, 1))
+        steps, samples, bad = _rk4_samples(z0, deriv, dt, n_steps, sample_stride)
+        stack = np.ascontiguousarray(np.swapaxes(samples, 0, 1))
+        cells = [(steps, z, step) for z, step in zip(stack, bad)]
     return [
-        _divergence(steps, cell, step, dt)
-        if step
-        else CorrelationSeries(times=steps * dt, z=cell)
-        for cell, step in zip(cells, bad)
+        _divergence(steps, z, bad, dt) if bad else CorrelationSeries(times=steps * dt, z=z)
+        for steps, z, bad in cells
     ]

@@ -101,8 +101,9 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
 
     Fields can be finite while a quadratic or quartic form of them
     overflows: a sample whose record would hold a non-finite value raises
-    DivergenceError at its time, found in one pass over the block, with the
-    arithmetic warnings on the way there silenced."""
+    DivergenceError at its time and step (when the state carries one),
+    found in one pass over the block, with the arithmetic warnings on the
+    way there silenced."""
     grid = states[0].grid
     n = states[0].n_oscillators
     dv = grid.dv
@@ -185,8 +186,12 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     values += (diff_energy_two, mass_drift, rho_l1, cur_l1)
     finite = np.isfinite(np.concatenate([v.reshape(count, -1) for v in values], axis=1))
     if not finite.all():
-        t = times[int(np.argmin(finite.all(axis=1)))]
-        raise DivergenceError(f"the diagnostics record at t = {t:g} is not finite", time=t)
+        bad = int(np.argmin(finite.all(axis=1)))
+        t, step = times[bad], states[bad].step
+        where = f"t = {t:g}" if step is None else f"step {step} (t = {t:g})"
+        raise DivergenceError(
+            f"the diagnostics record at {where} is not finite", step_index=step, time=t
+        )
     total, relative, zeta_energy, zeta_norm = (
         v.tolist() for v in (total, relative, zeta_energy, zeta_norm)
     )

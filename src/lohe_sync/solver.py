@@ -447,7 +447,7 @@ def _norms_finite(psi: np.ndarray, dv: float) -> bool:
 
 def _stream(stepper, initial: EnsembleState, params: SolverParams) -> Iterator[EnsembleState]:
     """The run's samples: one stepper.advance per sample interval."""
-    yield initial.copy()
+    yield EnsembleState(initial.grid, initial.psi.copy(), initial.time, 0)
     n_steps, stride = params.n_steps, params.snapshot_stride
     for start in range(0, n_steps, stride):
         count = min(stride, n_steps - start)
@@ -459,14 +459,15 @@ def _stream(stepper, initial: EnsembleState, params: SolverParams) -> Iterator[E
             bad = not _norms_finite(psi, initial.grid.dv)
         if bad:
             raise DivergenceError(f"solver diverged at step {n} (t = {t:g})", step_index=n, time=t)
-        yield EnsembleState(initial.grid, psi, t)
+        yield EnsembleState(initial.grid, psi, t, n)
 
 
 def samples(
     initial: EnsembleState, config: ModelConfig, params: SolverParams
 ) -> Iterator[EnsembleState]:
     """The sampled states of a run over [0, t_end], one at a time: a copy of
-    initial, then one every snapshot_stride steps and the endpoint.
+    initial, then one every snapshot_stride steps and the endpoint, each
+    carrying its step (so a record that is not finite names it too).
 
     The run's checks (and the advisory dt warning) happen at the call; the
     stepping happens as the states are taken, so a consumer that reduces

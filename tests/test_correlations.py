@@ -179,6 +179,43 @@ def test_integrate_batch_isolates_a_diverging_cell(n):
         assert np.array_equal(batch[cell].z, alone.z)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integrate_batch_is_solo_runs_bit_for_bit(data):
+    # any N and B, mixed gains and detunings, and sometimes one cell whose
+    # K dt = 50 leaves RK4's stability region: each entry is what the cell's
+    # own integrate("full") run returns or raises, times and partials alike
+    n = data.draw(st.integers(2, 5), label="n")
+    b = data.draw(st.integers(1, 40), label="b")
+    couplings = data.draw(st.lists(st.floats(0.0, 4.0), min_size=b, max_size=b))
+    if data.draw(st.booleans(), label="blown"):
+        couplings[data.draw(st.integers(0, b - 1), label="cell")] = 1000.0
+    frequencies = np.array(
+        data.draw(st.lists(st.floats(-1.0, 1.0), min_size=b * n, max_size=b * n))
+    ).reshape(b, n)
+    seeds = data.draw(st.lists(st.integers(0, 10_000), min_size=b, max_size=b))
+    z0s = [random_correlation_matrix(n, seed, coherence=0.5) for seed in seeds]
+    dt, steps = 0.05, data.draw(st.integers(1, 30), label="steps")
+    stride = data.draw(st.integers(1, 7), label="stride")
+    with np.errstate(all="ignore"):
+        batch = integrate_batch(z0s, couplings, frequencies, dt, steps * dt, stride)
+        for z0, k, w, got in zip(z0s, couplings, frequencies, batch):
+            config = ModelConfig(coupling=k, frequencies=w)
+            try:
+                solo = integrate("full", z0, config, dt, steps * dt, stride)
+            except DivergenceError as err:
+                assert isinstance(got, DivergenceError)
+                assert (str(got), got.step_index, got.time) == (
+                    str(err), err.step_index, err.time
+                )
+                for key in ("times", "values"):
+                    assert np.array_equal(got.partial[key], err.partial[key])
+            else:
+                assert not isinstance(got, DivergenceError)
+                assert np.array_equal(got.times, solo.times)
+                assert np.array_equal(got.z, solo.z)
+
+
 def test_full_at_two_oscillators_is_the_pair_system():
     # at N = 2 the pairwise system is z_01 alone; an uncentered pair, with
     # the Richardson repeat

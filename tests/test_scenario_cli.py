@@ -22,8 +22,10 @@ from lohe_sync import (
     SolverParams,
     compute_record,
     evolve,
+    integrate,
     load_scenario,
     parse_scenario,
+    random_correlation_matrix,
     read_snapshot,
     render_scenario,
     samples,
@@ -527,30 +529,57 @@ def _sweep_rows(tmp_path, tag, sweep_body):
     return (tmp_path / tag / "sweep.csv").read_text().splitlines()[1:]
 
 
-@pytest.mark.parametrize("t_end", ["2.0", "2.005"])
-def test_ode_sweep_batches_like_single_cells(tmp_path, t_end):
-    # ode cells of one n are integrated together; each row must be the one a
-    # sweep of that cell alone writes, including the n = 3, omega != 0 cell
-    # and, at t_end = 2.005, the rows of a t_end that is no multiple of dt
+@pytest.mark.parametrize(
+    "couplings, t_end",
+    [(None, "2.0"), (None, "2.005"), (("1.0", "400.0"), "2.0")],
+    ids=["2.0", "2.005", "coupling_axis"],
+)
+def test_ode_sweep_batches_like_single_cells(tmp_path, couplings, t_end):
+    # ode cells of one n go to integrate_batch together; each row must be
+    # the one a sweep of that cell alone writes, including the n = 3,
+    # omega != 0 cell, at t_end = 2.005 the rows of a t_end that is no
+    # multiple of dt, and at K = 400 (K dt = 4, outside RK4's stability
+    # region) the rows of cells that diverge while the others run on
     timing = f"dt = 0.01\nt_end = {t_end}\n"
-    rows = _sweep_rows(tmp_path, "all", f"omega = 0.0, 0.3\nn = 2, 3\nseeds = 1, 4\n{timing}")
-    alone = [
-        row
-        for omega in ("0.0", "0.3")
-        for n in (2, 3)
-        for seed in (1, 4)
-        for row in _sweep_rows(
-            tmp_path, f"w{omega}n{n}s{seed}", f"omega = {omega}\nn = {n}\nseeds = {seed}\n{timing}"
-        )
-    ]
+    axis = "" if couplings is None else f"coupling = {', '.join(couplings)}\n"
+    body = f"{axis}omega = 0.0, 0.3\nn = 2, 3\nseeds = 1, 4\n{timing}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _sweep_rows(tmp_path, "all", body)
+        alone = [
+            row
+            for k in couplings or (None,)
+            for omega in ("0.0", "0.3")
+            for n in (2, 3)
+            for seed in (1, 4)
+            for row in _sweep_rows(
+                tmp_path,
+                f"k{k}w{omega}n{n}s{seed}",
+                ("" if k is None else f"coupling = {k}\n")
+                + f"omega = {omega}\nn = {n}\nseeds = {seed}\n{timing}",
+            )
+        ]
     assert rows == alone
     statuses = [row.split(",")[4] for row in rows]
     if t_end == "2.0":
-        assert statuses == ["ok"] * 6 + ["config_error"] * 2
-        assert all("need omega = 0" in row for row in rows[6:])
+        expected = ["ok"] * 6 + ["config_error"] * 2
+        assert all("need omega = 0" in row for row in rows[6:8])
     else:
-        assert statuses == ["config_error"] * 8
+        expected = ["config_error"] * 8
         assert sum("not an integer multiple of dt" in row for row in rows) == 6
+    if couplings is not None:
+        # every cell at K = 400 that can run diverges
+        expected += ["divergence"] * 6 + ["config_error"] * 2
+    assert statuses == expected
+    # a diverging row names the step its solo integrate("full") run stops at
+    for row in rows[8:14]:
+        _, omega, n, seed = (float(v) for v in row.split(",")[:4])
+        z0 = random_correlation_matrix(int(n), int(seed), coherence=0.5)
+        frequencies = (omega, -omega) if n == 2 else (omega,) * 3
+        config = ModelConfig(coupling=400.0, frequencies=frequencies)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            integrate("full", z0, config, 0.01, 2.0)
+        step = err.value.step_index
+        assert row.endswith(f"non-finite values at step {step} (t = {step * 0.01:g})")
 
 
 def test_pde_sweep_builds_the_scenario_ensemble(tmp_path):
@@ -589,7 +618,7 @@ def test_pde_sweep_threads_write_the_same_table(tmp_path):
 
 def test_pde_sweep_honours_solver(tmp_path):
     # full_rk4 at dt = 0.1 leaves the RK4 stability region on this grid, so
-    # only a cell that runs the [solver] scheme diverges
+    # only a cell that runs the [solver] scheme diverges, and it warns first
     cfg = tmp_path / "sweep_solver.cfg"
     cfg.write_text(
         "[scenario]\nname = sws\n[grid]\npoints = 64\n"
@@ -598,7 +627,8 @@ def test_pde_sweep_honours_solver(tmp_path):
         "dt = 0.1\nt_end = 5.0\n"
     )
     out = tmp_path / "o"
-    assert run_cli("sweep", "--scenario", str(cfg), "--out", str(out)) == 0
+    with pytest.warns(UserWarning, match="advisory bound"):
+        assert run_cli("sweep", "--scenario", str(cfg), "--out", str(out)) == 0
     with open(out / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["divergence"]
@@ -799,7 +829,7 @@ def _finite_numbers(value):
     [
         (1, 296.2, 1, 9, "solver diverged at step 9 (t = 0.09)"),
         (1, 359.1, 1, 5, "solver diverged at step 5 (t = 0.05)"),
-        (2, 386.5, 2, 3, "the diagnostics record at t = 0.03 is not finite"),
+        (2, 386.5, 2, 3, "the diagnostics record at step 3 (t = 0.03) is not finite"),
     ],
     ids=["1d_296", "1d_359", "2d_386"],
 )
@@ -811,7 +841,8 @@ def test_diverging_run_whose_records_overflow_exits_3(
     # before the fields' squared norms did and the writer refused the inf
     # (exit 2). In 1-D it is |dj| now and the run diverges in the solver;
     # in 2-D the sample's non-finite record is the divergence. Either way
-    # the finite records are kept and no summary is written
+    # the finite records are kept, no summary is written, and the error names
+    # the step of the first sample that was not kept
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text(
         f"[scenario]\nname = diverge\nseed = {seed}\n[grid]\ndim = {dim}\n"
@@ -829,6 +860,12 @@ def test_diverging_run_whose_records_overflow_exits_3(
     assert all(_finite_numbers(rec) for rec in records)
     with open(out / "diagnostics.csv") as fh:
         assert [float(row["t"]) for row in csv.DictReader(fh)] == [rec["t"] for rec in records]
+    sc = load_scenario(cfg)
+    grid = build_grid(sc)
+    with pytest.warns(UserWarning), pytest.raises(DivergenceError) as err:
+        evolve(build_ensemble(sc, grid), build_model(sc, grid), sc.solver)
+    assert err.value.step_index == kept
+    assert err.value.partial.n_samples == kept
 
 
 def test_simulate_memory_is_flat_in_the_sample_count(tmp_path):
