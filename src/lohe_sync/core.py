@@ -237,13 +237,19 @@ class EnsembleState:
 
     psi is stacked as (N, *grid.shape) complex128; row j is oscillator j.
     step is the solver step a run's sample was taken at (solver.samples
-    sets it), None for a state that is no run's sample.
+    sets it), None for a state that is no run's sample. factors is (D, phi)
+    for a sample of a span run whose fields span r < N dimensions: the N x r
+    coefficients D and the r basis fields phi, (r, *grid.shape), with
+    psi = D phi to rounding, from which diagnostics.compute_records forms
+    the record. It is None for every other state, and a state whose psi is
+    changed must not carry it.
     """
 
     grid: GridSpec
     psi: np.ndarray
     time: float = 0.0
     step: int | None = None
+    factors: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.psi, dtype=np.complex128)
@@ -285,7 +291,8 @@ class EnsembleState:
         return EnsembleState(self.grid, self.psi / norms.reshape(shape), self.time)
 
     def copy(self) -> "EnsembleState":
-        return EnsembleState(self.grid, self.psi.copy(), self.time, self.step)
+        factors = None if self.factors is None else tuple(f.copy() for f in self.factors)
+        return EnsembleState(self.grid, self.psi.copy(), self.time, self.step, factors)
 
 
 @dataclass(frozen=True)

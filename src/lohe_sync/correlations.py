@@ -480,6 +480,7 @@ class CorrelationSeries:
         return CorrelationState(time=float(self.times[index]), z=self.z[index].copy())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
     """Fixed-step RK4 from y0, sampled every sample_stride steps plus the end.
 
@@ -488,7 +489,8 @@ def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
     the samples (S, B, N, N) and, per cell, the first sampled step at which
     it held a non-finite value, 0 when it stayed finite; a cell's samples
     from that step on are not meaningful. Stepping stops once every cell has
-    diverged.
+    diverged. Blow-up shows as non-finite samples, so the overflow and
+    invalid-value warnings on the way there are silenced.
     """
     y = y0.copy()
     first_bad = np.zeros(len(y0), dtype=np.int64)

@@ -23,7 +23,7 @@ from .core import (
     gram_matrices,
     spectral_gradient,
 )
-from .correlations import CorrelationSeries, CorrelationState, pair_distance
+from .correlations import CorrelationSeries, CorrelationState, _mirror, pair_distance
 from .errors import ContractViolationError, DivergenceError, SeriesTooShortError
 
 __all__ = [
@@ -88,47 +88,137 @@ def compute_record(state: EnsembleState, config: ModelConfig) -> DiagnosticsReco
     return compute_records([state], config)[0]
 
 
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """Each matrix of a (B, N, N) stack with its lower triangle mirrored from
+    the upper one and a real diagonal, in place, as gram_matrices forms its
+    matrices, so the pair matrices made from it are symmetric bit for bit."""
+    _mirror(m)
+    diagonal = range(m.shape[-1])
+    m[:, diagonal, diagonal] = m[:, diagonal, diagonal].real
+    return m
+
+
+def _stacked(arrays) -> np.ndarray:
+    """The arrays of a block on a leading axis; one sample's (the large
+    fields) is read in place, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _field_forms(states, grid, potential):
+    """(Gram, gradient Gram, potential Gram, fields, *gradients) of a block
+    from its fields: N FFT gradients and N x N products over the grid;
+    fields and gradients as (B, N, M)."""
+    count, n, dv = len(states), states[0].n_oscillators, grid.dv
+    psi = _stacked([s.psi for s in states])
+    flat = psi.reshape(count, n, -1)
+    grads = [g.reshape(count, n, -1) for g in spectral_gradient(grid, psi)]
+    grad_gram = np.zeros((count, n, n), dtype=np.complex128)
+    for g in grads:
+        grad_gram += dv * (np.conj(g) @ np.swapaxes(g, 1, 2))
+    if potential is None:
+        pot_gram = np.zeros((count, n, n), dtype=np.complex128)
+    else:
+        pot_gram = dv * (np.conj(flat) * potential.reshape(-1)) @ np.swapaxes(flat, 1, 2)
+    return (gram_matrices(psi, dv), grad_gram, pot_gram, flat, *grads)
+
+
+def _factor_forms(states, grid, potential):
+    """_field_forms from each sample's span factors psi = D phi: r
+    FFT gradients and three r x r forms of phi, each entering as conj(D)
+    form D^T, mirrored; the fields' gradients are D grad(phi). The fields
+    themselves are read only for their norms and the Madelung densities and
+    currents."""
+    count, dv = len(states), grid.dv
+    d = _stacked([s.factors[0] for s in states])
+    phi = _stacked([s.factors[1] for s in states])
+    r = phi.shape[1]
+    flat = phi.reshape(count, r, -1)
+    grads = [g.reshape(count, r, -1) for g in spectral_gradient(grid, phi)]
+    forms = np.zeros((count, 3, r, r), dtype=np.complex128)
+    forms[:, 0] = np.conj(flat) @ np.swapaxes(flat, 1, 2)
+    for g in grads:
+        forms[:, 1] += np.conj(g) @ np.swapaxes(g, 1, 2)
+    if potential is not None:
+        forms[:, 2] = (np.conj(flat) * potential.reshape(-1)) @ np.swapaxes(flat, 1, 2)
+    forms = np.conj(d)[:, None] @ (dv * forms) @ np.swapaxes(d, 1, 2)[:, None]
+    gram, grad_gram, pot_gram = (_hermitian(forms[:, i]) for i in range(3))
+    psi = _stacked([s.psi for s in states]).reshape(count, states[0].n_oscillators, -1)
+    return (gram, grad_gram, pot_gram, psi, *(d @ g for g in grads))
+
+
+def _madelung(dens, dv):
+    """Pairwise L1 distances of the Madelung densities and of their
+    currents, given as dens = (rho, *currents), (B, N, M) each, one current
+    per axis; one row at a time, oscillator j against every later one, so
+    the temporaries are (B, N - j - 1, M) per part."""
+    rho, *currents = dens
+    count, n, points = rho.shape
+    if len(currents) == 1:
+        # 1-D: dens is one (2, B, N, M) array, so |d rho| and |dj| (the sqrt
+        # of dj^2 without its overflow) are reduced in one pass per row,
+        # through one buffer
+        diff = np.empty((2, count, n - 1, points))
+        sums = np.zeros((2, count, n, n))
+        for j in range(n - 1):
+            row = diff[:, :, : n - j - 1]
+            np.abs(np.subtract(dens[:, :, j, None], dens[:, :, j + 1 :], out=row), out=row)
+            np.add.reduce(row, axis=3, out=sums[:, :, j, j + 1 :])
+        rho_l1, cur_l1 = dv * sums
+    else:
+        rho_l1 = np.zeros((count, n, n))
+        cur_l1 = np.zeros((count, n, n))
+        for j in range(n - 1):
+            rho_l1[:, j, j + 1 :] = dv * np.sum(np.abs(rho[:, j, None] - rho[:, j + 1 :]), axis=2)
+            diff = np.zeros((count, n - j - 1, points))
+            for cur in currents:
+                diff = diff + (cur[:, j, None] - cur[:, j + 1 :]) ** 2
+            cur_l1[:, j, j + 1 :] = dv * np.sum(np.sqrt(diff), axis=2)
+    return rho_l1 + np.swapaxes(rho_l1, 1, 2), cur_l1 + np.swapaxes(cur_l1, 1, 2)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     """compute_record of each of B snapshots of one run, in one vectorized
-    pass over a leading sample axis: N FFT gradients, N x N Gram products,
-    and the pairwise Madelung L1 distances in O(B N^2 M) time (M grid
-    points). Those are reduced one row at a time, oscillator j against every
-    later one, so the extra memory is O(B N M), not O(B N^2 M), and
-    solver.with_records keeps B N M under a fixed field budget. Every sample
-    goes through the same arithmetic in any block, so its record has the
-    same bits whichever block it is computed in.
+    pass over a leading sample axis, in O(B N^2 M) time (M grid points).
+
+    Every quadratic quantity comes from three Hermitian N x N forms of the
+    fields: the Gram matrix, the gradient form and the potential form. A
+    state without span factors forms them over the grid: N FFT gradients
+    and N x N products, the Gram mirrored from its upper triangle
+    (gram_matrices). A sample of a span run with r < N carries factors
+    (D, phi) and forms the r x r forms of its r basis fields phi instead,
+    each entering as conj(D) form D^T, mirrored from its upper triangle, so
+    all its pair matrices are symmetric bit for bit: r FFT gradients, and
+    the currents from D grad(phi). Which path a sample takes depends on its
+    own state alone, never on the block. The pairwise Madelung L1 distances
+    are reduced one row at a time, so the extra memory is O(B N M), not
+    O(B N^2 M), and solver.with_records keeps B N M under a fixed field
+    budget. Every sample goes through the same arithmetic in any block, so
+    its record has the same bits whichever block it is computed in.
 
     Fields can be finite while a quadratic or quartic form of them
     overflows: a sample whose record would hold a non-finite value raises
     DivergenceError at its time and step (when the state carries one),
     found in one pass over the block, with the arithmetic warnings on the
     way there silenced."""
+    ranks = {None if s.factors is None else len(s.factors[1]) for s in states}
+    if len(ranks) > 1:  # a block mixing paths or ranks: each sample as alone
+        return [compute_record(state, config) for state in states]
     grid = states[0].grid
     n = states[0].n_oscillators
-    dv = grid.dv
-    # a one-sample block (the large fields) is read in place, not copied
-    psi = states[0].psi[None] if len(states) == 1 else np.stack([s.psi for s in states])
     count = len(states)
-    flat = psi.reshape(count, n, -1)
-
-    mass_drift = np.sqrt(dv * np.sum(np.abs(flat) ** 2, axis=2)) - 1.0
-    raw_gram = gram_matrices(psi, dv)
-
-    # spectral gradients of all fields at once, one array per axis
-    grads = spectral_gradient(grid, psi)
-
-    grad_gram = np.zeros((count, n, n), dtype=np.complex128)
-    for g in grads:
-        gf = g.reshape(count, n, -1)
-        grad_gram += dv * (np.conj(gf) @ np.swapaxes(gf, 1, 2))
-
-    if config.potential is not None:
-        vflat = config.potential.reshape(-1)
-        pot_gram = dv * (np.conj(flat) * vflat) @ np.swapaxes(flat, 1, 2)
+    forms = _field_forms if ranks == {None} else _factor_forms
+    raw_gram, grad_gram, pot_gram, psi, *grads = forms(states, grid, config.potential)
+    # the Madelung density and currents, (B, N, M) each: in 1-D written into
+    # one (2, B, N, M) array, which _madelung reduces in one pass per row
+    if len(grads) == 1:
+        dens = np.empty((2,) + psi.shape)
+        np.abs(psi, out=dens[0])
+        dens[0] **= 2
+        dens[1] = np.imag(np.conj(psi) * grads[0])
     else:
-        pot_gram = np.zeros((count, n, n), dtype=np.complex128)
-
+        dens = [np.abs(psi) ** 2] + [np.imag(np.conj(psi) * g) for g in grads]
+    mass_drift = np.sqrt(grid.dv * np.sum(dens[0], axis=2)) - 1.0
     b = 0.5 * grad_gram + pot_gram
 
     diag_b = np.diagonal(b, axis1=1, axis2=2).real
@@ -160,26 +250,10 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     )
     pair_h1 = np.sqrt(h1_sq)
 
-    # row j against every later oscillator at once: (B, n - j - 1, M) temporaries
-    rho = (np.abs(psi) ** 2).reshape(count, n, -1)
-    currents = [np.imag(np.conj(psi) * g).reshape(count, n, -1) for g in grads]
-    rho_l1 = np.zeros((count, n, n))
-    cur_l1 = np.zeros((count, n, n))
-    for j in range(n - 1):
-        rho_l1[:, j, j + 1 :] = dv * np.sum(np.abs(rho[:, j, None] - rho[:, j + 1 :]), axis=2)
-        if grid.dim == 1:  # |dj|, the sqrt of dj^2 without its overflow
-            diff = np.abs(currents[0][:, j, None] - currents[0][:, j + 1 :])
-        else:
-            diff = np.zeros((count, n - j - 1, rho.shape[2]))
-            for cur in currents:
-                diff = diff + (cur[:, j, None] - cur[:, j + 1 :]) ** 2
-            diff = np.sqrt(diff)
-        cur_l1[:, j, j + 1 :] = dv * np.sum(diff, axis=2)
-    rho_l1 = rho_l1 + np.swapaxes(rho_l1, 1, 2)
-    cur_l1 = cur_l1 + np.swapaxes(cur_l1, 1, 2)
+    rho_l1, cur_l1 = _madelung(dens, grid.dv)
 
     # the order parameter's norm, as core.order_parameter forms it
-    zeta_norm = np.sqrt(dv * np.sum(np.abs(flat.mean(axis=1)) ** 2, axis=1))
+    zeta_norm = np.sqrt(grid.dv * np.sum(np.abs(psi.mean(axis=1)) ** 2, axis=1))
 
     times = [state.time for state in states]
     values = (pair_l2, pair_h1, zeta_norm, total, diag_b, pair_energy, relative, zeta_energy)

@@ -18,7 +18,9 @@ D' = M(conj(D) D^T) D. Three schemes share one sampling loop, samples:
                At N = 2, D is four Python complexes (a zero column pads
                r = 1) stepped by correlations.pair_mixing_step, with Python's
                rounding (no fused multiply-add); N >= 3 steps the numpy D
-               through mixing_flow.
+               through mixing_flow. When r < N, each sample carries D and
+               the r caught-up basis fields as its factors, from which
+               diagnostics.compute_records forms its record.
   strang_rk4   grid reference: exact kinetic half-steps in Fourier space
                around one RK4 step of the local sub-flow d psi_j/dt =
                -i (V + Omega_j) psi_j + (K/2)(zeta - <zeta, psi_j> psi_j).
@@ -191,6 +193,8 @@ def _kinetic(dim: int, points: int, length: float, h: float) -> np.ndarray:
 
 
 class _Stepper:
+    factors = None  # (D, phi) of the last formed sample, span with r < N only
+
     def advance(self, count: int) -> int:
         """Take count steps; returns the first one after which the state was
         not finite, where stepping stopped, or 0 when every one stayed
@@ -273,7 +277,9 @@ class _SpanStepper(_Stepper):
     only when the fields are asked for, as propagate_linear does in substeps
     of dt, with the multipliers of each lag formed once per run. Dependent
     fields (r < N) need no special case: D has no null space for the flow to
-    grow."""
+    grow. When r < N, factors holds D and the caught-up basis fields of the
+    last formed sample (the initial one, D0 and q, until then); the records
+    are made from them. At r = N nothing reads them, so none are kept."""
 
     def __init__(self, initial: EnsembleState, config: ModelConfig, params: SolverParams):
         self.grid = grid = initial.grid
@@ -297,6 +303,15 @@ class _SpanStepper(_Stepper):
             self.pair_step = pair_mixing_step(omega, config.coupling, params.dt)
         else:
             self.deriv = mixing_flow(omega, config.coupling)
+        self.dependent = r < n
+        if self.dependent:
+            self.factors = (self._coefficients(), self.phi)
+
+    def _coefficients(self) -> np.ndarray:
+        """D as an N x r array (the pair's four complexes cut to r columns)."""
+        if self.pair:
+            return np.array(self.d).reshape(2, 2)[:, : len(self.phi)]
+        return self.d
 
     def advance(self, count: int) -> int:
         """_Stepper.advance. q is orthonormal, so under renormalization the
@@ -337,9 +352,10 @@ class _SpanStepper(_Stepper):
             )
         self.phi = flow(self.phi)
         self.lag = 0
-        r = len(self.phi)
-        d = np.array(self.d).reshape(2, 2)[:, :r] if self.pair else self.d
-        return (d @ self.phi.reshape(r, -1)).reshape((len(d),) + self.grid.shape)
+        d = self._coefficients()
+        if self.dependent:
+            self.factors = (d, self.phi)
+        return (d @ self.phi.reshape(len(self.phi), -1)).reshape((len(d),) + self.grid.shape)
 
 
 def _stepper(initial: EnsembleState, config: ModelConfig, params: SolverParams):
@@ -446,8 +462,9 @@ def _norms_finite(psi: np.ndarray, dv: float) -> bool:
 
 
 def _stream(stepper, initial: EnsembleState, params: SolverParams) -> Iterator[EnsembleState]:
-    """The run's samples: one stepper.advance per sample interval."""
-    yield EnsembleState(initial.grid, initial.psi.copy(), initial.time, 0)
+    """The run's samples: one stepper.advance per sample interval, each
+    state carrying the stepper's factors."""
+    yield EnsembleState(initial.grid, initial.psi.copy(), initial.time, 0, stepper.factors)
     n_steps, stride = params.n_steps, params.snapshot_stride
     for start in range(0, n_steps, stride):
         count = min(stride, n_steps - start)
@@ -459,7 +476,7 @@ def _stream(stepper, initial: EnsembleState, params: SolverParams) -> Iterator[E
             bad = not _norms_finite(psi, initial.grid.dv)
         if bad:
             raise DivergenceError(f"solver diverged at step {n} (t = {t:g})", step_index=n, time=t)
-        yield EnsembleState(initial.grid, psi, t, n)
+        yield EnsembleState(initial.grid, psi, t, n, stepper.factors)
 
 
 def samples(
@@ -467,7 +484,9 @@ def samples(
 ) -> Iterator[EnsembleState]:
     """The sampled states of a run over [0, t_end], one at a time: a copy of
     initial, then one every snapshot_stride steps and the endpoint, each
-    carrying its step (so a record that is not finite names it too).
+    carrying its step (so a record that is not finite names it too) and,
+    under span with r < N, its factors (D, phi) with psi = D phi; the copy
+    of initial carries D0 and the basis q of the initial fields.
 
     The run's checks (and the advisory dt warning) happen at the call; the
     stepping happens as the states are taken, so a consumer that reduces

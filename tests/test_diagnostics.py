@@ -26,8 +26,15 @@ from lohe_sync import (
     samples,
     with_records,
 )
+from lohe_sync import diagnostics
 from lohe_sync.core import spectral_gradient
-from lohe_sync.initial_data import gaussian, overlap_pair, perturbed_gaussians, plane_waves
+from lohe_sync.initial_data import (
+    gaussian,
+    incoherent_pair,
+    overlap_pair,
+    perturbed_gaussians,
+    plane_waves,
+)
 from lohe_sync.potentials import cosine_potential
 from lohe_sync.solver import _RECORD_BLOCK_BYTES
 
@@ -175,13 +182,30 @@ def _same_bits(a, b):
     )
 
 
+def _in_three_dimensions(grid, n, seed):
+    """n unit fields mixed at random from three perturbed Gaussians: r = 3."""
+    base = perturbed_gaussians(grid, 3, seed=seed).psi.reshape(3, -1)
+    rng = np.random.default_rng(seed)
+    mix = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    return EnsembleState(grid, (mix @ base).reshape((n,) + grid.shape)).normalized()
+
+
+def _without_factors(state):
+    return EnsembleState(state.grid, state.psi, state.time, state.step)
+
+
+def _factor_rank(state):
+    return None if state.factors is None else len(state.factors[1])
+
+
 @pytest.mark.parametrize("scheme", ["span", "strang_rk4", "full_rk4"])
 @pytest.mark.parametrize("potential", [False, True], ids=["free", "cosine"])
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_records_do_not_depend_on_their_block(n, dim, potential, scheme):
     # 256 grid points either way, so with_records' field budget makes blocks
-    # of 16, 10 and 6 samples; 31 samples end on a partial block
+    # of 16, 10, 6 and 5 samples; 31 samples end on a partial block. The six
+    # fields span three dimensions, so span's records come from its factors
     grid = GridSpec(dim=dim, points=256 if dim == 1 else 16, length=20.0)
     config = ModelConfig(
         coupling=1.0,
@@ -189,7 +213,10 @@ def test_records_do_not_depend_on_their_block(n, dim, potential, scheme):
         potential=cosine_potential(grid, amplitude=1.0, offset=1.0) if potential else None,
     )
     params = SolverParams(0.002, 0.06, scheme=scheme)
-    initial = perturbed_gaussians(grid, n, seed=7)
+    if n == 6:
+        initial = _in_three_dimensions(grid, n, seed=7)
+    else:
+        initial = perturbed_gaussians(grid, n, seed=7)
     assert _RECORD_BLOCK_BYTES // initial.psi.nbytes > 3
     pairs = list(with_records(samples(initial, config, params), config))
     states = [state for state, _ in pairs]
@@ -200,6 +227,92 @@ def test_records_do_not_depend_on_their_block(n, dim, potential, scheme):
         records = [rec for block in blocks for rec in block]
         assert all(_same_bits(a, b) for (_, a), b in zip(pairs, records))
     assert (pairs[0][1].energies.diff_energy_two is None) == (n != 2)
+    # only a span run with r < N hands out factors
+    rank = 3 if n == 6 and scheme == "span" else None
+    assert all(_factor_rank(state) == rank for state in states)
+
+
+def _factor_cases():
+    line = GridSpec(dim=1, points=256, length=20.0)
+    plane = GridSpec(dim=2, points=32, length=20.0)
+    return {
+        "1d_6_of_3": _in_three_dimensions(line, 6, seed=5),
+        "2d_6_of_3": _in_three_dimensions(plane, 6, seed=5),
+        # pde_ensemble's family: max_mode = 6 spans 13 dimensions in 1-D
+        "1d_20_of_13": perturbed_gaussians(line, 20, seed=5),
+        # psi_2 = -psi_1: one basis field, D a column padded to two
+        "1d_pair_of_1": incoherent_pair(line),
+    }
+
+
+@pytest.mark.parametrize("potential", [False, True], ids=["free", "cosine"])
+@pytest.mark.parametrize("case", ["1d_6_of_3", "2d_6_of_3", "1d_20_of_13", "1d_pair_of_1"])
+def test_factor_records_match_field_records(case, potential, monkeypatch):
+    # a detuned span run on dependent fields: every sample, the initial one
+    # included, carries (D, phi) with r < N, and its record from the factors
+    # matches the record of the same fields by 1e-12. The factor path alone
+    # runs; mixed with factorless copies, each sample keeps its own bits
+    initial = _factor_cases()[case]
+    grid, n = initial.grid, initial.n_oscillators
+    config = ModelConfig(
+        coupling=1.0,
+        frequencies=tuple(np.linspace(-0.375, 0.375, n)),
+        potential=cosine_potential(grid, amplitude=1.0, offset=1.0) if potential else None,
+    )
+    states = list(samples(initial, config, SolverParams(0.002, 0.1, snapshot_stride=10)))
+    rank = int(case.split("_")[-1])
+    assert len(states) == 6
+    for state in states:
+        d, phi = state.factors
+        assert d.shape == (n, rank) and phi.shape == (rank,) + grid.shape
+        assert_close(np.tensordot(d, phi, 1), state.psi, 1e-14, "psi = D phi")
+    fields = [_without_factors(state) for state in states]
+    expected = compute_records(fields, config)
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics, "_field_forms", None)
+        records = compute_records(states, config)
+    for rec, ref in zip(records, expected):
+        for value, reference in zip(_record_values(rec), _record_values(ref)):
+            if reference is None:
+                assert value is None
+            else:
+                assert_close(value, reference, 1e-12, f"factor vs field record at t = {rec.time:g}")
+    mixed = compute_records([s for pair in zip(states, fields) for s in pair], config)
+    assert all(_same_bits(a, b) for a, b in zip(mixed[0::2], records))
+    assert all(_same_bits(a, b) for a, b in zip(mixed[1::2], expected))
+    assert all(_same_bits(compute_record(s, config), rec) for s, rec in zip(states, records))
+
+
+def _symmetric_bits(matrix):
+    return matrix.tobytes() == np.ascontiguousarray(matrix.T).tobytes()
+
+
+@pytest.mark.parametrize("path", ["factors", "fields"])
+@pytest.mark.parametrize("potential", [False, True], ids=["free", "cosine"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pair_matrices_are_symmetric_bit_for_bit(dim, potential, path):
+    # the writer renders each distinct magnitude once, which relies on the
+    # pair matrices equalling their transposes bit for bit, r too, and s its
+    # negated transpose. The factor path mirrors all three forms; the field
+    # path mirrors the Gram matrix alone, its gradient and potential forms
+    # are full products whose rounding can differ across the diagonal, so
+    # pair_h1 and energy_pair are checked on the factor path only
+    initial = _factor_cases()[f"{dim}d_6_of_3"]
+    config = ModelConfig(
+        coupling=1.0,
+        frequencies=tuple(np.linspace(-0.375, 0.375, 6)),
+        potential=cosine_potential(initial.grid, 1.0, 1.0) if potential else None,
+    )
+    states = list(samples(initial, config, SolverParams(0.002, 0.1, snapshot_stride=10)))
+    if path == "fields":
+        states = [_without_factors(state) for state in states]
+    for rec in compute_records(states, config):
+        matrices = [rec.pair_l2, rec.madelung_rho_l1, rec.madelung_current_l1, rec.correlations.r]
+        if path == "factors":
+            matrices += [rec.pair_h1, rec.energies.pair]
+        assert all(_symmetric_bits(m) for m in matrices)
+        s = rec.correlations.s
+        assert _symmetric_bits(np.abs(s)) and np.array_equal(s, -s.T)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -226,6 +339,34 @@ def test_a_record_that_is_not_finite_is_a_divergence_at_its_sample(dim):
             compute_records(states, config)
         assert err.value.time == states[2].time
         with pytest.raises(DivergenceError, match=r"record at t = 0\.02 is not finite"):
+            for pair in with_records(iter(states), config):
+                made.append(pair)
+    assert [state.time for state, _ in made] == [0.0, 0.01]
+    assert all(_same_bits(rec, compute_record(state, config)) for state, rec in made)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_factor_record_that_is_not_finite_is_a_divergence_at_its_step(dim):
+    # the same overflow on the factor path: the third sample of six fields
+    # in three dimensions gets scaled basis fields, so its fields and their
+    # squared norms stay finite while its forms do not. It raises at its step
+    # with no arithmetic warning, after the two samples before it
+    grid = GridSpec(dim=dim, points=64 if dim == 1 else 16, length=20.0)
+    config = ModelConfig(coupling=1.0, frequencies=tuple(np.linspace(-0.1, 0.1, 6)))
+    initial = _in_three_dimensions(grid, 6, seed=3)
+    states = list(samples(initial, config, SolverParams(0.01, 0.03)))
+    x = grid.coordinates()[0]
+    scale = 5e153 * np.exp(2.5j * x) if dim == 1 else 1e100
+    d, phi = states[2].factors
+    states[2] = EnsembleState(grid, scale * states[2].psi, states[2].time, 2, (d, scale * phi))
+    assert np.all(np.isfinite(states[2].norms())) and _factor_rank(states[2]) == 3
+    made = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=r"record at step 2 \(t = 0\.02\)") as err:
+            compute_records(states, config)
+        assert err.value.step_index == 2
+        with pytest.raises(DivergenceError, match=r"record at step 2 \(t = 0\.02\)"):
             for pair in with_records(iter(states), config):
                 made.append(pair)
     assert [state.time for state, _ in made] == [0.0, 0.01]

@@ -582,6 +582,34 @@ def test_ode_sweep_batches_like_single_cells(tmp_path, couplings, t_end):
         assert row.endswith(f"non-finite values at step {step} (t = {step * 0.01:g})")
 
 
+def test_diverging_ode_sweep_cells_print_no_runtime_warning(tmp_path):
+    # at K = 400 (K dt = 4) both cells diverge: the n = 2 one in the scalar
+    # pair loop, the n = 3 one in the stacked RK4, whose overflow on the way
+    # there must not reach stderr; the rows still name the divergence step
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(
+        "[scenario]\nname = diverge\nseed = 1\n[sweep]\ncoupling = 1.0, 400.0\n"
+        "omega = 0.0\nn = 2, 3\nseeds = 0\nmode = ode\ndt = 0.01\nt_end = 1.0\n"
+    )
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-W", "default", "-m", "lohe_sync", "sweep"]
+    done = subprocess.run(
+        argv + ["--scenario", str(cfg), "--out", str(out)], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    with open(out / "sweep.csv") as fh:
+        rows = [(r["status"], r["detail"]) for r in csv.DictReader(fh)]
+    message = "correlation integration produced non-finite values at step {} (t = 0.0{})"
+    assert rows == [
+        ("ok", ""),
+        ("ok", ""),
+        ("divergence", message.format(6, 6)),
+        ("divergence", message.format(7, 7)),
+    ]
+
+
 def test_pde_sweep_builds_the_scenario_ensemble(tmp_path):
     # gaussian_pair always builds two fields, so an n = 3 cell cannot run;
     # 60 steps give enough samples that only the ensemble can fail the cell
