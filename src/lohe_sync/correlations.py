@@ -19,8 +19,9 @@ run is a stack of one; integrate_batch steps the N >= 3 runs of one N
 together as one stack. At N = 2 the system is the single pair correlation
 z_01: the two-oscillator system, a "full" run and every N = 2 cell of a
 batch step z_01 alone, one cell at a time, through _pair_samples, one loop
-that writes RK4's four stages out on a Python complex and samples as it
-goes, and return 2 x 2 series.
+that carries z_01 as two Python floats, writes RK4's four stages out as the
+component formulas of CPython's complex arithmetic, samples as it goes and
+gives the bits of rk4_step over two_rhs; they return 2 x 2 series.
 
 mixing_flow is the coupling on the fields' coefficients D over an orthonormal
 basis, which the solver's span scheme steps; at N = 2, pair_mixing_step steps
@@ -30,6 +31,7 @@ D as four Python complexes, with Python's rounding (no fused multiply-add).
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cache
@@ -81,9 +83,9 @@ def step_count(dt: float, t_end: float) -> int:
 def rk4_step(y, deriv, dt: float):
     """One classical RK4 step of dy/dt = deriv(y). y is an array of any shape
     or a Python complex; every fixed-step integration in the package goes
-    through this one combination, except two that write the same one out on
-    Python complexes: span's pair D (pair_mixing_step) and the pair
-    correlation z_01 (_pair_samples)."""
+    through this one combination, except two that write the same one out:
+    span's pair D (pair_mixing_step) on four Python complexes, and the pair
+    correlation z_01 (_pair_samples) on two Python floats."""
     k1 = deriv(y)
     k2 = deriv(y + 0.5 * dt * k1)
     k3 = deriv(y + 0.5 * dt * k2)
@@ -521,26 +523,61 @@ def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
 
 def _pair_samples(z: complex, omega: float, coupling: float, dt, n_steps, sample_stride):
     """RK4 on two_rhs from the pair correlation z, sampled every
-    sample_stride steps plus the end. The four stages are written out on one
-    Python complex, in rk4_step's and two_rhs's order, so the samples are
-    the bits rk4_step(z, two_rhs) gives. Returns the sampled steps (S,), the
-    samples (S,) and the first sampled step at which z was not finite, 0
-    when it stayed finite; stepping stops there."""
-    rotation, gain = 2j * omega, 0.5 * coupling
-    half, sixth = 0.5 * dt, dt / 6.0
+    sample_stride steps plus the end, with the bits rk4_step(z, two_rhs)
+    gives. Returns the sampled steps (S,), the samples (S,) and the first
+    sampled step at which z was not finite, 0 when it stayed finite;
+    stepping stops there.
+
+    z is carried as two floats, x + i y, and each stage is written out as
+    the component formulas CPython evaluates for two_rhs and rk4_step, in
+    their order: the product (ac - bd, ad + bc), a real operand promoted to
+    (v, 0.0). The terms a promotion adds, and those of 2i Omega's zero real
+    part, are products with a zero, so leaving them out can only change the
+    sign of a zero: a product's magnitude, and its sign when it is nonzero,
+    do not depend on the sign of a zero factor, and adding a zero to a
+    nonzero number leaves it. Every sample component that is not zero is
+    therefore exact. A zero component is +0 in both loops if its last step
+    moved it (a cancellation); if it stayed still, the sign comes from the
+    complex loop's zeros. On the real axis with Omega = 0 and K >= +0, a
+    zero imaginary part stays +0 there (every stage's imaginary part is
+    +0); any other still zero re-steps the interval through rk4_step over
+    two_rhs from the previous sample."""
+    omega, coupling, dt = float(omega), float(coupling), float(dt)
+    spin, gain, half, sixth = 2.0 * omega, 0.5 * coupling, 0.5 * dt, dt / 6.0
+    real_axis = omega == 0.0 and math.copysign(1.0, gain) > 0.0
+    x, y = z.real, z.imag
     sample_steps, samples = [0], [z]
     bad = 0
     for start in range(0, n_steps, sample_stride):
-        for _ in range(min(sample_stride, n_steps - start)):
-            k1 = rotation * z + gain * (1.0 - z * z)
-            u = z + half * k1
-            k2 = rotation * u + gain * (1.0 - u * u)
-            u = z + half * k2
-            k3 = rotation * u + gain * (1.0 - u * u)
-            u = z + dt * k3
-            k4 = rotation * u + gain * (1.0 - u * u)
-            z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        step = min(start + sample_stride, n_steps)
+        count = min(sample_stride, n_steps - start)
+        for _ in range(count):
+            p = x * y
+            k1r = gain * (1.0 - (x * x - y * y)) - spin * y
+            k1i = spin * x - gain * (p + p)
+            a, b = x + half * k1r, y + half * k1i
+            p = a * b
+            k2r = gain * (1.0 - (a * a - b * b)) - spin * b
+            k2i = spin * a - gain * (p + p)
+            a, b = x + half * k2r, y + half * k2i
+            p = a * b
+            k3r = gain * (1.0 - (a * a - b * b)) - spin * b
+            k3i = spin * a - gain * (p + p)
+            a, b = x + dt * k3r, y + dt * k3i
+            p = a * b
+            k4r = gain * (1.0 - (a * a - b * b)) - spin * b
+            k4i = spin * a - gain * (p + p)
+            dx = sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+            dy = sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+            x += dx
+            y += dy
+        if (x or dx) and (y or dy or real_axis):
+            z = complex(x, y or 0.0)
+        else:
+            z = samples[-1]
+            for _ in range(count):
+                z = rk4_step(z, lambda u: two_rhs(u, omega, coupling), dt)
+            x, y = z.real, z.imag
+        step = start + count
         if not cmath.isfinite(z):
             bad = step
             break

@@ -287,6 +287,42 @@ def test_pair_loop_diverges_where_the_generic_loop_does(system):
     assert np.array_equal(info.value.partial["values"], z)
 
 
+def _pair_part(bound):
+    return st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-bound, bound))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pair_loop_is_the_generic_rk4_loop_for_any_draw(data):
+    # the float pair loop against rk4_step over two_rhs on a Python complex,
+    # compared by repr so that signed zeros count: z0 with |z0| <= 1.5 (real,
+    # imaginary and zero parts of either sign, subnormals), Omega of either
+    # sign and zero, K >= 0 (K dt up to 4 leaves RK4's stability region) and
+    # strides that need not divide the steps; a diverging run must stop at
+    # the same step with the same partial samples
+    x = data.draw(_pair_part(1.5), label="x")
+    y = data.draw(_pair_part((2.25 - x * x) ** 0.5), label="y")
+    omega = data.draw(_pair_part(3.0), label="omega")
+    k = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 80.0)), label="k")
+    dt = data.draw(st.sampled_from([0.01, 0.05]), label="dt")
+    n_steps = data.draw(st.integers(1, 40), label="steps")
+    stride = data.draw(st.integers(1, 9), label="stride")
+    z0 = complex(x, y)
+    config = ModelConfig(coupling=k, frequencies=(omega, -omega))
+    steps, z, bad = _generic_pair_run(z0, omega, k, dt, n_steps, stride)
+    want = [repr(complex(v)) for v in z[:, 0, 1]]
+    try:
+        series = integrate("two", z0, config, dt, n_steps * dt, stride)
+    except DivergenceError as err:
+        assert bad and err.step_index == bad
+        assert np.array_equal(err.partial["times"], steps * dt)
+        assert [repr(complex(v)) for v in err.partial["values"][:, 0, 1]] == want
+    else:
+        assert not bad
+        assert np.array_equal(series.times, steps * dt)
+        assert [repr(complex(v)) for v in series.z[:, 0, 1]] == want
+
+
 def test_integrate_batch_validation():
     z0s = [random_correlation_matrix(3, 0), random_correlation_matrix(3, 1)]
     with pytest.raises(ConfigurationError, match="frequencies"):
