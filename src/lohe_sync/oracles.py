@@ -125,11 +125,14 @@ def classify_pair(k_coupling: float, frequencies) -> tuple[TwoOscRegime, bool]:
 def z_exact(z0: complex, t, regime: TwoOscRegime):
     """Closed-form pair correlation at time(s) t. Vectorized over t.
 
-    Underdamped: the Moebius form through the two fixed points,
-        z(t) = (z1 - z2 w0 e^{-mu t}) / (1 - w0 e^{-mu t}),
-        w0 = (z0 - z1)/(z0 - z2),
+    Underdamped: the Moebius form through the two fixed points
+    z1,2 = +-r + i Lambda, r = sqrt(1 - Lambda^2), at mu = K r,
+        z(t) = z1 + d e^{-mu t} / (1 + d (1 - e^{-mu t}) / (2 r)),
+        d = z0 - z1,
     which is stationary at z1 and blows through the excluded point z2.
-    Critical: z(t) = i + 1/(K t / 2 + 1/(z0 - i)).
+    1 - e^{-mu t} is taken through expm1 and mu from the same r as z1, so
+    the form stays accurate as Lambda -> 1, where z1 and z2 merge and it
+    tends to the critical one: z(t) = i + 1/(K t / 2 + 1/(z0 - i)).
     The periodic regime has no printed solution; integrate the ODE instead.
     """
     if regime.regime == "periodic":
@@ -148,9 +151,10 @@ def z_exact(z0: complex, t, regime: TwoOscRegime):
         raise ExcludedInitialStateError(
             "z0 equals the repelling fixed point; the closed form is singular there"
         )
-    w0 = (z0 - z1) / (z0 - z2)
-    decay = w0 * np.exp(-regime.rate * t)
-    return (z1 - z2 * decay) / (1.0 - decay)
+    root = z1.real
+    rate = regime.coupling * root
+    d = z0 - z1
+    return z1 + d * np.exp(-rate * t) / (1.0 - d * np.expm1(-rate * t) / (2.0 * root))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """Closed-form layer: regimes, the exact pair correlation, fixed-point
 taxonomy, and the asymptotic free profile."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lohe_sync import (
     ContractViolationError,
@@ -15,6 +19,7 @@ from lohe_sync import (
     classify_fixed_point,
     classify_two,
     evolve,
+    integrate,
     propagate_linear,
     scattering_state,
     sync_distance_sq,
@@ -106,6 +111,31 @@ def test_z_exact_initial_value_and_limit():
     assert abs(z_exact(z0, 0.0, crit) - z0) <= 1e-14
     # algebraic approach to the merged point i
     assert abs(z_exact(z0, 1e6, crit) - 1j) <= 1e-5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.one_of(
+        st.sampled_from([0.0, math.nextafter(1.0, 0.0), 1.0]),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ),
+    k=st.floats(0.2, 3.0),
+    radius=st.floats(0.0, 1.0),
+    angle=st.floats(-math.pi, math.pi),
+)
+def test_z_exact_is_the_two_ode(lam, k, radius, angle):
+    # the closed form against the integrator on random cases: lam in [0, 1]
+    # (0, up to just below 1 where the fixed points all but merge, and the
+    # critical 1), z0 in the closed unit disk at least 0.1 from the
+    # repelling point; RK4 at dt = 1e-3 is good to about 1e-12 over t = 3
+    omega = 0.5 * lam * k
+    regime = classify_two(k, omega)
+    z0 = complex(radius * math.cos(angle), radius * math.sin(angle))
+    assume(abs(z0 - (1j if regime.regime == "critical" else regime.unstable_point)) >= 0.1)
+    config = ModelConfig(coupling=k, frequencies=(omega, -omega))
+    series = integrate("two", z0, config, 1e-3, 3.0, sample_stride=100)
+    exact = z_exact(z0, series.times, regime)
+    assert_close(series.z[:, 0, 1], exact, 1e-9, f"z_exact at lam = {lam!r}, K = {k!r}")
 
 
 def test_z_exact_excluded_and_unsupported():
