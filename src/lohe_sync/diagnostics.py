@@ -106,8 +106,9 @@ def _stacked(arrays) -> np.ndarray:
 
 def _field_forms(states, grid, potential):
     """(Gram, gradient Gram, potential Gram, fields, *gradients) of a block
-    from its fields: N FFT gradients and N x N products over the grid;
-    fields and gradients as (B, N, M)."""
+    from its fields: N FFT gradients and N x N products over the grid, the
+    forms mirrored from their upper triangles; fields and gradients as
+    (B, N, M)."""
     count, n, dv = len(states), states[0].n_oscillators, grid.dv
     psi = _stacked([s.psi for s in states])
     flat = psi.reshape(count, n, -1)
@@ -119,7 +120,7 @@ def _field_forms(states, grid, potential):
         pot_gram = np.zeros((count, n, n), dtype=np.complex128)
     else:
         pot_gram = dv * (np.conj(flat) * potential.reshape(-1)) @ np.swapaxes(flat, 1, 2)
-    return (gram_matrices(psi, dv), grad_gram, pot_gram, flat, *grads)
+    return (gram_matrices(psi, dv), _hermitian(grad_gram), _hermitian(pot_gram), flat, *grads)
 
 
 def _factor_forms(states, grid, potential):

@@ -293,10 +293,8 @@ def _symmetric_bits(matrix):
 def test_pair_matrices_are_symmetric_bit_for_bit(dim, potential, path):
     # the writer renders each distinct magnitude once, which relies on the
     # pair matrices equalling their transposes bit for bit, r too, and s its
-    # negated transpose. The factor path mirrors all three forms; the field
-    # path mirrors the Gram matrix alone, its gradient and potential forms
-    # are full products whose rounding can differ across the diagonal, so
-    # pair_h1 and energy_pair are checked on the factor path only
+    # negated transpose. Both paths mirror all three forms, the Gram,
+    # gradient and potential forms, from their upper triangles
     initial = _factor_cases()[f"{dim}d_6_of_3"]
     config = ModelConfig(
         coupling=1.0,
@@ -308,8 +306,7 @@ def test_pair_matrices_are_symmetric_bit_for_bit(dim, potential, path):
         states = [_without_factors(state) for state in states]
     for rec in compute_records(states, config):
         matrices = [rec.pair_l2, rec.madelung_rho_l1, rec.madelung_current_l1, rec.correlations.r]
-        if path == "factors":
-            matrices += [rec.pair_h1, rec.energies.pair]
+        matrices += [rec.pair_h1, rec.energies.pair]
         assert all(_symmetric_bits(m) for m in matrices)
         s = rec.correlations.s
         assert _symmetric_bits(np.abs(s)) and np.array_equal(s, -s.T)
