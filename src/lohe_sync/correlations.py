@@ -528,20 +528,24 @@ def _pair_samples(z: complex, omega: float, coupling: float, dt, n_steps, sample
     sampled step at which z was not finite, 0 when it stayed finite;
     stepping stops there.
 
-    z is carried as two floats, x + i y, and each stage is written out as
-    the component formulas CPython evaluates for two_rhs and rk4_step, in
-    their order: the product (ac - bd, ad + bc), a real operand promoted to
-    (v, 0.0). The terms a promotion adds, and those of 2i Omega's zero real
-    part, are products with a zero, so leaving them out can only change the
-    sign of a zero: a product's magnitude, and its sign when it is nonzero,
-    do not depend on the sign of a zero factor, and adding a zero to a
-    nonzero number leaves it. Every sample component that is not zero is
-    therefore exact. A zero component is +0 in both loops if its last step
-    moved it (a cancellation); if it stayed still, the sign comes from the
-    complex loop's zeros. On the real axis with Omega = 0 and K >= +0, a
-    zero imaginary part stays +0 there (every stage's imaginary part is
-    +0); any other still zero re-steps the interval through rk4_step over
-    two_rhs from the previous sample."""
+    z is carried as two floats, x + i y. Each stage is the component
+    formulas CPython's complex arithmetic evaluates for two_rhs and
+    rk4_step, in their order ((ac - bd, ad + bc) for a product, a real
+    operand promoted to (v, 0.0)), rewritten only where the sign of a zero
+    is all that can change: the products with a zero that the promotions and
+    2i Omega's zero real part add are left out, a b + b a is p + p with
+    p = a b, and gain * (0.0 - w) is a negation of gain * w. A product's
+    magnitude, and its sign when it is nonzero, do not depend on the sign
+    of a zero, and adding a zero to a nonzero number leaves it, so every
+    value the loop forms has the complex loop's magnitude, and its sign
+    when nonzero; an overflow happens at the same operation in both, and a
+    non-finite z stays non-finite, so both stop at the same sample. A zero
+    sample component is +0 in both if its last step moved it (a
+    cancellation). One that stayed still takes its sign from the complex
+    loop's zeros: on the real axis at Omega = 0 and K >= +0 every stage's
+    imaginary part is +0, so a still imaginary part is +0; any other still
+    zero re-steps the interval through rk4_step over two_rhs from the
+    previous sample."""
     omega, coupling, dt = float(omega), float(coupling), float(dt)
     spin, gain, half, sixth = 2.0 * omega, 0.5 * coupling, 0.5 * dt, dt / 6.0
     real_axis = omega == 0.0 and math.copysign(1.0, gain) > 0.0
