@@ -127,11 +127,12 @@ def test_z_exact_is_the_two_ode(lam, k, radius, angle):
     # the closed form against the integrator on random cases: lam in [0, 1]
     # (0, up to just below 1 where the fixed points all but merge, and the
     # critical 1), z0 in the closed unit disk at least 0.1 from the
-    # repelling point; RK4 at dt = 1e-3 is good to about 1e-12 over t = 3
+    # repelling point (i at lam = 1); RK4 at dt = 1e-3 is good to about
+    # 1e-12 over t = 3
     omega = 0.5 * lam * k
     regime = classify_two(k, omega)
     z0 = complex(radius * math.cos(angle), radius * math.sin(angle))
-    assume(abs(z0 - (1j if regime.regime == "critical" else regime.unstable_point)) >= 0.1)
+    assume(abs(z0 - regime.unstable_point) >= 0.1)
     config = ModelConfig(coupling=k, frequencies=(omega, -omega))
     series = integrate("two", z0, config, 1e-3, 3.0, sample_stride=100)
     exact = z_exact(z0, series.times, regime)
