@@ -69,7 +69,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EnsembleState, GridSpec, ModelConfig, coupling_term, fourier_transforms, k_squared
+from .core import (
+    EnsembleState,
+    GridSpec,
+    ModelConfig,
+    coupling_term,
+    fourier_transforms,
+    k_squared,
+    matmul_rows,
+)
 from .correlations import (
     CorrelationSeries,
     CorrelationState,
@@ -355,7 +363,8 @@ class _SpanStepper(_Stepper):
         d = self._coefficients()
         if self.dependent:
             self.factors = (d, self.phi)
-        return (d @ self.phi.reshape(len(self.phi), -1)).reshape((len(d),) + self.grid.shape)
+        psi = matmul_rows(d, self.phi.reshape(len(self.phi), -1))
+        return psi.reshape((len(d),) + self.grid.shape)
 
 
 def _stepper(initial: EnsembleState, config: ModelConfig, params: SolverParams):
