@@ -52,7 +52,7 @@ from .diagnostics import (
     fit_decay,
     tail_samples,
 )
-from .emit import dump_json, write_diagnostics, write_series, write_sweep_csv
+from .emit import dump_json, write_diagnostics_files, write_series, write_sweep_csv
 from .errors import (
     ConfigurationError,
     ContractViolationError,
@@ -119,7 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
             default=1,
             choices=None if name == "sweep" else (1,),
             help="parallel workers for the pde cells of a sweep; ode cells run in "
-            "this process: n = 2 cells one at a time, n >= 3 cells of one n as one stack",
+            "this process: n = 2 cells one at a time, n >= 3 cells of one n as one stack. "
+            "simulate takes 1, and renders a large run's diagnostics in one forked child "
+            "while it steps, which this does not count",
         )
     return parser
 
@@ -255,7 +257,11 @@ def cmd_simulate(sc: Scenario, args) -> int:
             yield rec
 
     if sc.outputs.diagnostics:
-        _write_formats(run_dir, "diagnostics", sc.outputs.formats, write_diagnostics, records())
+        paths = {
+            fmt: os.path.join(run_dir, f"diagnostics.{fmt}")
+            for fmt in dict.fromkeys(sc.outputs.formats)
+        }
+        write_diagnostics_files(paths, records(), config.n_oscillators, sc.solver.n_samples)
         n_samples = len(kept)
     else:
         n_samples = 0

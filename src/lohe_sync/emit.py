@@ -13,12 +13,24 @@ matrices are symmetric, s antisymmetric, and the csv repeats ndjson values),
 the sign is put back from signbit, and the ndjson line and the csv row are
 both assembled from those strings. A diagnostics csv written alone reprs its
 row's entries directly: its upper triangles hardly repeat a magnitude.
+
+Writing diagnostics has two halves: reading a record into one flat float64
+vector and checking it, then rendering that vector. A run whose records
+hold many numbers (write_diagnostics_files: 2^16 or more in all, about 6
+records at N = 40) renders in a forked child while the run goes on
+stepping: the parent reads and checks each record and sends its vector down
+a pipe, and the child, which calls no BLAS, runs the same rendering into
+the files, so their bytes do not depend on where they were rendered.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import warnings
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -32,6 +44,7 @@ __all__ = [
     "write_diagnostics_ndjson",
     "write_diagnostics_csv",
     "write_diagnostics",
+    "write_diagnostics_files",
     "write_series",
     "write_sweep_csv",
     "SWEEP_COLUMNS",
@@ -161,46 +174,143 @@ def write_series(handles: dict, series: CorrelationSeries) -> None:
                 csv.write(",".join(row) + "\n")
 
 
-def _diagnostics_arrays(rec) -> dict:
-    """The documented per-sample diagnostics schema (stable key order), each
-    field a float array, or None for a missing energy_diff_two."""
-    en = rec.energies
-    z = rec.correlations.z
-    fields = {
-        "t": rec.time,
-        "zeta_norm": rec.zeta_norm,
-        "mass_drift": rec.mass_drift,
-        "pair_l2": rec.pair_l2,
-        "pair_h1": rec.pair_h1,
-        "r": z.real,
-        "s": z.imag,
-        "energy_total": en.total,
-        "energy_per_osc": en.per_osc,
-        "energy_pair": en.pair,
-        "energy_relative": en.relative,
-        "energy_zeta": en.zeta_energy,
-        "energy_diff_two": en.diff_energy_two,
-        "madelung_rho_l1": rec.madelung_rho_l1,
-        "madelung_current_l1": rec.madelung_current_l1,
-    }
-    return {key: None if v is None else np.asarray(v, dtype=float) for key, v in fields.items()}
-
+# the per-sample diagnostics schema in its stable key order, with each
+# field's rank: a scalar, a per-oscillator vector or an N x N matrix
+_DIAGNOSTICS_RANKS = {
+    "t": 0,
+    "zeta_norm": 0,
+    "mass_drift": 1,
+    "pair_l2": 2,
+    "pair_h1": 2,
+    "r": 2,
+    "s": 2,
+    "energy_total": 0,
+    "energy_per_osc": 1,
+    "energy_pair": 2,
+    "energy_relative": 0,
+    "energy_zeta": 0,
+    "energy_diff_two": 0,
+    "madelung_rho_l1": 2,
+    "madelung_current_l1": 2,
+}
 
 # fields whose upper triangles the csv holds, as <field>_<j>_<k> columns
 # with the madelung_ prefix dropped
 _CSV_PAIRS = ("pair_l2", "pair_h1", "madelung_rho_l1", "madelung_current_l1", "r", "s")
 
+# Rendering a large run's records goes to a forked child once they hold this
+# many numbers in all. The fork costs about 5 ms (mostly the parent's
+# copy-on-write faults afterwards), the repr of about 13 000 distinct
+# magnitudes at 0.38 us each; a record's distinct magnitudes are about half
+# its numbers, so 2^16 numbers cost about 2.5 forks to render.
+_RENDER_CHILD_NUMBERS = 1 << 16
 
-def _diagnostics_csv_layout(n: int) -> tuple[np.ndarray, str]:
-    """Flat offsets of an n x n matrix's upper triangle, and the csv header."""
-    iu = np.triu_indices(n, k=1)
-    pairs = [f"{j}_{k}" for j, k in zip(*iu)]
+
+def _record_numbers(n: int) -> int:
+    """The numbers in one N-oscillator record without energy_diff_two
+    (which only a coupled pair has): 7 N^2 + 2 N + 5."""
+    return sum(n**rank for key, rank in _DIAGNOSTICS_RANKS.items() if key != "energy_diff_two")
+
+
+def _diagnostics_vector(rec) -> np.ndarray:
+    """A record's fields, flattened and concatenated in schema order with a
+    missing energy_diff_two left out, refused with fmt_float's error when
+    any entry is not finite: the half of write_diagnostics that reads the
+    record."""
+    en = rec.energies
+    z = rec.correlations.z
+    fields = (
+        rec.time,
+        rec.zeta_norm,
+        rec.mass_drift,
+        rec.pair_l2,
+        rec.pair_h1,
+        z.real,
+        z.imag,
+        en.total,
+        en.per_osc,
+        en.pair,
+        en.relative,
+        en.zeta_energy,
+        en.diff_energy_two,
+        rec.madelung_rho_l1,
+        rec.madelung_current_l1,
+    )
+    flat = np.concatenate([np.asarray(v, dtype=float).ravel() for v in fields if v is not None])
+    _check_finite(flat)
+    return flat
+
+
+def _diagnostics_csv_header(n: int) -> str:
+    pairs = [f"{j}_{k}" for j, k in zip(*np.triu_indices(n, k=1))]
     cols = ["t", "zeta_norm", "mass_drift_max", "energy_total", "energy_relative"]
     cols += ["energy_zeta", "energy_diff_two"]
     for key in _CSV_PAIRS:
         cols += [f"{key.removeprefix('madelung_')}_{pair}" for pair in pairs]
     cols += [f"energy_{j}" for j in range(n)]
-    return iu[0] * n + iu[1], ",".join(cols) + "\n"
+    return ",".join(cols) + "\n"
+
+
+def _diagnostics_layout(n: int, size: int) -> tuple[dict, np.ndarray]:
+    """The shapes of an N-oscillator record's fields, None for a missing
+    energy_diff_two, and the offsets of its csv cells in its flat vector of
+    size numbers; cell 2, max |mass drift|, holds mass_drift's offset."""
+    shapes = {key: (n,) * rank for key, rank in _DIAGNOSTICS_RANKS.items()}
+    if size == _record_numbers(n):
+        shapes["energy_diff_two"] = None
+    sizes = [0 if shape is None else n ** len(shape) for shape in shapes.values()]
+    at = dict(zip(shapes, np.cumsum([0] + sizes).tolist()))
+    head = ["t", "zeta_norm", "mass_drift", "energy_total", "energy_relative", "energy_zeta"]
+    if shapes["energy_diff_two"] is not None:
+        head.append("energy_diff_two")
+    iu = np.triu_indices(n, k=1)
+    upper = iu[0] * n + iu[1]
+    index = np.concatenate(
+        [[at[key] for key in head]]
+        + [at[key] + upper for key in _CSV_PAIRS]
+        + [at["energy_per_osc"] + np.arange(n)]
+    )
+    return shapes, index
+
+
+def _render_diagnostics(handles: dict, vectors) -> bool:
+    """Write records, given as (N, _diagnostics_vector) pairs, to every open
+    file in handles, the csv header with the first: the half of
+    write_diagnostics that renders. Returns whether any record came."""
+    ndjson, csv = handles.get("ndjson"), handles.get("csv")
+    layouts: dict = {}
+    for n, flat in vectors:
+        if not layouts and csv is not None:
+            csv.write(_diagnostics_csv_header(n))
+        layout = layouts.get((n, flat.size))
+        if layout is None:
+            layout = layouts[n, flat.size] = _diagnostics_layout(n, flat.size)
+        shapes, index = layout
+        if ndjson is not None:
+            tokens = _tokens(flat)
+            ndjson.write(_ndjson_line(shapes, tokens.tolist()))
+        if csv is not None:
+            # max |mass drift| is the magnitude of one entry
+            drift = index[2]
+            index = index.copy()
+            index[2] += int(np.argmax(np.abs(flat[drift : drift + n])))
+            if ndjson is not None:
+                cells = tokens[index].tolist()
+            else:
+                # upper triangles hardly repeat a magnitude, so a csv-only
+                # row reprs each entry instead of deduplicating
+                cells = list(map(repr, flat[index].tolist()))
+            cells[2] = cells[2].lstrip("-")
+            if shapes["energy_diff_two"] is None:
+                cells.insert(6, "")
+            csv.write(",".join(cells) + "\n")
+    return bool(layouts)
+
+
+def _vectors(records):
+    """(N, _diagnostics_vector) of each record, in order."""
+    for rec in records:
+        yield rec.pair_l2.shape[0], _diagnostics_vector(rec)
 
 
 def write_diagnostics(handles: dict, records) -> None:
@@ -215,45 +325,100 @@ def write_diagnostics(handles: dict, records) -> None:
     arrives. The csv is the spreadsheet cut: scalars, then the
     upper triangles of every pair matrix, then per-oscillator energies; the
     full matrices live in the ndjson."""
-    ndjson, csv = handles.get("ndjson"), handles.get("csv")
-    upper = None
-    for rec in records:
-        arrays = _diagnostics_arrays(rec)
-        flat = np.concatenate([a.ravel() for a in arrays.values() if a is not None])
-        _check_finite(flat)
-        if csv is not None:
-            n = rec.pair_l2.shape[0]
-            if upper is None:
-                upper, header = _diagnostics_csv_layout(n)
-                csv.write(header)
-            sizes = [0 if a is None else a.size for a in arrays.values()]
-            at = dict(zip(arrays, np.cumsum([0] + sizes).tolist()))
-            # max |mass drift| is the magnitude of one entry
-            drift = at["mass_drift"] + int(np.argmax(np.abs(arrays["mass_drift"])))
-            head = [at["t"], at["zeta_norm"], drift]
-            head += [at["energy_total"], at["energy_relative"], at["energy_zeta"]]
-            if arrays["energy_diff_two"] is not None:
-                head.append(at["energy_diff_two"])
-            index = np.concatenate(
-                [head] + [at[key] + upper for key in _CSV_PAIRS] + [at["energy_per_osc"] + np.arange(n)]
-            )
-        if ndjson is not None:
-            tokens = _tokens(flat)
-            shapes = {key: None if a is None else a.shape for key, a in arrays.items()}
-            ndjson.write(_ndjson_line(shapes, tokens.tolist()))
-        if csv is not None:
-            if ndjson is not None:
-                cells = tokens[index].tolist()
-            else:
-                # upper triangles hardly repeat a magnitude, so a csv-only
-                # row reprs each entry instead of deduplicating
-                cells = list(map(repr, flat[index].tolist()))
-            cells[2] = cells[2].lstrip("-")
-            if arrays["energy_diff_two"] is None:
-                cells.insert(6, "")
-            csv.write(",".join(cells) + "\n")
-    if csv is not None and upper is None:
+    if not _render_diagnostics(handles, _vectors(records)) and handles.get("csv") is not None:
         raise ConfigurationError("no diagnostics records to write")
+
+
+def _opened(stack: ExitStack, paths: dict) -> dict:
+    """A new text file for each path, closed with stack."""
+    return {
+        fmt: stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+        for fmt, path in paths.items()
+    }
+
+
+def write_diagnostics_files(paths: dict, records, n: int, samples: int) -> None:
+    """write_diagnostics into a new file at each of paths, keyed by format,
+    for a run of samples N-oscillator records.
+
+    When those records hold _RENDER_CHILD_NUMBERS numbers or more, a forked
+    child opens the files and renders while this process goes on making
+    records: each record is read and checked for finiteness here, so a
+    non-finite one still raises here and in order, and its flat vector goes
+    to the child down a pipe. The child runs the same rendering, so the
+    files hold the same bytes either way. Every record sent is written
+    before this returns or raises, and the child is always waited for. An
+    error in the child is raised here in its place: it came from an earlier
+    record than any error of this process."""
+    if samples * _record_numbers(n) < _RENDER_CHILD_NUMBERS:
+        with ExitStack() as stack:
+            write_diagnostics(_opened(stack, paths), records)
+        return
+    data_r, data_w = os.pipe()
+    report_r, report_w = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns that forking a process with threads may
+        # deadlock the child; those threads are OpenBLAS's workers, and the
+        # child calls no BLAS
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        _render_child(paths, data_r, report_w, (data_w, report_r))
+    os.close(data_r)
+    os.close(report_w)
+    error = None
+    try:
+        with open(data_w, "wb") as pipe:
+            for rec_n, flat in _vectors(records):
+                pipe.write(np.array([rec_n, flat.size], dtype=np.int64).tobytes())
+                pipe.write(flat)
+    except BaseException as exc:  # raised below, once the child is done
+        error = exc
+    finally:
+        try:
+            with open(report_r, "rb") as fh:
+                report = fh.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if report:
+        raise pickle.loads(report) from None
+    if status != 0:
+        raise RuntimeError(f"the diagnostics render child ended with wait status {status}")
+    if error is not None:
+        raise error
+
+
+def _render_child(paths: dict, data_fd: int, report_fd: int, parent_fds) -> None:
+    """The render child of write_diagnostics_files: render what arrives on
+    data_fd until it closes, send any error pickled down report_fd, and
+    exit without returning."""
+    code = 1
+    try:
+        for fd in parent_fds:
+            os.close(fd)
+        with ExitStack() as stack, open(data_fd, "rb") as pipe:
+            _render_diagnostics(_opened(stack, paths), _received(pipe))
+        code = 0
+    except BaseException as exc:
+        try:
+            report = pickle.dumps(exc)
+        except Exception:  # an error that does not pickle goes as its repr
+            report = pickle.dumps(RuntimeError(repr(exc)))
+        with open(report_fd, "wb") as fh:
+            fh.write(report)
+    finally:
+        os._exit(code)
+
+
+def _received(pipe):
+    """The (N, flat vector) pairs write_diagnostics_files sends, until the
+    pipe closes; a record cut short is dropped."""
+    while len(head := pipe.read(16)) == 16:
+        n, size = np.frombuffer(head, dtype=np.int64).tolist()
+        data = pipe.read(8 * size)
+        if len(data) < 8 * size:
+            return
+        yield n, np.frombuffer(data)
 
 
 def write_diagnostics_ndjson(fh, records) -> None:

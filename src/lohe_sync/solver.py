@@ -129,6 +129,12 @@ class SolverParams:
     def n_steps(self) -> int:
         return step_count(self.dt, self.t_end)
 
+    @property
+    def n_samples(self) -> int:
+        """The samples of a whole run: the initial one, then one every
+        snapshot_stride steps and the endpoint."""
+        return 1 + len(range(0, self.n_steps, self.snapshot_stride))
+
 
 @dataclass(frozen=True)
 class StabilityReport:

@@ -1,8 +1,10 @@
-"""Artifact writers: their bytes against a value-by-value rendering, and the
-one finiteness rule every writer applies."""
+"""Artifact writers: their bytes against a value-by-value rendering, the
+one finiteness rule every writer applies, and the forked render child."""
 
+import functools
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -17,22 +19,24 @@ from lohe_sync import (
     integrate,
     random_correlation_matrix,
 )
+import lohe_sync.emit as emit
 from lohe_sync.diagnostics import DiagnosticsRecord, EnergyReport
 from lohe_sync.emit import (
     fmt_float,
     write_diagnostics,
     write_diagnostics_csv,
     write_diagnostics_ndjson,
+    write_diagnostics_files,
     write_series,
 )
 from lohe_sync.initial_data import perturbed_gaussians
 from lohe_sync.potentials import cosine_potential
 
 
-def _records(n):
+def _records(n, coupling=1.0):
     grid = GridSpec(dim=1, points=64, length=20.0)
     config = ModelConfig(
-        coupling=1.0,
+        coupling=coupling,
         frequencies=(0.2, -0.2) if n == 2 else (0.0,) * n,
         potential=cosine_potential(grid, amplitude=1.0, offset=1.0),
     )
@@ -217,3 +221,133 @@ def test_ode_writers_refuse_non_finite_values(fmt):
     series.z[-1, 0, 2] = complex(np.nan, 0.0)
     with pytest.raises(ConfigurationError, match="refusing to serialize non-finite value nan"):
         _series_written(fmt, series)
+
+
+@functools.lru_cache(maxsize=None)
+def _child_case(case):
+    """Records of each render-child case: (N, coupling); a coupled pair's
+    records carry energy_diff_two, the others hold None."""
+    n, coupling = case
+    return tuple(_records(n, coupling))
+
+
+def _in_process(formats, records) -> dict:
+    handles = {fmt: io.StringIO() for fmt in formats}
+    write_diagnostics(handles, records)
+    return {fmt: fh.getvalue() for fmt, fh in handles.items()}
+
+
+def _files(tmp_path, formats) -> dict:
+    return {fmt: str(tmp_path / f"diagnostics.{fmt}") for fmt in formats}
+
+
+def _read(paths) -> dict:
+    out = {}
+    for fmt, path in paths.items():
+        with open(path, encoding="utf-8", newline="") as fh:
+            out[fmt] = fh.read()
+    return out
+
+
+def _assert_no_child_left():
+    # no child of this process is left, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def render_child(monkeypatch):
+    """Every write_diagnostics_files call renders in a forked child."""
+    monkeypatch.setattr(emit, "_RENDER_CHILD_NUMBERS", 0)
+
+
+@pytest.mark.parametrize("formats", [("ndjson",), ("csv",), ("ndjson", "csv")], ids="+".join)
+@pytest.mark.parametrize(
+    "case", [(2, 1.0), (2, 0.0), (5, 1.0), (40, 1.0)], ids=["2", "2_uncoupled", "5", "40"]
+)
+def test_render_child_writes_the_in_process_bytes(tmp_path, render_child, formats, case):
+    records = _child_case(case)
+    assert (records[0].energies.diff_energy_two is None) == (case != (2, 1.0))
+    paths = _files(tmp_path, formats)
+    write_diagnostics_files(paths, iter(records), case[0], len(records))
+    _assert_no_child_left()
+    assert _read(paths) == _in_process(formats, records)
+
+
+def test_render_child_writes_signed_zeros_like_the_in_process_path(tmp_path, render_child):
+    records = [_hand_built_record()] * 3
+    paths = _files(tmp_path, ("ndjson", "csv"))
+    write_diagnostics_files(paths, records, 2, len(records))
+    _assert_no_child_left()
+    assert _read(paths) == _in_process(("ndjson", "csv"), records)
+
+
+def test_small_runs_render_in_process(tmp_path, monkeypatch):
+    # 5 records of a pair hold 5 x 37 numbers, far below the threshold
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    records = _child_case((2, 1.0))
+    paths = _files(tmp_path, ("ndjson", "csv"))
+    write_diagnostics_files(paths, records, 2, len(records))
+    assert _read(paths) == _in_process(("ndjson", "csv"), records)
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [ConfigurationError("z must be finite"), KeyboardInterrupt()],
+    ids=["error", "interrupt"],
+)
+def test_render_child_keeps_the_records_before_an_error_of_the_parent(
+    tmp_path, render_child, failure
+):
+    # the records made before the error are written, the child is waited
+    # for, and the parent's own error is raised
+    records = _child_case((5, 1.0))
+
+    def made():
+        yield from records[:3]
+        raise failure
+
+    paths = _files(tmp_path, ("ndjson", "csv"))
+    with pytest.raises(type(failure)):
+        write_diagnostics_files(paths, made(), 5, len(records))
+    _assert_no_child_left()
+    assert _read(paths) == _in_process(("ndjson", "csv"), records[:3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_render_child_refuses_a_non_finite_record_in_order(tmp_path, render_child, bad):
+    records = [_hand_built_record() for _ in range(3)]
+    records[1].pair_h1[0, 1] = bad
+    paths = _files(tmp_path, ("ndjson", "csv"))
+    with pytest.raises(ConfigurationError, match=f"refusing to serialize non-finite value {bad}"):
+        write_diagnostics_files(paths, records, 2, len(records))
+    _assert_no_child_left()
+    assert _read(paths) == _in_process(("ndjson", "csv"), records[:1])
+
+
+def test_render_child_that_cannot_open_its_file_raises_its_error(tmp_path, render_child):
+    paths = _files(tmp_path, ("ndjson", "csv"))
+    os.mkdir(paths["csv"])
+    with pytest.raises(IsADirectoryError, match="diagnostics.csv"):
+        write_diagnostics_files(paths, _child_case((40, 1.0)), 40, 5)
+    _assert_no_child_left()
+
+
+def test_render_child_that_fails_mid_stream_raises_its_error(tmp_path, render_child, monkeypatch):
+    # the child fails on its third record while the parent is still sending
+    ndjson_line, lines = emit._ndjson_line, []
+
+    def failing_line(shapes, tokens):
+        lines.append(None)
+        if len(lines) == 3:
+            raise RuntimeError("render failed")
+        return ndjson_line(shapes, tokens)
+
+    monkeypatch.setattr(emit, "_ndjson_line", failing_line)
+    records = _child_case((40, 1.0)) * 4
+    with pytest.raises(RuntimeError, match="render failed"):
+        write_diagnostics_files(_files(tmp_path, ("ndjson",)), records, 40, len(records))
+    _assert_no_child_left()

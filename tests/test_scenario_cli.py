@@ -32,6 +32,7 @@ from lohe_sync import (
     with_records,
     write_snapshot,
 )
+import lohe_sync.emit as emit_module
 import lohe_sync.scenario as scenario_module
 from lohe_sync.cli import main
 from lohe_sync.initial_data import gaussian_pair, perturbed_gaussians
@@ -745,16 +746,19 @@ def test_snapshot_feeds_back_as_initial(tmp_path, scenario_file):
     assert summary["final"]["t"] == pytest.approx(1.1)
 
 
+_DIVERGING_TRIPLE = (
+    "[scenario]\nname = diverge\n[grid]\npoints = 64\n[model]\nn = 3\ncoupling = 1000.0\n"
+    "[initial]\nkind = perturbed_gaussians\n[solver]\ndt = 0.01\nt_end = 1.0\n"
+    "[outputs]\nformats = ndjson, csv\nfinal_snapshot = true\n"
+)
+
+
 def test_diverging_simulate_keeps_its_finite_samples(tmp_path, capsys):
     # K dt = 10 leaves the RK4 stability region of the span coefficients at
     # step 2; the records are written as the run goes, so the run directory
     # holds the two finite samples, and no summary
     cfg = tmp_path / "diverge.cfg"
-    cfg.write_text(
-        "[scenario]\nname = diverge\n[grid]\npoints = 64\n[model]\nn = 3\ncoupling = 1000.0\n"
-        "[initial]\nkind = perturbed_gaussians\n[solver]\ndt = 0.01\nt_end = 1.0\n"
-        "[outputs]\nformats = ndjson, csv\nfinal_snapshot = true\n"
-    )
+    cfg.write_text(_DIVERGING_TRIPLE)
     out = tmp_path / "o"
     with pytest.warns(UserWarning):
         assert run_cli("simulate", "--scenario", str(cfg), "--out", str(out)) == 3
@@ -841,6 +845,63 @@ def test_sample_whose_gram_matrix_overflows_is_a_divergence(tmp_path, capsys, sc
     assert [json.loads(line)["t"] for line in lines] == [0.0, 0.01]
     with open(out / "diagnostics.csv") as fh:
         assert [row["t"] for row in csv.DictReader(fh)] == ["0.0", "0.01"]
+
+
+# simulate with every diagnostics file rendered in a forked child
+_WITH_RENDER_CHILD = (
+    "import sys\nimport lohe_sync.emit\nfrom lohe_sync.cli import main\n"
+    "lohe_sync.emit._RENDER_CHILD_NUMBERS = 0\nsys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def _simulate_with_render_child(cfg, out):
+    # the captured pipes stay open while any process holding them runs, so
+    # a render child left behind would hang this call into its timeout
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-c", _WITH_RENDER_CHILD, "simulate", "--scenario", str(cfg)]
+    return subprocess.run(
+        argv + ["--out", str(out)], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def _assert_same_files(a, b):
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in os.listdir(a):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_simulate_with_render_child_writes_the_same_files(tmp_path, scenario_file):
+    child = _simulate_with_render_child(scenario_file, tmp_path / "child")
+    assert child.returncode == 0, child.stderr
+    assert run_cli("simulate", "--scenario", scenario_file, "--out", str(tmp_path / "o")) == 0
+    _assert_same_files(tmp_path / "child", tmp_path / "o")
+
+
+def test_diverging_simulate_with_render_child_keeps_its_finite_samples(
+    tmp_path, capsys, monkeypatch
+):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(_DIVERGING_TRIPLE)
+    message = "numerical divergence: solver diverged at step 2 (t = 0.02)\n"
+    for out, threshold in (("child", 0), ("o", emit_module._RENDER_CHILD_NUMBERS)):
+        monkeypatch.setattr(emit_module, "_RENDER_CHILD_NUMBERS", threshold)
+        with pytest.warns(UserWarning):
+            assert run_cli("simulate", "--scenario", str(cfg), "--out", str(tmp_path / out)) == 3
+        assert capsys.readouterr().err == message
+        with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+    _assert_same_files(tmp_path / "child", tmp_path / "o")
+    lines = (tmp_path / "child" / "diagnostics.ndjson").read_text().splitlines()
+    assert [json.loads(line)["t"] for line in lines] == [0.0, 0.01]
+
+
+def test_simulate_whose_render_child_fails_exits_with_its_error(tmp_path, scenario_file):
+    out = tmp_path / "o"
+    os.makedirs(out / "diagnostics.csv")
+    run = _simulate_with_render_child(scenario_file, out)
+    assert run.returncode == 1
+    assert "IsADirectoryError" in run.stderr and "diagnostics.csv" in run.stderr
+    assert not (out / "summary.json").exists()
 
 
 def _finite_numbers(value):
