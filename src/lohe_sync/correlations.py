@@ -700,7 +700,8 @@ def integrate_batch(z0s, couplings, frequencies, dt: float, t_end: float, sample
     N = 2 cells step one at a time through the scalar pair loop, under a
     microsecond per cell-step, where a (B,) vector of pairs pays numpy's
     per-call overhead, tens of microseconds a step, and wins only above
-    about 30 cells. Returns one entry per cell, in order: its
+    about 30 cells. A cell's coupling and frequencies are checked as
+    ModelConfig checks them. Returns one entry per cell, in order: its
     CorrelationSeries, bit for bit what integrate("full") gives for that
     cell alone, or the DivergenceError that call would raise. A diverging
     cell does not stop the others."""
@@ -718,6 +719,8 @@ def integrate_batch(z0s, couplings, frequencies, dt: float, t_end: float, sample
             f"need B >= 1 initial states of one N, B couplings and B x N frequencies; got "
             f"{len(states)} states, {k.size} couplings and frequencies of shape {omega.shape}"
         )
+    for coupling, row in zip(k.tolist(), omega.tolist()):
+        ModelConfig(coupling, row)  # its checks and messages, as integrate's
     if n == 2:
         # Python scalars, as integrate passes them: numpy scalars would
         # round alike but cost several times more per step

@@ -1,5 +1,7 @@
 """Correlation-level dynamics against closed forms and structure invariants."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,6 +331,20 @@ def test_integrate_batch_validation():
         integrate_batch(z0s, [1.0, 1.0], np.zeros((2, 2)), 0.01, 0.1)
     with pytest.raises(ConfigurationError, match="not an integer multiple"):
         integrate_batch(z0s, [1.0, 1.0], np.zeros((2, 3)), 0.03, 0.1)
+    # couplings and frequencies are refused as ModelConfig refuses them, for
+    # pairs (the scalar loop) and stacks alike
+    pairs = [random_correlation_matrix(2, 0), random_correlation_matrix(2, 1)]
+    for cells in (z0s, pairs):
+        n = len(cells[0])
+        for bad in (-1.0, np.nan, np.inf):
+            message = f"coupling must be finite and >= 0, got {bad!r}"
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                integrate_batch(cells, [1.0, bad], np.zeros((2, n)), 0.01, 0.1)
+        for bad in (np.nan, np.inf, -np.inf):
+            omega = np.zeros((2, n))
+            omega[1, 0] = bad
+            with pytest.raises(ConfigurationError, match="frequencies must be finite"):
+                integrate_batch(cells, [1.0, 1.0], omega, 0.01, 0.1)
 
 
 def test_dz_is_the_coupling_generator_seen_through_z():
