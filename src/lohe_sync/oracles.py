@@ -77,12 +77,17 @@ class TwoOscRegime:
 
 
 def classify_two(k_coupling: float, omega: float) -> TwoOscRegime:
-    """Place a two-oscillator parameter pair in the trichotomy. K > 0, Omega >= 0."""
+    """Place a two-oscillator parameter pair in the trichotomy. K > 0, Omega >= 0.
+
+    The rate sqrt(K^2 - 4 Omega^2) and the period's sqrt(4 Omega^2 - K^2)
+    are formed from (K - 2 Omega)(K + 2 Omega), whose first factor is exact
+    near Lambda = 1, so they keep full precision there."""
     if not (k_coupling > 0):
         raise ContractViolationError(f"coupling must be positive, got {k_coupling}")
     if not (omega >= 0):
         raise ContractViolationError(f"frequency parameter must be >= 0, got {omega}")
     lam = 2.0 * omega / k_coupling
+    gap = (k_coupling - 2.0 * omega) * (k_coupling + 2.0 * omega)  # K^2 - 4 Omega^2
     if lam <= 1.0:
         root = float(np.sqrt(max(0.0, 1.0 - lam * lam)))
         return TwoOscRegime(
@@ -93,7 +98,7 @@ def classify_two(k_coupling: float, omega: float) -> TwoOscRegime:
             phi=float(np.arcsin(lam)),
             stable_point=complex(root, lam),
             unstable_point=complex(-root, lam),
-            rate=float(np.sqrt(max(0.0, k_coupling**2 - 4.0 * omega**2))),
+            rate=float(np.sqrt(max(0.0, gap))),
             period=None,
         )
     return TwoOscRegime(
@@ -105,7 +110,7 @@ def classify_two(k_coupling: float, omega: float) -> TwoOscRegime:
         stable_point=None,
         unstable_point=None,
         rate=None,
-        period=float(2.0 * np.pi / np.sqrt(4.0 * omega**2 - k_coupling**2)),
+        period=float(2.0 * np.pi / np.sqrt(-gap)),
     )
 
 

@@ -1,6 +1,7 @@
 """Closed-form layer: regimes, the exact pair correlation, fixed-point
 taxonomy, and the asymptotic free profile."""
 
+import decimal
 import math
 
 import numpy as np
@@ -66,6 +67,25 @@ def test_classify_two_trichotomy():
     assert per.regime == "periodic"
     assert per.stable_point is None
     assert per.period == pytest.approx(PERIOD_LAM2_K1, abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [0.2, 1.0, 3.0])
+@pytest.mark.parametrize("gap", [1e-9, 1e-12])
+def test_rate_and_period_are_exact_near_lam_one(k, gap):
+    # K^2 - 4 Omega^2 cancels as lam -> 1, (K - 2 Omega)(K + 2 Omega) does
+    # not: both are checked against 50 digits from the same binary K, Omega
+    def exact(a, b):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            k_, w_ = decimal.Decimal(a), decimal.Decimal(b)
+            return abs(k_ * k_ - 4 * w_ * w_).sqrt()
+
+    below, above = 0.5 * (1.0 - gap) * k, 0.5 * (1.0 + gap) * k
+    rate = classify_two(k, below).rate
+    period = classify_two(k, above).period
+    assert abs(rate - float(exact(k, below))) <= 1e-15 * rate
+    reference = float(2 * decimal.Decimal(math.pi) / exact(k, above))
+    assert abs(period - reference) <= 1e-15 * period
 
 
 def test_classify_two_rejects_bad_parameters():
