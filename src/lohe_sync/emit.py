@@ -382,8 +382,9 @@ def write_diagnostics_files(paths: dict, records, n: int, samples: int) -> None:
             status = os.waitpid(pid, 0)[1]
     if report:
         raise pickle.loads(report) from None
-    if status != 0:
-        raise RuntimeError(f"the diagnostics render child ended with wait status {status}")
+    if status != 0:  # ended without a report: killed by a signal (negative code)
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"the diagnostics render child exited with code {code}")
     if error is not None:
         raise error
 

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -349,5 +350,16 @@ def test_render_child_that_fails_mid_stream_raises_its_error(tmp_path, render_ch
     monkeypatch.setattr(emit, "_ndjson_line", failing_line)
     records = _child_case((40, 1.0)) * 4
     with pytest.raises(RuntimeError, match="render failed"):
+        write_diagnostics_files(_files(tmp_path, ("ndjson",)), records, 40, len(records))
+    _assert_no_child_left()
+
+
+def test_render_child_killed_without_a_report_is_an_error(tmp_path, render_child, monkeypatch):
+    def killed(handles, vectors):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(emit, "_render_diagnostics", killed)
+    records = _child_case((40, 1.0))
+    with pytest.raises(RuntimeError, match="render child exited with code -9"):
         write_diagnostics_files(_files(tmp_path, ("ndjson",)), records, 40, len(records))
     _assert_no_child_left()
