@@ -474,14 +474,8 @@ def _ode_series(sc: Scenario, cells: list) -> list:
         z0s = [random_correlation_matrix(n, seed, coherence=0.5) for _, _, seed in members]
         try:
             stride = max(1, step_count(dt, t_end) // 200)
-            results = integrate_batch(
-                z0s,
-                [config.coupling for _, config, _ in members],
-                [config.frequencies for _, config, _ in members],
-                dt,
-                t_end,
-                sample_stride=stride,
-            )
+            configs = [config for _, config, _ in members]
+            results = integrate_batch(z0s, configs, dt, t_end, sample_stride=stride)
         except ConfigurationError as exc:
             results = [exc] * len(members)
         for (i, _, _), result in zip(members, results):

@@ -12,16 +12,16 @@ specializations) independently of any PDE machinery, so the two levels can be
 checked against each other.
 
 Derivatives are exposed in real/imaginary split form (r, s), matching the
-emitted file schemas; the integrator works on a stack of complex matrices
-and mirrors the lower triangles from the upper ones every step, so
-r_jk - r_kj and s_jk + s_kj are exactly zero along trajectories. A single
-run is a stack of one; integrate_batch steps the N >= 3 runs of one N
-together as one stack. At N = 2 the system is the single pair correlation
-z_01: the two-oscillator system, a "full" run and every N = 2 cell of a
-batch step z_01 alone, one cell at a time, through _pair_samples, one loop
-that carries z_01 as two Python floats, writes RK4's four stages out as the
-component formulas of CPython's complex arithmetic, samples as it goes and
-gives the bits of rk4_step over two_rhs; they return 2 x 2 series.
+emitted file schemas. The full system has one cell runner, _cells: integrate
+runs one cell of it for "full" and "two", integrate_batch the B cells of one
+N. N >= 3 cells step together as a stack of complex matrices whose lower
+triangles are mirrored from the upper ones every step, so r_jk - r_kj and
+s_jk + s_kj are exactly zero along trajectories. At N = 2 the system is the
+single pair correlation z_01, which each cell steps alone through
+_pair_samples, one loop that carries z_01 as two Python floats, writes RK4's
+four stages out as the component formulas of CPython's complex arithmetic,
+samples as it goes and gives the bits of rk4_step over two_rhs; it returns
+2 x 2 series. The "fg" system steps F = 1 - z as a stack of one.
 
 mixing_flow is the coupling on the fields' coefficients D over an orthonormal
 basis, which the solver's span scheme steps; at N = 2, pair_mixing_step steps
@@ -483,7 +483,7 @@ class CorrelationSeries:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
+def _rk4_samples(y0, deriv, dt, n_steps, sample_stride):
     """Fixed-step RK4 from y0, sampled every sample_stride steps plus the end.
 
     y0 is a (B, N, N) stack of B cells, whose lower triangles are mirrored
@@ -505,12 +505,6 @@ def _rk4_samples(y0, deriv, dt, n_steps, sample_stride, self_check_every=0):
             first_bad[~finite & (first_bad == 0)] = step
             if first_bad.all():
                 break
-            if self_check_every and (step // sample_stride) % self_check_every == 0:
-                drift = np.max(np.abs(y - np.conj(np.swapaxes(y, -1, -2))))
-                if drift > 1e-12:
-                    raise ContractViolationError(
-                        f"Hermitian drift {drift:.2e} at step {step}"
-                    )
             if step % sample_stride == 0:
                 samples.append(y)
                 sample_steps.append(step)
@@ -590,9 +584,11 @@ def _pair_samples(z: complex, omega: float, coupling: float, dt, n_steps, sample
     return np.array(sample_steps), np.array(samples), bad
 
 
-def _divergence(sample_steps, samples, bad_step, dt) -> DivergenceError:
-    """The error for one cell that went non-finite at bad_step, carrying its
-    samples from before that step."""
+def _outcome(sample_steps, samples, bad_step, dt):
+    """A cell's CorrelationSeries, or, when it went non-finite at bad_step,
+    the DivergenceError carrying its samples from before that step."""
+    if not bad_step:
+        return CorrelationSeries(times=sample_steps * dt, z=samples)
     keep = sample_steps < bad_step
     return DivergenceError(
         "correlation integration produced non-finite values",
@@ -602,11 +598,27 @@ def _divergence(sample_steps, samples, bad_step, dt) -> DivergenceError:
     )
 
 
-def _two_omega(config: ModelConfig) -> float:
-    if config.n_oscillators != 2:
-        raise ConfigurationError("the two-oscillator system needs exactly 2 frequencies")
-    w1, w2 = config.frequencies
-    return 0.5 * (w1 - w2)
+def _cells(z0, omega, coupling, dt, n_steps, stride):
+    """The full system for B cells of one N: z0 is their (B, N, N) stack of
+    initial states, omega their (B, N) detunings, coupling their B gains.
+    Returns each cell's outcome, in order (see _outcome); a diverging cell
+    does not stop the others. N = 2 cells step one at a time through the
+    scalar pair loop, under a microsecond per cell-step, where a (B,) vector
+    of pairs pays numpy's per-call overhead, tens of microseconds a step,
+    and wins only above about 30 cells. N >= 3 cells step together as one
+    stack."""
+    omega, coupling = np.asarray(omega, dtype=float), np.asarray(coupling, dtype=float)
+    if z0.shape[-1] == 2:
+        # Python scalars: numpy scalars would round alike but cost several
+        # times more per step
+        half_gaps = (0.5 * (omega[:, 0] - omega[:, 1])).tolist()
+        pairs = zip(z0[:, 0, 1].tolist(), half_gaps, coupling.tolist())
+        runs = [_pair_samples(z, w, k, dt, n_steps, stride) for z, w, k in pairs]
+        return [_outcome(steps, _pair_matrices(z), bad, dt) for steps, z, bad in runs]
+    deriv = _correlation_flow(omega, coupling.reshape(-1, 1, 1))
+    steps, samples, bad = _rk4_samples(z0, deriv, dt, n_steps, stride)
+    stack = np.ascontiguousarray(np.swapaxes(samples, 0, 1))
+    return [_outcome(steps, z, step, dt) for z, step in zip(stack, bad)]
 
 
 def integrate(
@@ -620,123 +632,82 @@ def integrate(
 ) -> CorrelationSeries:
     """Fixed-step RK4 integration of one of the reduced systems.
 
-    system is "full" (N x N pairwise), "two" (the pair correlation z_01,
-    stepped as one complex number; the config must hold two frequencies), or
-    "fg" (pairwise system under identical oscillators, stepped in the decay
-    variables F = 1 - z). initial is a CorrelationState or raw matrix for
-    "full"/"fg", a complex number for "two"; every system returns an N x N
-    series. At N = 2, "full" steps z_01 alone through "two", so both give
-    the same series bit for bit. Samples land every sample_stride steps plus
-    the final time. self_check = True repeats the run at twice the step and
-    attaches a Richardson estimate of the terminal error.
+    system is "full" (N x N pairwise), "two" (the pair correlation z_01; the
+    config must hold two frequencies), or "fg" (pairwise system under
+    identical oscillators, stepped in the decay variables F = 1 - z).
+    initial is a CorrelationState or raw matrix for "full"/"fg", a complex
+    number for "two", which is not checked; every system returns an N x N
+    series. "full" and "two" run as one cell of integrate_batch, so at N = 2
+    both step z_01 through the pair loop and give the same series bit for
+    bit. Samples land every sample_stride steps plus the final time. A
+    non-finite value raises DivergenceError. self_check = True repeats the
+    run at twice the step and attaches a Richardson estimate of the terminal
+    error.
     """
     if sample_stride < 1:
         raise ConfigurationError("sample_stride must be >= 1")
     n_steps = step_count(dt, t_end)
     k = config.coupling
-
+    omega = np.asarray(config.frequencies, dtype=float)
     if system == "two":
-        y0 = complex(initial)
+        z0 = _pair_matrices(complex(initial))
+        if config.n_oscillators != 2:
+            raise ConfigurationError("the two-oscillator system needs exactly 2 frequencies")
     elif system in ("full", "fg"):
         state = initial if isinstance(initial, CorrelationState) else CorrelationState(0.0, initial)
-        omega = np.asarray(config.frequencies, dtype=float)
         _require_n(config, state.n_oscillators)
-        if system == "fg":
-            if np.max(np.abs(omega)) > 0.0:
-                raise ContractViolationError("the f/g reduction requires zero frequencies")
-
-            def deriv(big_f):
-                phi = big_f.mean(axis=-2)
-                return -0.5 * k * (2.0 - np.conj(phi)[..., :, None] - phi[..., None, :]) * big_f
-
-            y0 = 1.0 - state.z[None]  # a stack of one cell
-
-            def to_z(big_f):
-                return 1.0 - big_f[:, 0]
-        elif state.n_oscillators == 2:
-            y0 = complex(state.z[0, 1])
-        else:
-            deriv = _correlation_flow(omega, k)
-            y0 = state.z[None]
-
-            def to_z(z):
-                return z[:, 0]
+        z0 = state.z
     else:
         raise ConfigurationError(f"unknown system {system!r}; expected full, two, or fg")
+    if system == "fg":
+        if np.max(np.abs(omega)) > 0.0:
+            raise ContractViolationError("the f/g reduction requires zero frequencies")
 
-    pair = isinstance(y0, complex)
-    if pair:
-        omega = _two_omega(config)
-        to_z = _pair_matrices
+        def deriv(big_f):
+            phi = big_f.mean(axis=-2)
+            return -0.5 * k * (2.0 - np.conj(phi)[..., :, None] - phi[..., None, :]) * big_f
 
-    def run(step_dt, steps, stride, check_every=0):
-        if pair:
-            sample_steps, samples, bad = _pair_samples(y0, omega, k, step_dt, steps, stride)
+    def run(step_dt, steps, stride):
+        if system == "fg":
+            sample_steps, f, (bad,) = _rk4_samples(1.0 - z0[None], deriv, step_dt, steps, stride)
+            outcome = _outcome(sample_steps, 1.0 - f[:, 0], bad, step_dt)
         else:
-            sample_steps, samples, (bad,) = _rk4_samples(
-                y0, deriv, step_dt, steps, stride, check_every
-            )
-        samples = to_z(samples)
-        if bad:
-            raise _divergence(sample_steps, samples, bad, step_dt)
-        return sample_steps, samples
+            (outcome,) = _cells(z0[None], omega[None], [k], step_dt, steps, stride)
+        if isinstance(outcome, DivergenceError):
+            raise outcome
+        return outcome
 
-    steps, samples = run(dt, n_steps, sample_stride, 8 if self_check else 0)
-    richardson = None
+    series = run(dt, n_steps, sample_stride)
     if self_check:
         if n_steps % 2:
             warnings.warn("self_check needs an even step count; estimate skipped")
         elif n_steps >= 2:
             half = n_steps // 2
-            last = run(2.0 * dt, half, half)[1][-1]
-            richardson = float(np.max(np.abs(samples[-1] - last)) / 15.0)
-    return CorrelationSeries(times=steps * dt, z=samples, richardson_error=richardson)
+            last = run(2.0 * dt, half, half).z[-1]
+            series.richardson_error = float(np.max(np.abs(series.z[-1] - last)) / 15.0)
+    return series
 
 
-def integrate_batch(z0s, couplings, frequencies, dt: float, t_end: float, sample_stride: int = 1):
+def integrate_batch(z0s, configs, dt: float, t_end: float, sample_stride: int = 1):
     """integrate("full") for B cells of one N: z0s holds B initial states
-    (CorrelationStates or raw matrices), couplings B gains, frequencies B
-    rows of N detunings. N >= 3 cells step together as one (B, N, N) stack;
-    N = 2 cells step one at a time through the scalar pair loop, under a
-    microsecond per cell-step, where a (B,) vector of pairs pays numpy's
-    per-call overhead, tens of microseconds a step, and wins only above
-    about 30 cells. A cell's coupling and frequencies are checked as
-    ModelConfig checks them. Returns one entry per cell, in order: its
-    CorrelationSeries, bit for bit what integrate("full") gives for that
-    cell alone, or the DivergenceError that call would raise. A diverging
-    cell does not stop the others."""
+    (CorrelationStates or raw matrices), configs their B ModelConfigs. The
+    cells step through one runner: N = 2 cells one at a time through the
+    scalar pair loop, N >= 3 cells together as one (B, N, N) stack. Returns
+    one entry per cell, in order: its CorrelationSeries, bit for bit what
+    integrate("full") gives for that cell alone, or the DivergenceError that
+    call would raise. A diverging cell does not stop the others."""
     if sample_stride < 1:
         raise ConfigurationError("sample_stride must be >= 1")
     n_steps = step_count(dt, t_end)
     states = [z if isinstance(z, CorrelationState) else CorrelationState(0.0, z) for z in z0s]
-    omega = np.asarray(frequencies, dtype=float)
-    k = np.asarray(couplings, dtype=float)
     n = states[0].n_oscillators if states else 0
-    if not states or omega.shape != (len(states), n) or k.shape != (len(states),) or any(
-        state.n_oscillators != n for state in states
-    ):
+    if not states or len(configs) != len(states) or any(s.n_oscillators != n for s in states):
         raise ConfigurationError(
-            f"need B >= 1 initial states of one N, B couplings and B x N frequencies; got "
-            f"{len(states)} states, {k.size} couplings and frequencies of shape {omega.shape}"
+            f"need B >= 1 initial states of one N and a config for each; got "
+            f"{len(states)} states and {len(configs)} configs"
         )
-    for coupling, row in zip(k.tolist(), omega.tolist()):
-        ModelConfig(coupling, row)  # its checks and messages, as integrate's
-    if n == 2:
-        # Python scalars, as integrate passes them: numpy scalars would
-        # round alike but cost several times more per step
-        pairs = zip(states, (0.5 * (omega[:, 0] - omega[:, 1])).tolist(), k.tolist())
-        runs = [
-            _pair_samples(complex(state.z[0, 1]), w, g, dt, n_steps, sample_stride)
-            for state, w, g in pairs
-        ]
-        cells = [(steps, _pair_matrices(z), bad) for steps, z, bad in runs]
-    else:
-        z0 = np.array([state.z for state in states])
-        deriv = _correlation_flow(omega, k.reshape(-1, 1, 1))
-        steps, samples, bad = _rk4_samples(z0, deriv, dt, n_steps, sample_stride)
-        stack = np.ascontiguousarray(np.swapaxes(samples, 0, 1))
-        cells = [(steps, z, step) for z, step in zip(stack, bad)]
-    return [
-        _divergence(steps, z, bad, dt) if bad else CorrelationSeries(times=steps * dt, z=z)
-        for steps, z, bad in cells
-    ]
+    for config in configs:
+        _require_n(config, n)
+    omega = [config.frequencies for config in configs]
+    coupling = [config.coupling for config in configs]
+    return _cells(np.array([s.z for s in states]), omega, coupling, dt, n_steps, sample_stride)

@@ -1,5 +1,7 @@
 """Grid, field, and right-hand-side invariants, mostly property-based."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,19 @@ def test_rhs_rejects_mismatched_config(pair_state):
     config = ModelConfig(coupling=1.0, frequencies=(0.1, 0.2, 0.3))
     with pytest.raises(ConfigurationError):
         evolve(pair_state, config, SolverParams(dt=1e-3, t_end=1e-3))
+
+
+def test_model_config_refuses_bad_coupling_and_frequencies():
+    for bad in (-1.0, np.nan, np.inf):
+        message = f"coupling must be finite and >= 0, got {bad!r}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            ModelConfig(coupling=bad, frequencies=(0.0, 0.0))
+    for n in (2, 3):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError, match="frequencies must be finite"):
+                ModelConfig(coupling=1.0, frequencies=(0.0,) * (n - 1) + (bad,))
+    with pytest.raises(ConfigurationError, match="need at least 2 oscillators, got 1"):
+        ModelConfig(coupling=1.0, frequencies=(0.0,))
 
 
 def _low_mode_field_by_modes(grid, rng, max_mode):

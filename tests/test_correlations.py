@@ -147,9 +147,10 @@ def test_integrate_batch_matches_solo_runs(n):
     couplings = [0.0, 0.7, 1.9, 3.2]
     frequencies = rng.normal(scale=0.5, size=(len(couplings), n))
     z0s = [random_correlation_matrix(n, seed, coherence=0.5) for seed in range(len(couplings))]
-    batch = integrate_batch(z0s, couplings, frequencies, 0.01, 1.5, sample_stride=7)
-    for z0, k, w, series in zip(z0s, couplings, frequencies, batch):
-        solo = integrate("full", z0, ModelConfig(coupling=k, frequencies=w), 0.01, 1.5, 7)
+    configs = [ModelConfig(coupling=k, frequencies=w) for k, w in zip(couplings, frequencies)]
+    batch = integrate_batch(z0s, configs, 0.01, 1.5, sample_stride=7)
+    for z0, config, series in zip(z0s, configs, batch):
+        solo = integrate("full", z0, config, 0.01, 1.5, 7)
         assert np.array_equal(series.times, solo.times)
         assert np.array_equal(series.z, solo.z)
 
@@ -161,9 +162,9 @@ def test_integrate_batch_isolates_a_diverging_cell(n):
     # are correlation matrices even where the run steps z_01 alone
     z0s = [random_correlation_matrix(n, seed, coherence=0.4) for seed in (1, 2, 3)]
     couplings = [0.5, 1000.0, 1.0]
-    frequencies = np.zeros((3, n))
+    configs = [config_for(n, k) for k in couplings]
     with np.errstate(all="ignore"):
-        batch = integrate_batch(z0s, couplings, frequencies, 0.05, 5.0, sample_stride=10)
+        batch = integrate_batch(z0s, configs, 0.05, 5.0, sample_stride=10)
         with pytest.raises(DivergenceError) as info:
             integrate("full", z0s[1], config_for(n, 1000.0), 0.05, 5.0, sample_stride=10)
     solo = info.value
@@ -195,14 +196,14 @@ def test_integrate_batch_is_solo_runs_bit_for_bit(data):
     frequencies = np.array(
         data.draw(st.lists(st.floats(-1.0, 1.0), min_size=b * n, max_size=b * n))
     ).reshape(b, n)
+    configs = [ModelConfig(coupling=k, frequencies=w) for k, w in zip(couplings, frequencies)]
     seeds = data.draw(st.lists(st.integers(0, 10_000), min_size=b, max_size=b))
     z0s = [random_correlation_matrix(n, seed, coherence=0.5) for seed in seeds]
     dt, steps = 0.05, data.draw(st.integers(1, 30), label="steps")
     stride = data.draw(st.integers(1, 7), label="stride")
     with np.errstate(all="ignore"):
-        batch = integrate_batch(z0s, couplings, frequencies, dt, steps * dt, stride)
-        for z0, k, w, got in zip(z0s, couplings, frequencies, batch):
-            config = ModelConfig(coupling=k, frequencies=w)
+        batch = integrate_batch(z0s, configs, dt, steps * dt, stride)
+        for z0, config, got in zip(z0s, configs, batch):
             try:
                 solo = integrate("full", z0, config, dt, steps * dt, stride)
             except DivergenceError as err:
@@ -327,24 +328,24 @@ def test_pair_loop_is_the_generic_rk4_loop_for_any_draw(data):
 
 def test_integrate_batch_validation():
     z0s = [random_correlation_matrix(3, 0), random_correlation_matrix(3, 1)]
-    with pytest.raises(ConfigurationError, match="frequencies"):
-        integrate_batch(z0s, [1.0, 1.0], np.zeros((2, 2)), 0.01, 0.1)
-    with pytest.raises(ConfigurationError, match="not an integer multiple"):
-        integrate_batch(z0s, [1.0, 1.0], np.zeros((2, 3)), 0.03, 0.1)
-    # couplings and frequencies are refused as ModelConfig refuses them, for
-    # pairs (the scalar loop) and stacks alike
+    configs = [config_for(3), config_for(3)]
+    # a config of the wrong N, for stacks and pairs alike
+    with pytest.raises(ConfigurationError, match=re.escape("holds 2 frequencies but z is 3 x 3")):
+        integrate_batch(z0s, [config_for(3), config_for(2)], 0.01, 0.1)
     pairs = [random_correlation_matrix(2, 0), random_correlation_matrix(2, 1)]
-    for cells in (z0s, pairs):
-        n = len(cells[0])
-        for bad in (-1.0, np.nan, np.inf):
-            message = f"coupling must be finite and >= 0, got {bad!r}"
-            with pytest.raises(ConfigurationError, match=re.escape(message)):
-                integrate_batch(cells, [1.0, bad], np.zeros((2, n)), 0.01, 0.1)
-        for bad in (np.nan, np.inf, -np.inf):
-            omega = np.zeros((2, n))
-            omega[1, 0] = bad
-            with pytest.raises(ConfigurationError, match="frequencies must be finite"):
-                integrate_batch(cells, [1.0, 1.0], omega, 0.01, 0.1)
+    with pytest.raises(ConfigurationError, match=re.escape("holds 3 frequencies but z is 2 x 2")):
+        integrate_batch(pairs, [config_for(2), config_for(3)], 0.01, 0.1)
+    # config and state counts that differ, no cells, and states of two N
+    for states, cell_configs in (
+        (z0s, configs[:1]),
+        (z0s[:1], configs),
+        ([], []),
+        ([z0s[0], pairs[0]], [config_for(3), config_for(2)]),
+    ):
+        with pytest.raises(ConfigurationError, match="need B >= 1 initial states of one N"):
+            integrate_batch(states, cell_configs, 0.01, 0.1)
+    with pytest.raises(ConfigurationError, match="not an integer multiple"):
+        integrate_batch(z0s, configs, 0.03, 0.1)
 
 
 def test_dz_is_the_coupling_generator_seen_through_z():
