@@ -109,14 +109,22 @@ def _coupling_generator(z, omega, coupling):
 
 
 def test_full_structure_preserved():
-    z0 = random_correlation_matrix(4, seed=9, coherence=0.3)
-    config = config_for(4)
-    series = integrate("full", z0, config, 1e-3, 3.0, sample_stride=50, self_check=True)
-    for z in series.z[:: len(series.z) // 5]:
-        assert np.array_equal(z, z.conj().T)
-        assert_close(np.diag(z), np.ones(4), 0.0)
-    assert float(np.max(np.abs(series.z))) <= 1.0 + 1e-9
-    assert series.richardson_error < 1e-10
+    # every sample is exactly Hermitian with an exactly unit diagonal, for
+    # identical (N = 4) and detuned (N = 3, 5) full runs and for fg runs
+    # (N = 3, 5), the last two stepped as F = 1 - z
+    runs = [("full", config_for(4))]
+    for n in (3, 5):
+        detuned = ModelConfig(coupling=1.3, frequencies=tuple(np.linspace(0.6, -0.4, n)))
+        runs += [("full", detuned), ("fg", config_for(n, coupling=1.3))]
+    for system, config in runs:
+        n = config.n_oscillators
+        z0 = random_correlation_matrix(n, seed=9, coherence=0.3)
+        series = integrate(system, z0, config, 1e-3, 3.0, sample_stride=50, self_check=True)
+        for z in series.z:
+            assert np.array_equal(z, z.conj().T)
+            assert np.array_equal(np.diag(z), np.ones(n))
+        assert float(np.max(np.abs(series.z))) <= 1.0 + 1e-9
+        assert series.richardson_error < 1e-10
 
 
 def test_fg_matches_full_for_identical_oscillators():
