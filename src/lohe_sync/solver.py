@@ -373,14 +373,6 @@ class _SpanStepper(_Stepper):
         return psi.reshape((len(d),) + self.grid.shape)
 
 
-def _stepper(initial: EnsembleState, config: ModelConfig, params: SolverParams):
-    if config.potential is not None and config.potential.shape != initial.grid.shape:
-        raise ConfigurationError("potential shape does not match the grid")
-    if params.scheme == "span":
-        return _SpanStepper(initial, config, params)
-    return _GridStepper(initial, config, params)
-
-
 def propagate_linear(
     grid: GridSpec,
     potential: np.ndarray | None,
@@ -439,7 +431,7 @@ def _linear_flow(grid: GridSpec, potential: np.ndarray | None, time: float, subs
 
 def step(state: EnsembleState, config: ModelConfig, params: SolverParams) -> EnsembleState:
     """Advance one step of params.dt. See evolve for whole trajectories."""
-    stepper = _stepper(state, config, params)
+    stepper = _checked_stepper(state, config, params)
     if stepper.advance(1):
         raise DivergenceError(
             "time step produced non-finite values", step_index=1, time=state.time + params.dt
@@ -449,12 +441,14 @@ def step(state: EnsembleState, config: ModelConfig, params: SolverParams) -> Ens
 
 def _checked_stepper(initial: EnsembleState, config: ModelConfig, params: SolverParams):
     """The stepper of one run, after the checks every run makes. A dt above
-    half the advisory bound warns at the caller of samples or evolve."""
+    half the advisory bound warns at the caller of step, samples or evolve."""
     if config.n_oscillators != initial.n_oscillators:
         raise ConfigurationError(
             f"config holds {config.n_oscillators} frequencies but the ensemble has "
             f"{initial.n_oscillators} fields"
         )
+    if config.potential is not None and config.potential.shape != initial.grid.shape:
+        raise ConfigurationError("potential shape does not match the grid")
     report = stability_report(initial.grid, config)
     if params.scheme == "full_rk4":
         bound = report.recommended_dt
@@ -466,7 +460,9 @@ def _checked_stepper(initial: EnsembleState, config: ModelConfig, params: Solver
             f"for scheme {params.scheme}",
             stacklevel=3,
         )
-    return _stepper(initial, config, params)
+    if params.scheme == "span":
+        return _SpanStepper(initial, config, params)
+    return _GridStepper(initial, config, params)
 
 
 def _norms_finite(psi: np.ndarray, dv: float) -> bool:

@@ -20,6 +20,7 @@ from lohe_sync import (
     gram_matrix,
     inner_product,
     order_parameter,
+    samples,
 )
 from lohe_sync.core import (
     fourier_transforms,
@@ -29,7 +30,7 @@ from lohe_sync.core import (
     wavenumbers,
 )
 from lohe_sync.initial_data import gaussian, perturbed_gaussians
-from lohe_sync.solver import _GridStepper
+from lohe_sync.solver import _GridStepper, step
 
 from conftest import assert_close
 
@@ -189,9 +190,14 @@ def test_gram_invariant_under_common_phase(state, theta):
 
 
 def test_rhs_rejects_mismatched_config(pair_state):
+    # a single step makes the checks a run makes, under every scheme
     config = ModelConfig(coupling=1.0, frequencies=(0.1, 0.2, 0.3))
-    with pytest.raises(ConfigurationError):
-        evolve(pair_state, config, SolverParams(dt=1e-3, t_end=1e-3))
+    message = "config holds 3 frequencies but the ensemble has 2 fields"
+    for scheme in ("span", "strang_rk4", "full_rk4"):
+        params = SolverParams(dt=1e-3, t_end=1e-3, scheme=scheme)
+        for run in (step, samples, evolve):
+            with pytest.raises(ConfigurationError, match=message):
+                run(pair_state, config, params)
 
 
 def test_model_config_refuses_bad_coupling_and_frequencies():

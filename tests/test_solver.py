@@ -25,7 +25,7 @@ from lohe_sync.core import k_squared
 from lohe_sync.correlations import mixing_flow, rk4_step
 from lohe_sync.initial_data import gaussian, gaussian_pair, incoherent_pair, perturbed_gaussians
 from lohe_sync.potentials import cosine_potential
-from lohe_sync.solver import _norms_finite, _stepper, step
+from lohe_sync.solver import _checked_stepper, _norms_finite, step
 
 from conftest import assert_close
 
@@ -442,7 +442,7 @@ def test_step_matches_evolve_under_span(grid64, n):
     assert_close(one.psi, evolve(initial, config, params).final.psi, 0.0, "step vs evolve")
     grid_step = step(initial, config, SolverParams(dt=1e-3, t_end=1e-3, scheme="strang_rk4"))
     assert_close(one.psi, grid_step.psi, 1e-14, "span vs strang_rk4 step")
-    with pytest.raises(DivergenceError, match="non-finite"):
+    with pytest.warns(UserWarning), pytest.raises(DivergenceError, match="non-finite"):
         step(initial, ModelConfig(coupling=1e300, frequencies=(0.0,) * n), params)
 
 
@@ -471,7 +471,7 @@ def test_span_pair_d_matches_the_matrix_path(grid64, case, renormalize):
         initial, rank = incoherent_pair(grid64), 1
     config = ModelConfig(coupling=1.3, frequencies=(0.4, -0.25))
     params = SolverParams(dt=1e-2, t_end=20.0, renormalize_each_step=renormalize)
-    stepper = _stepper(initial, config, params)
+    stepper = _checked_stepper(initial, config, params)
     assert len(stepper.phi) == rank
     d0 = np.array(stepper.d).reshape(2, 2)
     assert stepper.advance(params.n_steps) == 0
@@ -507,9 +507,9 @@ def test_span_pair_divergence_carries_partial_trajectory(grid64, renormalize, co
         dt=0.01, t_end=1.0, snapshot_stride=1, renormalize_each_step=renormalize
     )
     with pytest.warns(UserWarning):
+        d0 = np.array(_checked_stepper(initial, config, params).d).reshape(2, 2)
         with pytest.raises(DivergenceError, match=r"solver diverged at step \d+ \(t = ") as err:
             evolve(initial, config, params, collect_diagnostics=False)
-    d0 = np.array(_stepper(initial, config, params).d).reshape(2, 2)
     _, bad_step = _matrix_path_d(d0, config, params, params.n_steps)
     assert err.value.step_index == bad_step
     assert err.value.time == pytest.approx(bad_step * params.dt)
@@ -523,7 +523,7 @@ def _per_step_samples(initial, config, params):
     """samples() one step at a time: advance(1) per step, the fields formed
     and checked at each sampled step. Returns the (time, fields) of every
     sample and the step the run diverged at, 0 when it stayed finite."""
-    stepper = _stepper(initial, config, params)
+    stepper = _checked_stepper(initial, config, params)
     out = [(initial.time, initial.psi)]
     for n in range(1, params.n_steps + 1):
         finite = stepper.advance(1) == 0
