@@ -81,7 +81,9 @@ def classify_two(k_coupling: float, omega: float) -> TwoOscRegime:
 
     The rate sqrt(K^2 - 4 Omega^2) and the period's sqrt(4 Omega^2 - K^2)
     are formed from (K - 2 Omega)(K + 2 Omega), whose first factor is exact
-    near Lambda = 1, so they keep full precision there."""
+    near Lambda = 1, so they keep full precision there; so do the fixed
+    points' real part sqrt(1 - Lambda^2) = rate / K and phi = arcsin Lambda,
+    taken as atan2(Lambda, rate / K)."""
     if not (k_coupling > 0):
         raise ContractViolationError(f"coupling must be positive, got {k_coupling}")
     if not (omega >= 0):
@@ -89,16 +91,17 @@ def classify_two(k_coupling: float, omega: float) -> TwoOscRegime:
     lam = 2.0 * omega / k_coupling
     gap = (k_coupling - 2.0 * omega) * (k_coupling + 2.0 * omega)  # K^2 - 4 Omega^2
     if lam <= 1.0:
-        root = float(np.sqrt(max(0.0, 1.0 - lam * lam)))
+        rate = float(np.sqrt(max(0.0, gap)))
+        root = rate / k_coupling  # sqrt(1 - Lambda^2)
         return TwoOscRegime(
             coupling=k_coupling,
             omega=omega,
             lam=lam,
             regime="critical" if lam == 1.0 else "underdamped_sync",
-            phi=float(np.arcsin(lam)),
+            phi=float(np.arctan2(lam, root)),
             stable_point=complex(root, lam),
             unstable_point=complex(-root, lam),
-            rate=float(np.sqrt(max(0.0, gap))),
+            rate=rate,
             period=None,
         )
     return TwoOscRegime(

@@ -88,6 +88,38 @@ def test_rate_and_period_are_exact_near_lam_one(k, gap):
     assert abs(period - reference) <= 1e-15 * period
 
 
+def _decimal_arcsin(x):
+    """arcsin of a Decimal |x| <= 1/2 by its Taylor series, to the context's
+    precision."""
+    total = term = x
+    n = 0
+    while abs(term) > total * decimal.Decimal(10) ** -60:
+        term *= x * x * (2 * n + 1) ** 2 / ((2 * n + 2) * (2 * n + 3))
+        total += term
+        n += 1
+    return total
+
+
+@pytest.mark.parametrize("k", [0.2, 3.0])
+@pytest.mark.parametrize("gap", [1e-9, 1e-12])
+def test_fixed_points_are_exact_near_lam_one(k, gap):
+    # 1 - Lambda^2 cancels as lam -> 1 and arcsin is ill-conditioned there;
+    # root = sqrt((K - 2 Omega)(K + 2 Omega)) / K and phi = arcsin Lambda are
+    # checked against 50 digits from the same binary K, Omega, with
+    # arcsin Lambda = pi/2 - arcsin(root) and pi/2 = 3 arcsin(1/2)
+    omega = 0.5 * (1.0 - gap) * k
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        k_, w_ = decimal.Decimal(k), decimal.Decimal(omega)
+        root_ = ((k_ - 2 * w_) * (k_ + 2 * w_)).sqrt() / k_
+        phi_ = 3 * _decimal_arcsin(decimal.Decimal("0.5")) - _decimal_arcsin(root_)
+    regime = classify_two(k, omega)
+    root = regime.stable_point.real
+    assert regime.unstable_point.real == -root
+    assert abs(root - float(root_)) <= 1e-15 * root
+    assert abs(regime.phi - float(phi_)) <= 1e-15 * regime.phi
+
+
 def test_classify_two_rejects_bad_parameters():
     with pytest.raises(ContractViolationError):
         classify_two(0.0, 0.1)
