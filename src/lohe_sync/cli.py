@@ -30,7 +30,7 @@ import argparse
 import os
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import asdict, replace
 from typing import NamedTuple
 
@@ -121,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help="parallel workers for the pde cells of a sweep; ode cells run in "
             "this process: n = 2 cells one at a time, n >= 3 cells of one n as one stack. "
             "simulate takes 1, and renders a large run's diagnostics in one forked child "
-            "while it steps, which this does not count",
+            "while it steps; a long span run of a pair steps its D in one forked child; "
+            "this counts neither",
         )
     return parser
 
@@ -256,18 +257,20 @@ def cmd_simulate(sc: Scenario, args) -> int:
             kept.append(_Sample(rec.time, rec.pair_l2, rec.zeta_norm, rec.correlations.z[0, 1]))
             yield rec
 
-    if sc.outputs.diagnostics:
-        paths = {
-            fmt: os.path.join(run_dir, f"diagnostics.{fmt}")
-            for fmt in dict.fromkeys(sc.outputs.formats)
-        }
-        write_diagnostics_files(paths, records(), config.n_oscillators, sc.solver.n_samples)
-        n_samples = len(kept)
-    else:
-        n_samples = 0
-        for state in stream:
-            n_samples += 1
-        last["state"] = state
+    # closed on the way out, so a stepping child never outlives the run
+    with closing(stream):
+        if sc.outputs.diagnostics:
+            paths = {
+                fmt: os.path.join(run_dir, f"diagnostics.{fmt}")
+                for fmt in dict.fromkeys(sc.outputs.formats)
+            }
+            write_diagnostics_files(paths, records(), config.n_oscillators, sc.solver.n_samples)
+            n_samples = len(kept)
+        else:
+            n_samples = 0
+            for state in stream:
+                n_samples += 1
+            last["state"] = state
     if sc.outputs.final_snapshot:
         write_snapshot(os.path.join(run_dir, "final.slw"), last["state"])
 
@@ -514,8 +517,8 @@ def _sweep_point(task: tuple) -> dict:
                 sc.solver or SolverParams(dt, t_end), dt=dt, t_end=t_end, snapshot_stride=stride
             )
             # records only: a cell keeps none of its fields
-            stream = samples(initial, config, solver)
-            records = [rec for _, rec in with_records(stream, config)]
+            with closing(samples(initial, config, solver)) as stream:
+                records = [rec for _, rec in with_records(stream, config)]
             series = Trajectory(np.array([r.time for r in records]), [], records).gram_series()
             result = classify_sync(records, CLASSIFY_TOL)
         else:

@@ -28,12 +28,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import pickle
-import warnings
 from contextlib import ExitStack
+from functools import partial
 
 import numpy as np
 
+from . import forked
 from .correlations import CorrelationSeries
 from .errors import ConfigurationError
 
@@ -355,17 +355,8 @@ def write_diagnostics_files(paths: dict, records, n: int, samples: int) -> None:
             write_diagnostics(_opened(stack, paths), records)
         return
     data_r, data_w = os.pipe()
-    report_r, report_w = os.pipe()
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns that forking a process with threads may
-        # deadlock the child; those threads are OpenBLAS's workers, and the
-        # child calls no BLAS
-        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        _render_child(paths, data_r, report_w, (data_w, report_r))
+    pid, report = forked.start(partial(_render_child, paths, data_r), close=(data_w,))
     os.close(data_r)
-    os.close(report_w)
     error = None
     try:
         with open(data_w, "wb") as pipe:
@@ -375,40 +366,16 @@ def write_diagnostics_files(paths: dict, records, n: int, samples: int) -> None:
     except BaseException as exc:  # raised below, once the child is done
         error = exc
     finally:
-        try:
-            with open(report_r, "rb") as fh:
-                report = fh.read()
-        finally:
-            status = os.waitpid(pid, 0)[1]
-    if report:
-        raise pickle.loads(report) from None
-    if status != 0:  # ended without a report: killed by a signal (negative code)
-        code = os.waitstatus_to_exitcode(status)
-        raise RuntimeError(f"the diagnostics render child exited with code {code}")
+        forked.reap(pid, report, "diagnostics render child")
     if error is not None:
         raise error
 
 
-def _render_child(paths: dict, data_fd: int, report_fd: int, parent_fds) -> None:
+def _render_child(paths: dict, data_fd: int) -> None:
     """The render child of write_diagnostics_files: render what arrives on
-    data_fd until it closes, send any error pickled down report_fd, and
-    exit without returning."""
-    code = 1
-    try:
-        for fd in parent_fds:
-            os.close(fd)
-        with ExitStack() as stack, open(data_fd, "rb") as pipe:
-            _render_diagnostics(_opened(stack, paths), _received(pipe))
-        code = 0
-    except BaseException as exc:
-        try:
-            report = pickle.dumps(exc)
-        except Exception:  # an error that does not pickle goes as its repr
-            report = pickle.dumps(RuntimeError(repr(exc)))
-        with open(report_fd, "wb") as fh:
-            fh.write(report)
-    finally:
-        os._exit(code)
+    data_fd until it closes."""
+    with ExitStack() as stack, open(data_fd, "rb") as pipe:
+        _render_diagnostics(_opened(stack, paths), _received(pipe))
 
 
 def _received(pipe):

@@ -33,6 +33,7 @@ keep its sampled fields.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -94,11 +95,11 @@ class VerifyContext:
             raise ConfigurationError("this check needs a [solver] section (PDE run)")
         initial = build_ensemble(self.scenario, self.grid)
         states, records = [], []
-        stream = samples(initial, self.config, self.scenario.solver)
-        for state, record in with_records(stream, self.config):
-            records.append(record)
-            if self.keep_states:
-                states.append(state)
+        with closing(samples(initial, self.config, self.scenario.solver)) as stream:
+            for state, record in with_records(stream, self.config):
+                records.append(record)
+                if self.keep_states:
+                    states.append(state)
         return Trajectory(np.array([rec.time for rec in records]), states, records)
 
     @property

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from lohe_sync import (
 )
 import lohe_sync.emit as emit_module
 import lohe_sync.scenario as scenario_module
+import lohe_sync.solver as solver_module
 from lohe_sync.cli import main
 from lohe_sync.initial_data import gaussian_pair, perturbed_gaussians
 from lohe_sync.scenario import (
@@ -46,6 +48,8 @@ from lohe_sync.scenario import (
     build_model,
 )
 from lohe_sync.solver import _RECORD_BLOCK_BYTES
+
+from conftest import assert_no_child_left, force_step_child
 
 BASE = """
 [scenario]
@@ -893,6 +897,55 @@ def test_diverging_simulate_with_render_child_keeps_its_finite_samples(
     _assert_same_files(tmp_path / "child", tmp_path / "o")
     lines = (tmp_path / "child" / "diagnostics.ndjson").read_text().splitlines()
     assert [json.loads(line)["t"] for line in lines] == [0.0, 0.01]
+
+
+_DIVERGING_PAIR = (
+    _DIVERGING_TRIPLE.replace("n = 3", "n = 2").replace("t_end = 1.0", "t_end = 2.0")
+    + "[verify]\nchecks = mass:1e-9\n"
+)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_cli_with_a_stepping_child_writes_the_same_files_and_leaves_none(
+    tmp_path, scenario_file, capsys, monkeypatch, command
+):
+    diverging = tmp_path / "diverge.cfg"
+    diverging.write_text(_DIVERGING_PAIR)
+    runs = {}
+    for side in ("in_process", "child"):
+        if side == "child":
+            forks = force_step_child(monkeypatch)
+        for name, cfg in (("ok", scenario_file), ("diverge", str(diverging))):
+            out = tmp_path / side / name
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = run_cli(command, "--scenario", cfg, "--out", str(out))
+            runs[side, name] = code, capsys.readouterr()
+            assert_no_child_left()
+    assert len(forks) == 2
+    # verify reports the divergence as a failed check
+    expected = [0, 3 if command == "simulate" else 1]
+    assert [runs["child", name][0] for name in ("ok", "diverge")] == expected
+    for name in ("ok", "diverge"):
+        child, in_process = runs["child", name], runs["in_process", name]
+        assert child[0] == in_process[0]
+        assert child[1].err == in_process[1].err
+        moved = child[1].out.replace(str(tmp_path / "child"), str(tmp_path / "in_process"))
+        assert moved == in_process[1].out
+        _assert_same_files(tmp_path / "child" / name, tmp_path / "in_process" / name)
+
+
+def test_cli_whose_stepping_child_fails_exits_with_its_error(
+    tmp_path, scenario_file, capsys, monkeypatch
+):
+    def failing(stepper, params, fd):
+        raise ConfigurationError("the stepping child failed")
+
+    force_step_child(monkeypatch)
+    monkeypatch.setattr(solver_module, "_step_child", failing)
+    assert run_cli("simulate", "--scenario", scenario_file, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == "error: the stepping child failed\n"
+    assert_no_child_left()
 
 
 def test_simulate_whose_render_child_fails_exits_with_its_error(tmp_path, scenario_file):

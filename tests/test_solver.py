@@ -1,5 +1,7 @@
 """Time integration against closed forms the solver does not know about."""
 
+import os
+import signal
 import sys
 import warnings
 from functools import partial
@@ -21,13 +23,16 @@ from lohe_sync import (
     samples,
     stability_report,
 )
+from lohe_sync import solver
 from lohe_sync.core import k_squared
 from lohe_sync.correlations import mixing_flow, rk4_step
+from lohe_sync.diagnostics import compute_records
+from lohe_sync.emit import _diagnostics_vector
 from lohe_sync.initial_data import gaussian, gaussian_pair, incoherent_pair, perturbed_gaussians
 from lohe_sync.potentials import cosine_potential
 from lohe_sync.solver import _checked_stepper, _norms_finite, step
 
-from conftest import assert_close
+from conftest import assert_close, assert_no_child_left, force_step_child
 
 
 def free_gaussian(grid, t, center, sigma):
@@ -653,3 +658,158 @@ def test_samples_divergence_matches_evolve(grid64):
     assert len(taken) == partial.n_samples >= 1
     for a, b in zip(taken, partial.states, strict=True):
         assert np.array_equal(a.psi, b.psi)
+
+
+# -- the stepping child ----------------------------------------------------------
+
+
+@pytest.fixture
+def step_child(monkeypatch):
+    """Every pair span run steps its D in a forked child."""
+    return force_step_child(monkeypatch)
+
+
+def _assert_same_run(a, b):
+    """Two trajectories (or partial ones) with the same bits: times, steps,
+    fields, factors and every number of every record."""
+    assert a.times.tobytes() == b.times.tobytes()
+    for sa, sb in zip(a.states, b.states, strict=True):
+        assert (sa.time, sa.step) == (sb.time, sb.step)
+        assert sa.psi.tobytes() == sb.psi.tobytes()
+        assert (sa.factors is None) == (sb.factors is None)
+        if sa.factors is not None:
+            for fa, fb in zip(sa.factors, sb.factors, strict=True):
+                assert fa.tobytes() == fb.tobytes()
+    for ra, rb in zip(a.diagnostics_stream, b.diagnostics_stream, strict=True):
+        assert _diagnostics_vector(ra).tobytes() == _diagnostics_vector(rb).tobytes()
+
+
+@pytest.mark.parametrize(
+    "cosine, rank_1, renormalize",
+    [(False, False, False), (True, False, False), (False, True, False), (False, False, True)],
+    ids=["free", "cosine", "rank_1", "renormalized"],
+)
+def test_step_child_gives_the_in_process_bits(grid64, monkeypatch, cosine, rank_1, renormalize):
+    potential = cosine_potential(grid64) if cosine else None
+    config = ModelConfig(coupling=1.3, frequencies=(0.4, -0.25), potential=potential)
+    # r = 1: D pads a zero column
+    initial = incoherent_pair(grid64) if rank_1 else perturbed_gaussians(grid64, 2, seed=6)
+    params = SolverParams(dt=0.01, t_end=2.0, snapshot_stride=3, renormalize_each_step=renormalize)
+    in_process = evolve(initial, config, params)
+    forks = force_step_child(monkeypatch)
+    forked_run = evolve(initial, config, params)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert forked_run.n_samples == params.n_samples == 68
+    assert (forked_run.states[0].factors is not None) == rank_1
+    _assert_same_run(forked_run, in_process)
+
+
+@pytest.mark.parametrize(
+    "coupling, renormalize",
+    [(296.2, False), (1000.0, False), (1e150, True)],
+    ids=["d_not_finite", "gram_overflows", "renormalized_d_not_finite"],
+)
+def test_step_child_divergence_matches_the_in_process_one(
+    grid64, monkeypatch, coupling, renormalize
+):
+    # D goes non-finite in the child at step 9; a sample's squared norms
+    # overflow at step 2, after the child has stepped on; a renormalized D
+    # overflows in the child's first interval
+    config = ModelConfig(coupling=coupling, frequencies=(0.0, 0.0))
+    initial = perturbed_gaussians(grid64, 2, seed=1)
+    params = SolverParams(dt=0.01, t_end=2.0, snapshot_stride=1, renormalize_each_step=renormalize)
+    errors = []
+    for force in (False, True):
+        if force:
+            forks = force_step_child(monkeypatch)
+        with warnings.catch_warnings(), pytest.raises(DivergenceError) as err:
+            warnings.simplefilter("ignore")
+            evolve(initial, config, params)
+        errors.append(err.value)
+    assert len(forks) == 1
+    assert_no_child_left()
+    in_process, child = errors
+    assert str(child) == str(in_process)
+    assert (child.step_index, child.time) == (in_process.step_index, in_process.time)
+    assert child.partial.n_samples >= 1
+    _assert_same_run(child.partial, in_process.partial)
+
+
+def test_step_child_is_reaped_on_an_early_close(grid64, pair_config, step_child):
+    initial = perturbed_gaussians(grid64, 2, seed=6)
+    # 1000 intervals of 72 bytes fill the pipe, so the child is blocked
+    stream = samples(initial, pair_config, SolverParams(dt=0.01, t_end=10.0))
+    next(stream)
+    assert not step_child
+    next(stream)
+    assert len(step_child) == 1
+    stream.close()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "failure", [ValueError("consumer failed"), KeyboardInterrupt()], ids=["error", "interrupt"]
+)
+def test_step_child_is_reaped_when_the_consumer_raises(
+    grid64, pair_config, step_child, monkeypatch, failure
+):
+    made = []
+
+    def failing(block, config):
+        made.append(None)
+        if len(made) == 2:
+            raise failure
+        return compute_records(block, config)
+
+    monkeypatch.setattr(solver, "compute_records", failing)
+    initial = perturbed_gaussians(grid64, 2, seed=6)
+    with pytest.raises(type(failure)):
+        evolve(initial, pair_config, SolverParams(dt=0.01, t_end=10.0))
+    assert len(step_child) == 1
+    assert_no_child_left()
+
+
+def _killed(stepper, params, fd):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _failing(stepper, params, fd):
+    stepper.advance(3)
+    raise ConfigurationError("the child failed")
+
+
+@pytest.mark.parametrize(
+    "child, error, message",
+    [
+        (_killed, RuntimeError, "stepping child exited with code -9"),
+        (_failing, ConfigurationError, "the child failed"),
+    ],
+    ids=["killed", "failing"],
+)
+def test_step_child_that_dies_raises_here(
+    grid64, pair_config, step_child, monkeypatch, child, error, message
+):
+    monkeypatch.setattr(solver, "_step_child", child)
+    initial = perturbed_gaussians(grid64, 2, seed=6)
+    with pytest.raises(error, match=message):
+        evolve(initial, pair_config, SolverParams(dt=0.01, t_end=1.0))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("below", ["steps", "samples"])
+def test_a_run_below_the_thresholds_steps_in_process(grid64, pair_config, monkeypatch, below):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    steps, samples_ = solver._STEP_CHILD_STEPS, solver._STEP_CHILD_SAMPLES
+    if below == "steps":
+        params = SolverParams(dt=0.01, t_end=0.01 * (steps - 1))
+    else:  # 10 x as many steps, in one sample fewer
+        params = SolverParams(
+            dt=0.01, t_end=0.01 * 10 * steps, snapshot_stride=-(-10 * steps // (samples_ - 2))
+        )
+        assert params.n_samples == samples_ - 1
+    for _ in samples(perturbed_gaussians(grid64, 2, seed=6), pair_config, params):
+        pass
