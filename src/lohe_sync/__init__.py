@@ -12,7 +12,6 @@ from .core import (
     EnsembleState,
     GridSpec,
     ModelConfig,
-    OrderParameterState,
     WaveField,
     coupling_term,
     gram_matrix,
@@ -33,9 +32,6 @@ from .correlations import (
 from .diagnostics import (
     DiagnosticsRecord,
     EnergyReport,
-    FitResult,
-    LimitFit,
-    SyncClassification,
     classify_correlation_sync,
     classify_sync,
     compute_record,
@@ -61,14 +57,9 @@ from .initial_data import (
     incoherent_pair,
     overlap_pair,
     perturbed_gaussians,
-    plane_wave,
     plane_waves,
 )
 from .oracles import (
-    FixedPointClass,
-    ScatteringResult,
-    SyncLimits,
-    TwoOscRegime,
     classify_fixed_point,
     classify_pair,
     classify_two,
@@ -77,12 +68,11 @@ from .oracles import (
     sync_limits_two,
     z_exact,
 )
-from .potentials import barrier_potential, build_potential, cosine_potential
+from .potentials import cosine_potential
 from .scenario import Scenario, load_scenario, parse_scenario, render_scenario
 from .snapshots import read_snapshot, write_snapshot
 from .solver import (
     SolverParams,
-    StabilityReport,
     Trajectory,
     evolve,
     propagate_linear,
@@ -90,7 +80,7 @@ from .solver import (
     stability_report,
     with_records,
 )
-from .verification import CHECK_NAMES, CheckResult, run_checks
+from .verification import CHECK_NAMES, run_checks
 
 __version__ = "0.1.0"
 
@@ -101,7 +91,6 @@ __all__ = [
     "WaveField",
     "EnsembleState",
     "ModelConfig",
-    "OrderParameterState",
     "inner_product",
     "gram_matrix",
     "order_parameter",
@@ -118,7 +107,6 @@ __all__ = [
     "random_correlation_matrix",
     # solver
     "SolverParams",
-    "StabilityReport",
     "Trajectory",
     "evolve",
     "samples",
@@ -128,9 +116,6 @@ __all__ = [
     # diagnostics
     "DiagnosticsRecord",
     "EnergyReport",
-    "SyncClassification",
-    "FitResult",
-    "LimitFit",
     "compute_record",
     "compute_records",
     "classify_sync",
@@ -140,10 +125,6 @@ __all__ = [
     "detect_period",
     "interpolate_series",
     # oracles
-    "TwoOscRegime",
-    "SyncLimits",
-    "FixedPointClass",
-    "ScatteringResult",
     "classify_two",
     "classify_pair",
     "z_exact",
@@ -153,15 +134,12 @@ __all__ = [
     "scattering_state",
     # initial data and potentials
     "gaussian",
-    "plane_wave",
     "plane_waves",
     "gaussian_pair",
     "overlap_pair",
     "incoherent_pair",
     "perturbed_gaussians",
     "cosine_potential",
-    "barrier_potential",
-    "build_potential",
     # scenarios, snapshots, verification
     "Scenario",
     "parse_scenario",
@@ -169,7 +147,6 @@ __all__ = [
     "render_scenario",
     "read_snapshot",
     "write_snapshot",
-    "CheckResult",
     "CHECK_NAMES",
     "run_checks",
     # errors
