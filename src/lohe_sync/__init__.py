@@ -6,156 +6,54 @@ solver for the coupled fields, an integrator for the closed pairwise
 correlation system the fields induce, and a closed-form layer for the
 two-oscillator problem. `lohe-sync` on the command line drives scenario
 files through all three.
+
+The names below are loaded on first use (PEP 562), so `import lohe_sync`
+imports no numpy: the command line (`lohe_sync.__main__`) sets its BLAS
+thread count before numpy loads.
 """
 
-from .core import (
-    EnsembleState,
-    GridSpec,
-    ModelConfig,
-    WaveField,
-    coupling_term,
-    gram_matrix,
-    inner_product,
-    order_parameter,
-)
-from .correlations import (
-    CorrelationSeries,
-    CorrelationState,
-    MacroCorrelation,
-    full_rhs,
-    integrate,
-    integrate_batch,
-    macro_rhs,
-    random_correlation_matrix,
-    two_rhs,
-)
-from .diagnostics import (
-    DiagnosticsRecord,
-    EnergyReport,
-    classify_correlation_sync,
-    classify_sync,
-    compute_record,
-    compute_records,
-    detect_period,
-    fit_algebraic_limit,
-    fit_rate,
-    interpolate_series,
-)
-from .errors import (
-    ConfigurationError,
-    ContractViolationError,
-    DivergenceError,
-    ExcludedInitialStateError,
-    GridMismatchError,
-    LoheSyncError,
-    SeriesTooShortError,
-    UnsupportedRegimeError,
-)
-from .initial_data import (
-    gaussian,
-    gaussian_pair,
-    incoherent_pair,
-    overlap_pair,
-    perturbed_gaussians,
-    plane_waves,
-)
-from .oracles import (
-    classify_fixed_point,
-    classify_pair,
-    classify_two,
-    scattering_state,
-    sync_distance_sq,
-    sync_limits_two,
-    z_exact,
-)
-from .potentials import cosine_potential
-from .scenario import Scenario, load_scenario, parse_scenario, render_scenario
-from .snapshots import read_snapshot, write_snapshot
-from .solver import (
-    SolverParams,
-    Trajectory,
-    evolve,
-    propagate_linear,
-    samples,
-    stability_report,
-    with_records,
-)
-from .verification import CHECK_NAMES, run_checks
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "GridSpec",
-    "WaveField",
-    "EnsembleState",
-    "ModelConfig",
-    "inner_product",
-    "gram_matrix",
-    "order_parameter",
-    "coupling_term",
-    # correlations
-    "CorrelationState",
-    "MacroCorrelation",
-    "CorrelationSeries",
-    "full_rhs",
-    "two_rhs",
-    "macro_rhs",
-    "integrate",
-    "integrate_batch",
-    "random_correlation_matrix",
-    # solver
-    "SolverParams",
-    "Trajectory",
-    "evolve",
-    "samples",
-    "with_records",
-    "propagate_linear",
-    "stability_report",
-    # diagnostics
-    "DiagnosticsRecord",
-    "EnergyReport",
-    "compute_record",
-    "compute_records",
-    "classify_sync",
-    "classify_correlation_sync",
-    "fit_rate",
-    "fit_algebraic_limit",
-    "detect_period",
-    "interpolate_series",
-    # oracles
-    "classify_two",
-    "classify_pair",
-    "z_exact",
-    "sync_limits_two",
-    "sync_distance_sq",
-    "classify_fixed_point",
-    "scattering_state",
-    # initial data and potentials
-    "gaussian",
-    "plane_waves",
-    "gaussian_pair",
-    "overlap_pair",
-    "incoherent_pair",
-    "perturbed_gaussians",
-    "cosine_potential",
-    # scenarios, snapshots, verification
-    "Scenario",
-    "parse_scenario",
-    "load_scenario",
-    "render_scenario",
-    "read_snapshot",
-    "write_snapshot",
-    "CHECK_NAMES",
-    "run_checks",
-    # errors
-    "LoheSyncError",
-    "ConfigurationError",
-    "GridMismatchError",
-    "ContractViolationError",
-    "UnsupportedRegimeError",
-    "ExcludedInitialStateError",
-    "SeriesTooShortError",
-    "DivergenceError",
-]
+# each exported name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "core": "GridSpec WaveField EnsembleState ModelConfig inner_product gram_matrix"
+        " order_parameter coupling_term",
+        "correlations": "CorrelationState MacroCorrelation CorrelationSeries full_rhs two_rhs"
+        " macro_rhs integrate integrate_batch random_correlation_matrix",
+        "solver": "SolverParams Trajectory evolve samples with_records propagate_linear"
+        " stability_report",
+        "diagnostics": "DiagnosticsRecord EnergyReport compute_record compute_records"
+        " classify_sync classify_correlation_sync fit_rate fit_algebraic_limit detect_period"
+        " interpolate_series",
+        "oracles": "classify_two classify_pair z_exact sync_limits_two sync_distance_sq"
+        " classify_fixed_point scattering_state",
+        "initial_data": "gaussian plane_waves gaussian_pair overlap_pair incoherent_pair"
+        " perturbed_gaussians",
+        "potentials": "cosine_potential",
+        "scenario": "Scenario parse_scenario load_scenario render_scenario",
+        "snapshots": "read_snapshot write_snapshot",
+        "verification": "CHECK_NAMES run_checks",
+        "errors": "LoheSyncError ConfigurationError GridMismatchError ContractViolationError"
+        " UnsupportedRegimeError ExcludedInitialStateError SeriesTooShortError DivergenceError",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -618,7 +618,3 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -349,27 +349,6 @@ def gram_matrices(psi: np.ndarray, dv: float) -> np.ndarray:
     return z
 
 
-# OpenBLAS (0.3.31, measured) runs a complex product with m k n <= 65536 on
-# the calling thread; a larger one wakes its worker threads, which then spin
-# for about 0.1 s after it returns and hold the other core
-_ROW_BLOCK = 16
-
-
-def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, formed in blocks of at most 16 rows of a (its second-to-last
-    axis), so that a 16 x r x M block (r x M <= 4096, e.g. 13 x 256) stays
-    on the calling thread and OpenBLAS's workers stay asleep. A product of
-    at most 16 rows is one a @ b."""
-    rows = a.shape[-2]
-    if rows <= _ROW_BLOCK:
-        return a @ b
-    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (rows, b.shape[-1])
-    out = np.empty(shape, dtype=np.result_type(a, b))
-    for i in range(0, rows, _ROW_BLOCK):
-        np.matmul(a[..., i : i + _ROW_BLOCK, :], b, out=out[..., i : i + _ROW_BLOCK, :])
-    return out
-
-
 def coupling_term(psi: np.ndarray, dv: float) -> np.ndarray:
     """The mean-field pull zeta - <zeta, psi_j> psi_j on every member of an
     (N, *grid) stack, without its gain K/2; the model's only nonlinearity.

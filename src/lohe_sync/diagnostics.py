@@ -21,7 +21,6 @@ from .core import (
     EnsembleState,
     ModelConfig,
     gram_matrices,
-    matmul_rows,
     spectral_gradient,
 )
 from .correlations import CorrelationSeries, CorrelationState, _mirror, pair_distance
@@ -145,7 +144,7 @@ def _factor_forms(states, grid, potential):
     forms = np.conj(d)[:, None] @ (dv * forms) @ np.swapaxes(d, 1, 2)[:, None]
     gram, grad_gram, pot_gram = (_hermitian(forms[:, i]) for i in range(3))
     psi = _stacked([s.psi for s in states]).reshape(count, states[0].n_oscillators, -1)
-    return (gram, grad_gram, pot_gram, psi, *(matmul_rows(d, g) for g in grads))
+    return (gram, grad_gram, pot_gram, psi, *(d @ g for g in grads))
 
 
 def _madelung(dens, dv):

@@ -7,8 +7,9 @@ runs its exit handlers or finalizes what it inherited. An error it raises
 goes pickled down a report pipe. Its parent always reaps it: reap reads the
 report, waits for the child, and raises the child's error in the parent, or
 a RuntimeError when the child died of a signal without a report. A child
-calls no BLAS: the parent may hold OpenBLAS worker threads, and a fork
-copies none of them.
+calls no BLAS: the command line runs BLAS on one thread, but a library
+caller's process may hold OpenBLAS worker threads, and a fork copies none
+of them.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def start(body, close=(), keep=None) -> tuple[int, int]:
     report_r, report_w = os.pipe()
     with warnings.catch_warnings():
         # Python >= 3.12 warns that forking a process with threads may
-        # deadlock the child; those threads are OpenBLAS's workers, and a
-        # child calls no BLAS
+        # deadlock the child; in a library caller's process those threads
+        # are OpenBLAS's workers, and a child calls no BLAS
         warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
         pid = os.fork()
     if pid == 0:

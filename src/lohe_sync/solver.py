@@ -86,7 +86,6 @@ from .core import (
     coupling_term,
     fourier_transforms,
     k_squared,
-    matmul_rows,
 )
 from .correlations import (
     CorrelationSeries,
@@ -414,7 +413,7 @@ class _SpanStepper(_Stepper):
         d = self._coefficients()
         if self.dependent:
             self.factors = (d, self.phi)
-        psi = matmul_rows(d, self.phi.reshape(len(self.phi), -1))
+        psi = d @ self.phi.reshape(len(self.phi), -1)
         return psi.reshape((len(d),) + self.grid.shape)
 
 

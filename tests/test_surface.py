@@ -1,9 +1,13 @@
 """The package surface that code outside the package imports: the benchmark
-and the demo scripts, read as source, and every module's __all__."""
+and the demo scripts, read as source, every module's __all__, and what
+importing the package root loads."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,11 @@ def test_every_all_entry_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, missing
+
+
+def test_package_import_loads_no_numpy():
+    # the command line sets its BLAS thread count before numpy loads, so
+    # the package root must leave numpy to the first name it hands out
+    code = "import sys, lohe_sync\nassert 'numpy' not in sys.modules, 'numpy imported'\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
