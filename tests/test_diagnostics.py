@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lohe_sync import (
     ContractViolationError,
@@ -22,7 +24,9 @@ from lohe_sync import (
     evolve,
     fit_algebraic_limit,
     fit_rate,
+    integrate,
     interpolate_series,
+    random_correlation_matrix,
     samples,
     with_records,
 )
@@ -478,3 +482,57 @@ def test_detect_period():
     assert period == pytest.approx(np.pi, rel=1e-4)
     with pytest.raises(ContractViolationError):
         detect_period(t, np.ones_like(t))  # no dips at all
+
+
+def _assert_relabeled(a, b, perm, label):
+    """b is the (..., N, N) stack a with both oscillator axes permuted by
+    perm, to a relative 1e-12 of a's largest entry."""
+    expected = np.asarray(a)[..., perm, :][..., perm]
+    assert_close(b, expected, 1e-12 * float(np.max(np.abs(expected))), label)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda n: st.permutations(range(n))),
+    st.integers(0, 10_000),
+    st.floats(0.0, 3.0),
+    st.booleans(),
+)
+def test_outputs_permute_with_the_oscillator_labels(perm, seed, coupling, with_potential):
+    # relabeling the oscillators (oscillator j of the relabeled run is
+    # perm[j] of the original, detuning and field with it) is a symmetry of
+    # the model, so every level's N x N outputs permute with the labels: the
+    # correlation ODE's z, and the pair matrices of a span and a strang_rk4
+    # run's records
+    perm = list(perm)
+    n = len(perm)
+    grid = GridSpec(dim=1, points=32, length=20.0)
+    potential = cosine_potential(grid) if with_potential else None
+    omega = np.random.default_rng(seed).normal(scale=0.5, size=n)
+    config = ModelConfig(coupling, omega, potential)
+    relabeled = ModelConfig(coupling, omega[perm], potential)
+
+    z0 = random_correlation_matrix(n, seed, coherence=0.4)
+    z = integrate("full", z0, config, 1e-2, 1.0, sample_stride=10).z
+    z_relabeled = integrate("full", z0[np.ix_(perm, perm)], relabeled, 1e-2, 1.0, 10).z
+    _assert_relabeled(z, z_relabeled, perm, "full z")
+
+    state = perturbed_gaussians(grid, n, seed)
+    state_relabeled = EnsembleState(grid, state.psi[perm])
+    for scheme in ("span", "strang_rk4"):
+        params = SolverParams(dt=1e-2, t_end=1.0, scheme=scheme, snapshot_stride=25)
+        records = evolve(state, config, params).diagnostics_stream
+        records_relabeled = evolve(state_relabeled, relabeled, params).diagnostics_stream
+        for name, read in [
+            ("pair_l2", lambda r: r.pair_l2),
+            ("pair_h1", lambda r: r.pair_h1),
+            ("energies.pair", lambda r: r.energies.pair),
+            ("madelung_rho_l1", lambda r: r.madelung_rho_l1),
+            ("madelung_current_l1", lambda r: r.madelung_current_l1),
+        ]:
+            _assert_relabeled(
+                [read(r) for r in records],
+                [read(r) for r in records_relabeled],
+                perm,
+                f"{scheme} {name}",
+            )
