@@ -618,3 +618,8 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 3
+
+
+if __name__ == "__main__":  # numpy is loaded by now, too late to pin BLAS
+    print("error: run the command line as `python -m lohe_sync` or `lohe-sync`", file=sys.stderr)
+    sys.exit(2)

@@ -1048,6 +1048,41 @@ def test_cli_import_leaves_the_process_pool_out():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_command_line_pins_blas_to_one_thread_before_numpy_loads():
+    # BLAS reads its thread count once, when numpy loads: the entry point
+    # must have set it to 1 by then, whatever the caller asked for
+    code = (
+        "import os, sys\n"
+        "seen = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'import' and args[0] == 'numpy' and not seen:\n"
+        f"        seen.append([os.environ.get(v) for v in {_BLAS_VARS!r}])\n"
+        "sys.addaudithook(hook)\n"
+        "from lohe_sync.__main__ import main\n"
+        "try:\n"
+        "    main(['simulate', '--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "assert seen == [['1', '1', '1']], seen\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.update({var: "2" for var in _BLAS_VARS})
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, stdout=subprocess.DEVNULL)
+
+
+def test_cli_module_run_as_a_script_refuses():
+    # python -m lohe_sync.cli has loaded numpy before it could pin BLAS
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "lohe_sync.cli", "simulate"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 2
+    assert "python -m lohe_sync" in done.stderr
+
+
 @pytest.mark.parametrize(
     "command, body",
     [
