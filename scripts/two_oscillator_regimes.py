@@ -31,9 +31,9 @@ from lohe_sync import (
 def run_point(lam: float, k: float, z0: complex, dt: float, t_end: float):
     omega = 0.5 * lam * k
     config = ModelConfig(coupling=k, frequencies=(omega, -omega))
-    regime, swapped = classify_pair(k, config.frequencies)
+    regime = classify_pair(k, config.frequencies)
     series = integrate("two", z0, config, dt, t_end, sample_stride=10)
-    z = np.conj(series.z[:, 0, 1]) if swapped else series.z[:, 0, 1]
+    z = series.z[:, 0, 1]
     dist = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - z.real)))
 
     if regime.regime == "periodic":

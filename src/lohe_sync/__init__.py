@@ -30,13 +30,13 @@ _EXPORTS = {
         " classify_sync classify_correlation_sync fit_rate fit_algebraic_limit detect_period"
         " interpolate_series",
         "oracles": "classify_two classify_pair z_exact sync_limits_two sync_distance_sq"
-        " classify_fixed_point scattering_state",
+        " classify_fixed_point",
         "initial_data": "gaussian plane_waves gaussian_pair overlap_pair incoherent_pair"
         " perturbed_gaussians",
         "potentials": "cosine_potential",
         "scenario": "Scenario parse_scenario load_scenario render_scenario",
         "snapshots": "read_snapshot write_snapshot",
-        "verification": "CHECK_NAMES run_checks",
+        "verification": "CHECK_NAMES run_checks scattering_state",
         "errors": "LoheSyncError ConfigurationError GridMismatchError ContractViolationError"
         " UnsupportedRegimeError ExcludedInitialStateError SeriesTooShortError DivergenceError",
     }.items()

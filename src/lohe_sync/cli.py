@@ -190,13 +190,10 @@ def _instant_classification(pair_max: float, zeta_norm: float) -> dict:
 
 
 def _two_oscillator_block(config: ModelConfig, times, pair_z) -> dict | None:
-    """Regime record plus measured tail quantities for N = 2 runs, in the
-    frame of classify_pair."""
+    """Regime record plus measured tail quantities for N = 2 runs."""
     if config.n_oscillators != 2 or config.coupling <= 0:
         return None
-    regime, swapped = classify_pair(config.coupling, config.frequencies)
-    if swapped:
-        pair_z = np.conj(pair_z)
+    regime = classify_pair(config.coupling, config.frequencies)
     block: dict = {
         "lam": regime.lam,
         "regime": regime.regime,
@@ -380,7 +377,7 @@ def cmd_oracle(sc: Scenario, args) -> int:
             "[ode] needs a finite dt > 0 and t_end >= 0 and sample_stride >= 1, got "
             f"dt = {ode.dt!r}, t_end = {ode.t_end!r}, sample_stride = {ode.sample_stride}"
         )
-    regime, swapped = classify_pair(sc.coupling, freqs)
+    regime = classify_pair(sc.coupling, freqs)
     doc: dict = {
         "scenario": sc.name,
         "coupling": sc.coupling,
@@ -422,8 +419,7 @@ def cmd_oracle(sc: Scenario, args) -> int:
         times = times[:: sc.ode.sample_stride]
         if times[-1] != sc.ode.t_end:
             times = np.append(times, sc.ode.t_end)
-        z = z_exact(sc.ode.z0.conjugate() if swapped else sc.ode.z0, times, regime)
-        series = CorrelationSeries.from_pair(times, np.conj(z) if swapped else z)
+        series = CorrelationSeries.from_pair(times, z_exact(sc.ode.z0, times, regime))
         _write_formats(run_dir, "z_exact", sc.outputs.formats, write_series, series)
         wrote_series = True
     doc["series_written"] = wrote_series
@@ -459,6 +455,11 @@ def _cell_config(coupling: float, omega: float, n: int) -> ModelConfig:
     return ModelConfig(coupling=coupling, frequencies=frequencies)
 
 
+def _sweep_stride(sc: Scenario) -> int:
+    """The sample stride of every sweep cell: about 200 samples a cell."""
+    return max(1, step_count(sc.sweep.dt, sc.sweep.t_end) // 200)
+
+
 def _ode_series(sc: Scenario, cells: list) -> list:
     """Correlation series, or the error that stops it, for each (coupling,
     omega, n, seed) cell of an ode sweep, from random_correlation_matrix(n,
@@ -476,9 +477,8 @@ def _ode_series(sc: Scenario, cells: list) -> list:
     for n, members in groups.items():
         z0s = [random_correlation_matrix(n, seed, coherence=0.5) for _, _, seed in members]
         try:
-            stride = max(1, step_count(dt, t_end) // 200)
             configs = [config for _, config, _ in members]
-            results = integrate_batch(z0s, configs, dt, t_end, sample_stride=stride)
+            results = integrate_batch(z0s, configs, dt, t_end, sample_stride=_sweep_stride(sc))
         except ConfigurationError as exc:
             results = [exc] * len(members)
         for (i, _, _), result in zip(members, results):
@@ -507,7 +507,7 @@ def _sweep_point(task: tuple) -> dict:
             raise series
         if sc.sweep.mode == "pde":
             config = _cell_config(coupling, omega, n)
-            stride = max(1, step_count(dt, t_end) // 200)
+            stride = _sweep_stride(sc)
             grid = build_grid(sc)
             potential = build_potential(grid, sc.potential_kind, **sc.potential_params)
             config = replace(config, potential=potential)
@@ -533,8 +533,7 @@ def _sweep_point(task: tuple) -> dict:
         row["distance_tail"] = float(dist[-tail:, iu[0], iu[1]].max(axis=0).mean())
 
         if coupling > 0 and n == 2:
-            regime, swapped = classify_pair(coupling, (omega, -omega))
-            pair_z = np.conj(series.z[:, 0, 1]) if swapped else series.z[:, 0, 1]
+            regime = classify_pair(coupling, (omega, -omega))
             row["lam"] = regime.lam
             row["regime"] = regime.regime
             if regime.regime != "periodic":
@@ -546,7 +545,7 @@ def _sweep_point(task: tuple) -> dict:
         if result.kind == "phase_sync":
             decays = [1.0 - series.r[:, j, k] for j, k in zip(*iu)]
         elif row.get("regime") == "underdamped_sync":
-            decays = [sync_distance_sq(pair_z, regime.phi)]
+            decays = [sync_distance_sq(series.z[:, 0, 1], regime.phi)]
         if decays:
             try:
                 row["rate_fitted"] = min(fit_decay(series.times, y).rate for y in decays)

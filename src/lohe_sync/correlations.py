@@ -62,6 +62,7 @@ __all__ = [
     "integrate",
     "integrate_batch",
     "step_count",
+    "sample_intervals",
 ]
 
 _HERMITIAN_TOL = 1e-9
@@ -78,6 +79,13 @@ def step_count(dt: float, t_end: float) -> int:
     if abs(steps - n) > 1e-6 * max(1.0, abs(steps)):
         raise ConfigurationError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
     return n
+
+
+def sample_intervals(n_steps: int, stride: int) -> list[int]:
+    """The step count of each sample interval of an n_steps run sampled every
+    stride steps and at its end: stride, ..., stride, then the remainder."""
+    full, rest = divmod(n_steps, stride)
+    return [stride] * full + [rest] * (rest > 0)
 
 
 def rk4_step(y, deriv, dt: float):
@@ -498,20 +506,17 @@ def _rk4_samples(y0, deriv, dt, n_steps, sample_stride):
     first_bad = np.zeros(len(y0), dtype=np.int64)
     samples = [y]
     sample_steps = [0]
-    for step in range(1, n_steps + 1):
-        y = _mirror(rk4_step(y, deriv, dt))
-        if step % sample_stride == 0 or step == n_steps:
-            finite = np.isfinite(y).all(axis=(1, 2))
-            first_bad[~finite & (first_bad == 0)] = step
-            if first_bad.all():
-                break
-            if step % sample_stride == 0:
-                samples.append(y)
-                sample_steps.append(step)
-    else:
-        if sample_steps[-1] != n_steps:
-            samples.append(y)
-            sample_steps.append(n_steps)
+    step = 0
+    for count in sample_intervals(n_steps, sample_stride):
+        for _ in range(count):
+            y = _mirror(rk4_step(y, deriv, dt))
+        step += count
+        finite = np.isfinite(y).all(axis=(1, 2))
+        first_bad[~finite & (first_bad == 0)] = step
+        if first_bad.all():
+            break
+        samples.append(y)
+        sample_steps.append(step)
     return np.array(sample_steps), np.array(samples), first_bad
 
 
@@ -545,9 +550,8 @@ def _pair_samples(z: complex, omega: float, coupling: float, dt, n_steps, sample
     real_axis = omega == 0.0 and math.copysign(1.0, gain) > 0.0
     x, y = z.real, z.imag
     sample_steps, samples = [0], [z]
-    bad = 0
-    for start in range(0, n_steps, sample_stride):
-        count = min(sample_stride, n_steps - start)
+    bad = step = 0
+    for count in sample_intervals(n_steps, sample_stride):
         for _ in range(count):
             p = x * y
             k1r = gain * (1.0 - (x * x - y * y)) - spin * y
@@ -575,7 +579,7 @@ def _pair_samples(z: complex, omega: float, coupling: float, dt, n_steps, sample
             for _ in range(count):
                 z = rk4_step(z, lambda u: two_rhs(u, omega, coupling), dt)
             x, y = z.real, z.imag
-        step = start + count
+        step += count
         if not cmath.isfinite(z):
             bad = step
             break

@@ -25,6 +25,7 @@ from .core import (
 )
 from .correlations import CorrelationSeries, CorrelationState, _mirror, pair_distance
 from .errors import ContractViolationError, DivergenceError, SeriesTooShortError
+from .oracles import classify_pair
 
 __all__ = [
     "CLASSIFY_MIN_SAMPLES",
@@ -228,16 +229,13 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     relative = pair_energy.sum(axis=(1, 2)) / (2.0 * n * n)
     zeta_energy = b.mean(axis=(1, 2)).real
 
-    # a pair's phase offset is read in the frame of classify_pair (imported
-    # here: oracles imports solver, which imports this module); Re(e^{-i phi}
-    # b01) is spelled out in real arithmetic, so no fused multiply-add enters
+    # Re(e^{-i phi} b01) is spelled out in real arithmetic, so no fused
+    # multiply-add enters
     diff_energy_two = np.zeros(0)  # no phase offset: None in every record
     if n == 2 and config.coupling > 0:
-        from .oracles import classify_pair
-
-        regime, swapped = classify_pair(config.coupling, config.frequencies)
+        regime = classify_pair(config.coupling, config.frequencies)
         if regime.phi is not None:
-            b01 = np.conj(b[:, 0, 1]) if swapped else b[:, 0, 1]
+            b01 = b[:, 0, 1]
             rot = np.exp(-1j * regime.phi)
             rotated = rot.real * b01.real - rot.imag * b01.imag
             diff_energy_two = diag_b[:, 0] + diag_b[:, 1] - 2.0 * rotated

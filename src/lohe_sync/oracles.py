@@ -1,59 +1,41 @@
 """Closed-form references for the two-oscillator system and stationary states.
 
 The pair correlation z = <psi_1, psi_2> obeys the scalar Riccati flow
-dz/dt = 2i Omega z + (K/2)(1 - z^2), whose behaviour is governed by
-Lambda = 2 Omega / K:
+dz/dt = 2i Omega z + (K/2)(1 - z^2), Omega = (w0 - w1)/2 the signed half-gap
+of the pair as listed, whose behaviour is governed by Lambda = 2|Omega|/K:
 
   Lambda < 1   two fixed points on the unit circle; the flow is a Moebius
-               contraction onto e^{i phi}, phi = arcsin Lambda, at rate
+               contraction onto e^{i phi}, phi = arcsin(2 Omega/K), at rate
                mu = sqrt(K^2 - 4 Omega^2)
-  Lambda = 1   the fixed points merge at i; algebraic 1/t approach
+  Lambda = 1   the fixed points merge at sign(Omega) i; algebraic 1/t approach
   Lambda > 1   no fixed points; closed periodic orbits
 
-Everything here is independent of the integrators, so it can sit in judgment
-over them. The scattering construction at the bottom is the one exception:
-it consumes a solver trajectory, but applies only exact linear propagators
-to it.
+Listing the pair the other way round flips Omega's sign and conjugates z,
+so a regime is read in the scenario's own labels. Nothing here imports the
+integrators (only core), so it can sit in judgment over them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    EnsembleState,
-    ModelConfig,
-    WaveField,
-    coupling_term,
-    inner_product,
-    order_parameter,
-)
-from .errors import (
-    ContractViolationError,
-    ExcludedInitialStateError,
-    SeriesTooShortError,
-    UnsupportedRegimeError,
-)
-from .solver import Trajectory, propagate_linear
+from .core import EnsembleState, WaveField, coupling_term, inner_product, order_parameter
+from .errors import ContractViolationError, ExcludedInitialStateError, UnsupportedRegimeError
 
 __all__ = [
     "TwoOscRegime",
     "SyncLimits",
     "FixedPointClass",
-    "ScatteringResult",
     "classify_two",
     "classify_pair",
     "z_exact",
     "sync_limits_two",
     "sync_distance_sq",
     "classify_fixed_point",
-    "scattering_state",
 ]
-
-_REGIMES = ("underdamped_sync", "critical", "periodic")
-
 
 @dataclass(frozen=True)
 class TwoOscRegime:
@@ -62,7 +44,9 @@ class TwoOscRegime:
     Fields that only exist on one side of the Lambda = 1 threshold are None
     on the other side: phi/stable_point/unstable_point/rate for the periodic
     regime, period for the synchronizing ones. At Lambda = 1 the two fixed
-    points coincide at i and rate degenerates to 0.
+    points coincide at sign(Omega) i and rate degenerates to 0. lam, regime,
+    rate and period depend on |Omega| only; omega, phi and the fixed points'
+    imaginary parts carry Omega's sign.
     """
 
     coupling: float
@@ -77,18 +61,20 @@ class TwoOscRegime:
 
 
 def classify_two(k_coupling: float, omega: float) -> TwoOscRegime:
-    """Place a two-oscillator parameter pair in the trichotomy. K > 0, Omega >= 0.
+    """Place a two-oscillator parameter pair in the trichotomy. K > 0, Omega
+    finite, of either sign: Omega < 0 gives the conjugate of -Omega's regime.
 
     The rate sqrt(K^2 - 4 Omega^2) and the period's sqrt(4 Omega^2 - K^2)
-    are formed from (K - 2 Omega)(K + 2 Omega), whose first factor is exact
-    near Lambda = 1, so they keep full precision there; so do the fixed
-    points' real part sqrt(1 - Lambda^2) = rate / K and phi = arcsin Lambda,
-    taken as atan2(Lambda, rate / K)."""
+    are formed from (K - 2 Omega)(K + 2 Omega), one of whose factors is
+    exact near Lambda = 1, so they keep full precision there; so do the
+    fixed points' real part sqrt(1 - Lambda^2) = rate / K and
+    phi = arcsin(2 Omega/K), taken as atan2(2 Omega/K, rate / K)."""
     if not (k_coupling > 0):
         raise ContractViolationError(f"coupling must be positive, got {k_coupling}")
-    if not (omega >= 0):
-        raise ContractViolationError(f"frequency parameter must be >= 0, got {omega}")
-    lam = 2.0 * omega / k_coupling
+    if not math.isfinite(omega):
+        raise ContractViolationError(f"frequency parameter must be finite, got {omega}")
+    signed = 2.0 * omega / k_coupling
+    lam = abs(signed)
     gap = (k_coupling - 2.0 * omega) * (k_coupling + 2.0 * omega)  # K^2 - 4 Omega^2
     if lam <= 1.0:
         rate = float(np.sqrt(max(0.0, gap)))
@@ -98,9 +84,9 @@ def classify_two(k_coupling: float, omega: float) -> TwoOscRegime:
             omega=omega,
             lam=lam,
             regime="critical" if lam == 1.0 else "underdamped_sync",
-            phi=float(np.arctan2(lam, root)),
-            stable_point=complex(root, lam),
-            unstable_point=complex(-root, lam),
+            phi=float(np.arctan2(signed, root)),
+            stable_point=complex(root, signed),
+            unstable_point=complex(-root, signed),
             rate=rate,
             period=None,
         )
@@ -117,30 +103,26 @@ def classify_two(k_coupling: float, omega: float) -> TwoOscRegime:
     )
 
 
-def classify_pair(k_coupling: float, frequencies) -> tuple[TwoOscRegime, bool]:
-    """classify_two for a pair of detunings (w0, w1) listed in either order.
-
-    The pair is read through Omega = |w0 - w1|/2: a mean detuning only turns
-    both fields by a common phase. When w0 < w1 the regime describes the pair
-    with its labels swapped, whose correlation is conj(z_01); the flag says
-    so, and a caller conjugates z_01 into that frame, or a point of the
-    regime out of it.
-    """
+def classify_pair(k_coupling: float, frequencies) -> TwoOscRegime:
+    """classify_two for a pair of detunings (w0, w1), at Omega = (w0 - w1)/2:
+    a mean detuning only turns both fields by a common phase. The regime
+    describes z_01 of the pair in the order listed."""
     w0, w1 = frequencies
-    return classify_two(k_coupling, 0.5 * abs(w0 - w1)), bool(w0 < w1)
+    return classify_two(k_coupling, 0.5 * (w0 - w1))
 
 
 def z_exact(z0: complex, t, regime: TwoOscRegime):
     """Closed-form pair correlation at time(s) t. Vectorized over t.
 
     Underdamped: the Moebius form through the two fixed points
-    z1,2 = +-r + i Lambda, r = sqrt(1 - Lambda^2), at mu = K r,
+    z1,2 = +-r + i 2 Omega/K, r = sqrt(1 - Lambda^2), at mu = K r,
         z(t) = z1 + d e^{-mu t} / (1 + d (1 - e^{-mu t}) / (2 r)),
         d = z0 - z1,
     which is stationary at z1 and blows through the excluded point z2.
     1 - e^{-mu t} is taken through expm1 and mu from the same r as z1, so
     the form stays accurate as Lambda -> 1, where z1 and z2 merge and it
-    tends to the critical one: z(t) = i + 1/(K t / 2 + 1/(z0 - i)).
+    tends to the critical one: z(t) = z1 + 1/(K t / 2 + 1/(z0 - z1)),
+    z1 = sign(Omega) i.
     The periodic regime has no printed solution; integrate the ODE instead.
     """
     if regime.regime == "periodic":
@@ -149,11 +131,11 @@ def z_exact(z0: complex, t, regime: TwoOscRegime):
         )
     t = np.asarray(t, dtype=float)
     z0 = complex(z0)
-    if regime.regime == "critical":
-        if z0 == 1j:
-            raise ExcludedInitialStateError("z0 = i is the merged fixed point; excluded")
-        return 1j + 1.0 / (0.5 * regime.coupling * t + 1.0 / (z0 - 1j))
     z1 = regime.stable_point
+    if regime.regime == "critical":
+        if z0 == z1:
+            raise ExcludedInitialStateError("z0 equals the merged fixed point; excluded")
+        return z1 + 1.0 / (0.5 * regime.coupling * t + 1.0 / (z0 - z1))
     z2 = regime.unstable_point
     if z0 == z2:
         raise ExcludedInitialStateError(
@@ -175,16 +157,17 @@ class SyncLimits:
 def sync_limits_two(regime: TwoOscRegime) -> SyncLimits:
     """Asymptotic phase offset, pair-distance limit, and contraction rate.
 
-    distance_limit = |1 - e^{i phi}| = 2 sin(phi/2); at the critical point
-    phi = pi/2 this evaluates to sqrt(2). rate is 0 there: the approach is
-    algebraic, not exponential.
+    distance_limit = |1 - e^{i phi}| = 2 sin(|phi|/2); at the critical point
+    |phi| = pi/2 this evaluates to sqrt(2). phase_offset is phi, with Omega's
+    sign. rate is 0 at the critical point: the approach is algebraic, not
+    exponential.
     """
     if regime.regime == "periodic":
         raise UnsupportedRegimeError("no synchronization limits for lam > 1")
     phi = regime.phi
     return SyncLimits(
         phase_offset=phi,
-        distance_limit=float(2.0 * np.sin(0.5 * phi)),
+        distance_limit=float(2.0 * np.sin(0.5 * abs(phi))),
         rate=regime.rate,
     )
 
@@ -233,88 +216,3 @@ def classify_fixed_point(state: EnsembleState, tol: float) -> FixedPointClass | 
     k = int(np.sum(signs > 0.0))
     return FixedPointClass(kind="split_sync", k_positive=k, zeta_norm=2.0 * k / n - 1.0)
 
-
-@dataclass(frozen=True)
-class ScatteringResult:
-    """Output of scattering_state: the asymptotic profile plus the error
-    budget of the truncated time integral."""
-
-    field: WaveField
-    tail_bound: float
-    rate: float
-    final_integrand_norm: float
-
-
-def scattering_state(
-    trajectory: Trajectory,
-    config: ModelConfig,
-    oscillator: int,
-    tail_tol: float = 1e-3,
-) -> ScatteringResult:
-    """Asymptotic free profile psi~ with psi_j(t) ~ exp(-iHt) psi~, H = -1/2 Lap + V.
-
-    Duhamel gives psi~ = psi_j(0) + integral_0^inf exp(iHs) G(s) ds with
-    G = -i Omega_j psi_j + (K/2)(zeta - <zeta, psi_j> psi_j), the model's own
-    coupling term (core.coupling_term), and ||G(s)|| decays like e^{-rate s}
-    in the synchronizing regime. The integral is evaluated by composite
-    trapezoid over the stored samples; a backward recursion applies exp(iHh)
-    once per sample instead of building each exp(iHs_n) anew. The neglected
-    tail is bounded by the measured final integrand norm divided by the
-    contraction rate and must come in under tail_tol, otherwise the
-    trajectory is too short to certify. The pair may be listed in either
-    order (classify_pair reads it), but must be centered.
-    """
-    if config.n_oscillators != 2:
-        raise ContractViolationError("scattering profile is defined for the pair system")
-    if oscillator not in (0, 1):
-        raise ContractViolationError(f"oscillator index must be 0 or 1, got {oscillator}")
-    w0, w1 = config.frequencies
-    if abs(w0 + w1) > 1e-12 * max(abs(w0), abs(w1), 1.0):
-        raise ContractViolationError(
-            "scattering needs centered frequencies (w0 + w1 = 0): the pulled-back "
-            "fields of an uncentered pair rotate and have no limit"
-        )
-    regime = classify_pair(config.coupling, config.frequencies)[0]
-    if regime.lam >= 1.0:
-        raise UnsupportedRegimeError(
-            f"scattering requires lam < 1 (exponential tail), got lam = {regime.lam}"
-        )
-    times = np.asarray(trajectory.times, dtype=float)
-    if times.size < 2:
-        raise SeriesTooShortError("trajectory has fewer than 2 samples")
-    if abs(times[0]) > 1e-12:
-        raise ContractViolationError("trajectory must start at t = 0")
-    h = times[1] - times[0]
-    if np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(h, 1.0):
-        raise ContractViolationError("scattering quadrature needs uniformly spaced samples")
-
-    grid = trajectory.states[0].grid
-    dv = grid.dv
-    k = config.coupling
-    omega_j = config.frequencies[oscillator]
-
-    integrands = [
-        0.5 * k * coupling_term(s.psi, dv)[oscillator] - 1j * omega_j * s.psi[oscillator]
-        for s in trajectory.states
-    ]
-    final_norm = float(np.sqrt(dv * np.sum(np.abs(integrands[-1]) ** 2)))
-    tail = final_norm / regime.rate
-    if tail > tail_tol:
-        raise SeriesTooShortError(
-            f"tail bound {tail:.3e} exceeds {tail_tol:.3e}; integrand norm is still "
-            f"{final_norm:.3e} at t = {times[-1]:g}"
-        )
-
-    # J_n = exp(-iH s_n) * (trapezoid sum over [s_n, s_end]); recurse backwards
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for n in range(len(integrands) - 2, -1, -1):
-        acc = propagate_linear(grid, config.potential, acc + 0.5 * h * integrands[n + 1], -h)
-        acc += 0.5 * h * integrands[n]
-
-    profile = trajectory.states[0].psi[oscillator] + acc
-    return ScatteringResult(
-        field=WaveField(grid, profile),
-        tail_bound=tail,
-        rate=regime.rate,
-        final_integrand_norm=final_norm,
-    )

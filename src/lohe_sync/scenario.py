@@ -97,6 +97,7 @@ from .initial_data import (
     perturbed_gaussians,
     plane_waves,
 )
+from .oracles import classify_pair
 from .potentials import build_potential
 from .snapshots import read_snapshot
 from .solver import SolverParams
@@ -598,15 +599,13 @@ def build_ode_initial(sc: Scenario, config: ModelConfig):
         if ode.z0 is None:
             raise ConfigurationError("[ode] z0 is required for system = two")
         if ode.z0 == "unstable":
-            from .oracles import classify_pair
-
             n = config.n_oscillators
             if n != 2:
                 raise ConfigurationError(f"z0 = unstable needs n = 2, got n = {n}")
-            regime, swapped = classify_pair(config.coupling, config.frequencies)
+            regime = classify_pair(config.coupling, config.frequencies)
             if regime.unstable_point is None:
                 raise ConfigurationError("no repelling point exists for lam > 1")
-            return regime.unstable_point.conjugate() if swapped else regime.unstable_point
+            return regime.unstable_point
         return ode.z0
     if ode.gram == "ones":
         return CorrelationState(0.0, np.ones((sc.n, sc.n), dtype=np.complex128))

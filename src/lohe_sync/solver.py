@@ -93,6 +93,7 @@ from .correlations import (
     mixing_flow,
     pair_mixing_step,
     rk4_step,
+    sample_intervals,
     step_count,
 )
 from .diagnostics import DiagnosticsRecord, compute_records
@@ -160,9 +161,9 @@ class SolverParams:
 
     @property
     def n_samples(self) -> int:
-        """The samples of a whole run: the initial one, then one every
-        snapshot_stride steps and the endpoint."""
-        return 1 + len(range(0, self.n_steps, self.snapshot_stride))
+        """The samples of a whole run: the initial one, then one per sample
+        interval (every snapshot_stride steps and the endpoint)."""
+        return 1 + len(sample_intervals(self.n_steps, self.snapshot_stride))
 
 
 @dataclass(frozen=True)
@@ -516,19 +517,13 @@ def _norms_finite(psi: np.ndarray, dv: float) -> bool:
     return all(math.isfinite(dv * s) for s in np.einsum("ij,ij->i", flat, flat).tolist())
 
 
-def _intervals(params: SolverParams) -> Iterator[int]:
-    """The step count of each sample interval of a run."""
-    n_steps, stride = params.n_steps, params.snapshot_stride
-    return (min(stride, n_steps - start) for start in range(0, n_steps, stride))
-
-
 def _stream(stepper, initial: EnsembleState, params: SolverParams) -> Iterator[EnsembleState]:
     """The run's samples: one advance per sample interval, each state
     carrying the stepper's factors."""
     yield EnsembleState(initial.grid, initial.psi.copy(), initial.time, 0, stepper.factors)
     n = 0
     with _advancing(stepper, params) as advance:
-        for count in _intervals(params):
+        for count in sample_intervals(params.n_steps, params.snapshot_stride):
             bad = advance(count)
             n += bad or count
             t = initial.time + n * params.dt
@@ -589,7 +584,7 @@ def _step_child(stepper: _SpanStepper, params: SolverParams, fd: int) -> None:
     """The stepping child of _advancing: the pair loop of stepper.advance
     over every interval of the run, each sent down fd, up to the first that
     is not finite."""
-    for count in _intervals(params):
+    for count in sample_intervals(params.n_steps, params.snapshot_stride):
         bad = stepper.advance(count)
         os.write(fd, _INTERVAL.pack(bad, *(x for c in stepper.d for x in (c.real, c.imag))))
         if bad:

@@ -28,7 +28,9 @@ the parameters dictate. Checks are looked up by name from scenario
 All checks return a CheckResult; nothing raises on a mere failure, so a
 verify pass always produces a complete report. Every check but scattering
 reads the PDE run's diagnostics records, so only scattering makes the run
-keep its sampled fields.
+keep its sampled fields. Its asymptotic profile, scattering_state, is built
+here: it consumes a solver trajectory, but applies only exact linear
+propagators to it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ModelConfig
+from .core import ModelConfig, WaveField, coupling_term
 from .correlations import CorrelationSeries, CorrelationState, integrate, pair_distance
 from .diagnostics import (
     classify_correlation_sync,
@@ -49,18 +51,25 @@ from .diagnostics import (
     fit_decay,
     tail_samples,
 )
-from .errors import ConfigurationError, LoheSyncError
-from .oracles import (
-    classify_pair,
-    scattering_state,
-    sync_distance_sq,
-    sync_limits_two,
-    z_exact,
+from .errors import (
+    ConfigurationError,
+    ContractViolationError,
+    LoheSyncError,
+    SeriesTooShortError,
+    UnsupportedRegimeError,
 )
+from .oracles import classify_pair, sync_distance_sq, sync_limits_two, z_exact
 from .scenario import Scenario, build_ensemble, build_grid, build_model, integrate_ode
 from .solver import Trajectory, propagate_linear, samples, with_records
 
-__all__ = ["CheckResult", "VerifyContext", "run_checks", "CHECK_NAMES"]
+__all__ = [
+    "CheckResult",
+    "VerifyContext",
+    "ScatteringResult",
+    "run_checks",
+    "scattering_state",
+    "CHECK_NAMES",
+]
 
 
 @dataclass(frozen=True)
@@ -119,17 +128,15 @@ class VerifyContext:
             raise ConfigurationError("this check needs an [ode] section")
         return integrate_ode(self.scenario, self.config)
 
-    def pair_frame(self):
-        """classify_pair of the scenario's pair: its regime, and whether z_01
-        reads conjugated in that regime's frame."""
+    def pair_regime(self):
+        """classify_pair of the scenario's pair, which describes its z_01."""
         w = self.config.frequencies
         if len(w) != 2:
             raise ConfigurationError("this check is defined for two oscillators")
         return classify_pair(self.config.coupling, w)
 
     def pair_z_series(self, prefer: str = "pde"):
-        """(times, z_01) from whichever level the scenario runs, in the frame
-        of pair_frame.
+        """(times, z_01) from whichever level the scenario runs.
 
         prefer="ode" flips the choice when both levels are configured; rate
         fits want the ODE series, whose tail is not polluted by the PDE
@@ -139,8 +146,7 @@ class VerifyContext:
         has_ode = self.scenario.ode is not None
         use_pde = has_pde and not (prefer == "ode" and has_ode)
         series = self.gram_series if use_pde else self.ode_series
-        z = series.z[:, 0, 1]
-        return series.times, np.conj(z) if self.pair_frame()[1] else z
+        return series.times, series.z[:, 0, 1]
 
 
 def _check_mass(ctx: VerifyContext, tol: float) -> CheckResult:
@@ -187,7 +193,7 @@ def _check_pde_ode_closure(ctx: VerifyContext, tol: float) -> CheckResult:
 
 
 def _check_two_exact(ctx: VerifyContext, tol: float) -> CheckResult:
-    regime, swapped = ctx.pair_frame()
+    regime = ctx.pair_regime()
     runs = []
     if ctx.scenario.solver is not None:
         runs.append(ctx.gram_series)
@@ -195,13 +201,13 @@ def _check_two_exact(ctx: VerifyContext, tol: float) -> CheckResult:
         runs.append(ctx.ode_series)
     if not runs:
         raise ConfigurationError("two_exact needs a [solver] or [ode] section")
-    pairs = [(s.times, np.conj(s.z[:, 0, 1]) if swapped else s.z[:, 0, 1]) for s in runs]
+    pairs = [(s.times, s.z[:, 0, 1]) for s in runs]
     err = max(float(np.max(np.abs(z - z_exact(z[0], times, regime)))) for times, z in pairs)
     return CheckResult("two_exact", err <= tol, err, 0.0, tol, "max |z - closed form|")
 
 
 def _check_sync_rate(ctx: VerifyContext, tol: float) -> CheckResult:
-    regime = ctx.pair_frame()[0]
+    regime = ctx.pair_regime()
     if regime.regime != "underdamped_sync":
         raise ConfigurationError("sync_rate applies below the critical coupling ratio")
     times, z = ctx.pair_z_series(prefer="ode")
@@ -218,7 +224,7 @@ def _check_sync_rate(ctx: VerifyContext, tol: float) -> CheckResult:
 
 
 def _check_distance_limit(ctx: VerifyContext, tol: float) -> CheckResult:
-    regime = ctx.pair_frame()[0]
+    regime = ctx.pair_regime()
     limits = sync_limits_two(regime)
     times, z = ctx.pair_z_series()
     dist = pair_distance(z)
@@ -236,7 +242,7 @@ def _check_distance_limit(ctx: VerifyContext, tol: float) -> CheckResult:
 
 
 def _check_periodicity(ctx: VerifyContext, tol: float) -> CheckResult:
-    regime = ctx.pair_frame()[0]
+    regime = ctx.pair_regime()
     if regime.regime != "periodic":
         raise ConfigurationError("periodicity applies to the lam > 1 regime")
     times, z = ctx.pair_z_series()
@@ -282,6 +288,92 @@ def _check_classified(ctx: VerifyContext, tol: float, expected: str, name: str) 
         expected,
         tol,
         f"tail from t = {result.evidence['tail_start_time']:g}",
+    )
+
+
+@dataclass(frozen=True)
+class ScatteringResult:
+    """Output of scattering_state: the asymptotic profile plus the error
+    budget of the truncated time integral."""
+
+    field: WaveField
+    tail_bound: float
+    rate: float
+    final_integrand_norm: float
+
+
+def scattering_state(
+    trajectory: Trajectory,
+    config: ModelConfig,
+    oscillator: int,
+    tail_tol: float = 1e-3,
+) -> ScatteringResult:
+    """Asymptotic free profile psi~ with psi_j(t) ~ exp(-iHt) psi~, H = -1/2 Lap + V.
+
+    Duhamel gives psi~ = psi_j(0) + integral_0^inf exp(iHs) G(s) ds with
+    G = -i Omega_j psi_j + (K/2)(zeta - <zeta, psi_j> psi_j), the model's own
+    coupling term (core.coupling_term), and ||G(s)|| decays like e^{-rate s}
+    in the synchronizing regime. The integral is evaluated by composite
+    trapezoid over the stored samples; a backward recursion applies exp(iHh)
+    once per sample instead of building each exp(iHs_n) anew. The neglected
+    tail is bounded by the measured final integrand norm divided by the
+    contraction rate and must come in under tail_tol, otherwise the
+    trajectory is too short to certify. The pair may be listed in either
+    order, but must be centered.
+    """
+    if config.n_oscillators != 2:
+        raise ContractViolationError("scattering profile is defined for the pair system")
+    if oscillator not in (0, 1):
+        raise ContractViolationError(f"oscillator index must be 0 or 1, got {oscillator}")
+    w0, w1 = config.frequencies
+    if abs(w0 + w1) > 1e-12 * max(abs(w0), abs(w1), 1.0):
+        raise ContractViolationError(
+            "scattering needs centered frequencies (w0 + w1 = 0): the pulled-back "
+            "fields of an uncentered pair rotate and have no limit"
+        )
+    regime = classify_pair(config.coupling, config.frequencies)
+    if regime.lam >= 1.0:
+        raise UnsupportedRegimeError(
+            f"scattering requires lam < 1 (exponential tail), got lam = {regime.lam}"
+        )
+    times = np.asarray(trajectory.times, dtype=float)
+    if times.size < 2:
+        raise SeriesTooShortError("trajectory has fewer than 2 samples")
+    if abs(times[0]) > 1e-12:
+        raise ContractViolationError("trajectory must start at t = 0")
+    h = times[1] - times[0]
+    if np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(h, 1.0):
+        raise ContractViolationError("scattering quadrature needs uniformly spaced samples")
+
+    grid = trajectory.states[0].grid
+    dv = grid.dv
+    k = config.coupling
+    omega_j = config.frequencies[oscillator]
+
+    integrands = [
+        0.5 * k * coupling_term(s.psi, dv)[oscillator] - 1j * omega_j * s.psi[oscillator]
+        for s in trajectory.states
+    ]
+    final_norm = float(np.sqrt(dv * np.sum(np.abs(integrands[-1]) ** 2)))
+    tail = final_norm / regime.rate
+    if tail > tail_tol:
+        raise SeriesTooShortError(
+            f"tail bound {tail:.3e} exceeds {tail_tol:.3e}; integrand norm is still "
+            f"{final_norm:.3e} at t = {times[-1]:g}"
+        )
+
+    # J_n = exp(-iH s_n) * (trapezoid sum over [s_n, s_end]); recurse backwards
+    acc = np.zeros(grid.shape, dtype=np.complex128)
+    for n in range(len(integrands) - 2, -1, -1):
+        acc = propagate_linear(grid, config.potential, acc + 0.5 * h * integrands[n + 1], -h)
+        acc += 0.5 * h * integrands[n]
+
+    profile = trajectory.states[0].psi[oscillator] + acc
+    return ScatteringResult(
+        field=WaveField(grid, profile),
+        tail_bound=tail,
+        rate=regime.rate,
+        final_integrand_norm=final_norm,
     )
 
 

@@ -13,6 +13,7 @@ from lohe_sync import (
     DivergenceError,
     MacroCorrelation,
     ModelConfig,
+    SolverParams,
     integrate,
     integrate_batch,
     random_correlation_matrix,
@@ -26,6 +27,7 @@ from lohe_sync.correlations import (
     macro_rhs,
     mixing_flow,
     rk4_step,
+    sample_intervals,
     step_count,
     zeta_norm_rhs,
 )
@@ -502,6 +504,18 @@ def test_step_count_validation():
         step_count(1e-3, 0.0015)
     with pytest.raises(ConfigurationError):
         step_count(-1.0, 1.0)
+
+
+def test_sample_intervals():
+    # every stride steps, then the remainder; the solver and both cell
+    # runners sample on this schedule
+    assert sample_intervals(10, 3) == [3, 3, 3, 1]
+    assert sample_intervals(9, 3) == [3, 3, 3]
+    assert sample_intervals(2, 5) == [2]
+    assert sample_intervals(0, 4) == []
+    series = integrate("two", 0.2 + 0.1j, config_for(2), 0.1, 1.0, sample_stride=3)
+    assert np.allclose(series.times, [0.0, 0.3, 0.6, 0.9, 1.0])
+    assert SolverParams(0.1, 1.0, snapshot_stride=3).n_samples == 5
 
 
 def test_integrate_rejects_unknown_system():

@@ -62,6 +62,7 @@ def test_classify_two_trichotomy():
     assert crit.regime == "critical"
     assert crit.rate == 0.0
     assert crit.stable_point == crit.unstable_point == 1j
+    assert classify_two(1.0, -0.5).stable_point == -1j
 
     per = classify_two(1.0, 1.0)
     assert per.regime == "periodic"
@@ -123,8 +124,55 @@ def test_fixed_points_are_exact_near_lam_one(k, gap):
 def test_classify_two_rejects_bad_parameters():
     with pytest.raises(ContractViolationError):
         classify_two(0.0, 0.1)
-    with pytest.raises(ContractViolationError):
-        classify_two(1.0, -0.1)
+    # Omega takes either sign, but must be finite
+    for omega in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractViolationError):
+            classify_two(1.0, omega)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.one_of(
+        st.sampled_from([math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.0]),
+        st.floats(0.0, 2.5, exclude_min=True),
+    ),
+    k=st.floats(0.2, 3.0),
+    radius=st.floats(0.0, 1.0),
+    angle=st.floats(-math.pi, math.pi),
+)
+def test_negative_omega_is_the_conjugate_regime(lam, k, radius, angle):
+    # listing a pair the other way round turns Omega into -Omega and z_01
+    # into its conjugate: the regime at -Omega is the conjugate of the one at
+    # Omega, and its closed form is the conjugated path, bit for bit but for
+    # the sign of a zero (z0 = 0 at t = 0 conjugates to -0j)
+    omega = 0.5 * lam * k
+    assume(omega > 0.0)
+    pos, neg = classify_two(k, omega), classify_two(k, -omega)
+    assert neg.omega == -pos.omega
+    assert (neg.coupling, neg.lam, neg.regime, neg.rate, neg.period) == (
+        pos.coupling,
+        pos.lam,
+        pos.regime,
+        pos.rate,
+        pos.period,
+    )
+    if pos.regime == "periodic":
+        assert neg.phi is neg.stable_point is neg.unstable_point is None
+        return
+    assert neg.phi == -pos.phi
+    assert neg.stable_point == pos.stable_point.conjugate()
+    assert neg.unstable_point == pos.unstable_point.conjugate()
+    limits, mirrored = sync_limits_two(neg), sync_limits_two(pos)
+    assert limits.phase_offset == -mirrored.phase_offset
+    assert (limits.distance_limit, limits.rate) == (mirrored.distance_limit, mirrored.rate)
+
+    z0 = complex(radius * math.cos(angle), radius * math.sin(angle))
+    assume(z0 not in (neg.stable_point, neg.unstable_point))
+    t = np.linspace(0.0, 8.0, 17)
+    z = z_exact(z0, t, neg)
+    assert np.array_equal(z, np.conj(z_exact(z0.conjugate(), t, pos)))
+    distance = sync_distance_sq(z, neg.phi)
+    assert np.array_equal(distance, sync_distance_sq(np.conj(z), pos.phi))
 
 
 def test_sync_limits():
@@ -197,6 +245,9 @@ def test_z_exact_excluded_and_unsupported():
         z_exact(regime.unstable_point, 1.0, regime)
     with pytest.raises(ExcludedInitialStateError):
         z_exact(1j, 1.0, classify_two(1.0, 0.5))
+    with pytest.raises(ExcludedInitialStateError):
+        z_exact(-1j, 1.0, classify_two(1.0, -0.5))
+    assert np.isfinite(z_exact(1j, 1.0, classify_two(1.0, -0.5)))
     with pytest.raises(UnsupportedRegimeError):
         z_exact(0.0, 1.0, classify_two(1.0, 1.0))
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from lohe_sync import (
     ConfigurationError,
+    CorrelationState,
     DivergenceError,
     EnsembleState,
     GridSpec,
@@ -49,7 +50,7 @@ from lohe_sync.scenario import (
 )
 from lohe_sync.solver import _RECORD_BLOCK_BYTES
 
-from conftest import assert_no_child_left, force_step_child
+from conftest import assert_close, assert_no_child_left, force_step_child
 
 BASE = """
 [scenario]
@@ -1153,7 +1154,10 @@ def test_pair_listed_in_either_order_reports_like_its_twin(tmp_path):
     # (-Omega, Omega) is (Omega, -Omega) with its labels swapped, which
     # conjugates z_01; with the mirror-symmetric gaussian_pair and a
     # conjugated z0 the two runs are mirror images, so every check passes
-    # for both with one value, and the summaries and oracle agree
+    # for both with one value. Each regime is read in its own labels: Omega,
+    # phi and the fixed points carry the sign of w0 - w1, so the oracle and
+    # the summaries conjugate (negate) those between the twins, and agree on
+    # everything else
     checks = "two_exact:1e-6, sync_rate:0.02, distance_limit:5e-3, pde_ode_closure:1e-6"
     reads = {}
     pairs = (("twin", "0.375, -0.375", "0.2+0.1j"), ("swapped", "-0.375, 0.375", "0.2-0.1j"))
@@ -1169,7 +1173,7 @@ def test_pair_listed_in_either_order_reports_like_its_twin(tmp_path):
         out = tmp_path / tag
         for command in ("verify", "oracle", "ode", "simulate"):
             assert run_cli(command, "--scenario", str(cfg), "--out", str(out / command)) == 0
-        # the repelling point of z0 = unstable is read in the same frame
+        # the repelling point of z0 = unstable is the scenario's own
         unstable = tmp_path / f"{tag}-unstable.cfg"
         unstable.write_text(
             text.replace(f"z0 = {z0}", "z0 = unstable") + "[verify]\nchecks = stationary:1e-8\n"
@@ -1191,8 +1195,14 @@ def test_pair_listed_in_either_order_reports_like_its_twin(tmp_path):
             "energy_diff_two": [json.loads(line)["energy_diff_two"] for line in lines],
         }
     twin, swapped = reads["twin"], reads["swapped"]
-    assert swapped["oracle"] == twin["oracle"]
-    assert swapped["oracle"]["omega"] == 0.375
+    mirrored = json.loads(json.dumps(twin["oracle"]))
+    mirrored["omega"] = -0.375
+    mirrored["regime"]["phi"] *= -1
+    mirrored["limits"]["phase_offset"] *= -1
+    for point in ("stable_point", "unstable_point"):
+        mirrored["regime"][point]["im"] *= -1
+    assert twin["oracle"]["omega"] == 0.375 and twin["oracle"]["regime"]["phi"] > 0
+    assert swapped["oracle"] == mirrored
     # the closed form is written in the scenario's labels: z_01 conjugated
     assert len(swapped["z_exact"]) == len(twin["z_exact"]) > 1
     for a, b in zip(swapped["z_exact"], twin["z_exact"]):
@@ -1201,8 +1211,10 @@ def test_pair_listed_in_either_order_reports_like_its_twin(tmp_path):
     assert swapped["measured"] == pytest.approx(twin["measured"], rel=1e-9, abs=1e-12)
     for level in ("ode", "simulate"):
         assert swapped[level].keys() == twin[level].keys()
+        assert swapped[level]["phi"] == -twin[level]["phi"]
         for key, value in twin[level].items():
-            assert swapped[level][key] == pytest.approx(value, rel=1e-9), (level, key)
+            if key != "phi":
+                assert swapped[level][key] == pytest.approx(value, rel=1e-9), (level, key)
     assert None not in twin["energy_diff_two"]
     assert swapped["energy_diff_two"] == pytest.approx(twin["energy_diff_two"], abs=1e-12)
 
@@ -1219,3 +1231,123 @@ def test_unstable_z0_needs_a_pair(tmp_path, capsys):
     assert run_cli("verify", "--scenario", str(cfg), "--out", str(tmp_path / "v")) == 1
     (check,) = json.loads((tmp_path / "v" / "report.json").read_text())["checks"]
     assert check["detail"] == "check could not run: z0 = unstable needs n = 2, got n = 3"
+
+
+# -- scenario features that only the shipped scenarios reached ----------------
+
+
+def test_simulate_without_diagnostics_writes_only_summary_and_snapshot(tmp_path):
+    # diagnostics = false steps the run without records: the summary counts
+    # its samples but classifies nothing, and the final fields are the ones
+    # the recording run ends on
+    text = (
+        "[scenario]\nname = quiet\nseed = 3\n[grid]\npoints = 64\n"
+        "[model]\nn = 3\ncoupling = 1.0\nfrequencies = 0.2, 0.0, -0.2\n"
+        "[initial]\nkind = perturbed_gaussians\n"
+        "[solver]\ndt = 0.01\nt_end = 0.5\nsnapshot_stride = 5\n"
+        "[outputs]\nfinal_snapshot = true\n"
+    )
+    for diagnostics in ("true", "false"):
+        cfg = tmp_path / f"{diagnostics}.cfg"
+        cfg.write_text(text + f"diagnostics = {diagnostics}\n")
+        assert run_cli("simulate", "--scenario", str(cfg), "--out", str(tmp_path / diagnostics)) == 0
+    quiet = tmp_path / "false"
+    assert sorted(os.listdir(quiet)) == ["final.slw", "manifest.cfg", "summary.json"]
+    summary = json.loads((quiet / "summary.json").read_text())
+    assert summary["samples"] == 11
+    assert "classification" not in summary and "final" not in summary
+    loud = tmp_path / "true"
+    assert "classification" in json.loads((loud / "summary.json").read_text())
+    assert (quiet / "final.slw").read_bytes() == (loud / "final.slw").read_bytes()
+    assert read_snapshot(str(quiet / "final.slw")).time == pytest.approx(0.5)
+
+
+def test_barrier_potential_scenario_verifies(tmp_path, capsys):
+    text = (
+        "[scenario]\nname = barrier\n[grid]\npoints = 64\n"
+        "[model]\nn = 2\ncoupling = 1.0\nlam = 0.5\npotential = barrier\n"
+        "potential.height = 0.5\npotential.width = {width}\n"
+        "[initial]\nkind = gaussian_pair\n"
+        "[solver]\ndt = 0.005\nt_end = 1.0\nsnapshot_stride = 10\n"
+        "[verify]\nchecks = mass:1e-12, energy_decomposition:1e-12, pde_ode_closure:1e-9\n"
+    )
+    cfg = tmp_path / "barrier.cfg"
+    cfg.write_text(text.format(width=1.5))
+    assert run_cli("verify", "--scenario", str(cfg), "--out", str(tmp_path / "v")) == 0
+    capsys.readouterr()
+    cfg.write_text(text.format(width=0))
+    for command in ("verify", "simulate"):
+        assert run_cli(command, "--scenario", str(cfg), "--out", str(tmp_path / command)) == 2
+        assert capsys.readouterr().err == "error: barrier width must be positive, got 0.0\n"
+
+
+ODE_START = (
+    "[scenario]\nname = start\nseed = 5\n[grid]\npoints = 64\n[model]\nn = 3\ncoupling = 1.0\n"
+    "[ode]\nsystem = {system}\ndt = 0.01\nt_end = 1.0\nsample_stride = 10\n"
+)
+
+
+def _first_correlation(tmp_path, text, tag):
+    cfg = tmp_path / f"{tag}.cfg"
+    cfg.write_text(text)
+    assert run_cli("ode", "--scenario", str(cfg), "--out", str(tmp_path / tag)) == 0
+    first = json.loads((tmp_path / tag / "correlations.ndjson").read_text().splitlines()[0])
+    return np.array(first["r"]) + 1j * np.array(first["s"]), load_scenario(str(cfg))
+
+
+@pytest.mark.parametrize("system", ["full", "fg"])
+def test_ode_starts_from_the_scenarios_gram_choice(tmp_path, system):
+    # full and fg start from gram = ones, from gram = random at the scenario's
+    # seed and coherence, or from the Gram matrix of the [initial] ensemble;
+    # fg steps F = 1 - z, so its first sample is z0 to rounding
+    base = ODE_START.format(system=system)
+    z, _ = _first_correlation(tmp_path, base + "gram = ones\n", "ones")
+    assert np.array_equal(z, np.ones((3, 3)))
+    z, _ = _first_correlation(tmp_path, base + "gram = random\ncoherence = 0.5\n", "random")
+    assert_close(z, random_correlation_matrix(3, 5, coherence=0.5), 1e-15, "gram = random")
+    assert np.max(np.abs(z - random_correlation_matrix(3, 5))) > 0.1
+    text = base + "[initial]\nkind = perturbed_gaussians\n"
+    z, sc = _first_correlation(tmp_path, text, "initial")
+    gram = CorrelationState.from_ensemble(build_ensemble(sc, build_grid(sc))).z
+    assert_close(z, gram, 1e-15, "the ensemble's Gram matrix")
+
+
+def test_ode_refuses_a_full_start_it_cannot_build(tmp_path, capsys):
+    cfg = tmp_path / "bare.cfg"
+    cfg.write_text(ODE_START.format(system="full"))
+    assert run_cli("ode", "--scenario", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        "error: [ode] needs z0, gram, or an [initial] ensemble to start from\n"
+    )
+
+
+PAIR_ODE = (
+    "[scenario]\nname = pair\n[model]\nn = 2\ncoupling = 1.0\nlam = {lam}\n"
+    "[ode]\nsystem = two\nz0 = 0.2+0.1j\ndt = 0.002\nt_end = {t_end}\nsample_stride = 10\n"
+)
+
+
+def test_critical_pair_distance_limit_is_extrapolated(tmp_path):
+    # at lam = 1 the pair distance approaches sqrt(2) like 1/t, so the check
+    # extrapolates the tail instead of averaging it
+    cfg = tmp_path / "critical.cfg"
+    cfg.write_text(PAIR_ODE.format(lam=1.0, t_end=40.0) + "[verify]\nchecks = distance_limit:1e-3\n")
+    assert run_cli("verify", "--scenario", str(cfg), "--out", str(tmp_path / "v")) == 0
+    (check,) = json.loads((tmp_path / "v" / "report.json").read_text())["checks"]
+    assert check["detail"] == "1/t extrapolation of the tail"
+    assert check["expected"] == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    assert abs(check["measured"] - check["expected"]) <= 1e-3
+
+
+def test_ode_summary_reports_the_period_and_the_richardson_error(tmp_path):
+    cfg = tmp_path / "periodic.cfg"
+    cfg.write_text(PAIR_ODE.format(lam=2.0, t_end=20.0) + "self_check = true\n")
+    assert run_cli("ode", "--scenario", str(cfg), "--out", str(tmp_path / "o")) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    two = summary["two_oscillator"]
+    assert two["regime"] == "periodic"
+    assert two["period_detected"] == pytest.approx(two["period"], rel=1e-3)
+    config = ModelConfig(coupling=1.0, frequencies=(1.0, -1.0))
+    series = integrate("two", 0.2 + 0.1j, config, 0.002, 20.0, sample_stride=10, self_check=True)
+    assert summary["richardson_error"] == series.richardson_error
+    assert 0.0 < summary["richardson_error"] < 1e-8

@@ -420,16 +420,22 @@ def test_default_scheme_checks_hold_for_strang_rk4(grid64, monkeypatch, check):
     check(grid64)
 
 
-# the default scheme's case is test_renormalize_each_step
-@pytest.mark.parametrize("scheme", ["strang_rk4", "full_rk4"])
+# a pair and N = 3: span renormalizes a pair's D on four Python complexes,
+# an N >= 3 D through numpy; unrenormalized, N = 3 drifts by 2e-12 here
+@pytest.mark.parametrize("scheme", ["span", "strang_rk4", "full_rk4"])
 def test_renormalize_each_step_every_scheme(grid64, pair_config, scheme):
-    initial = gaussian_pair(grid64)
     params = SolverParams(
         dt=1e-2, t_end=0.5, scheme=scheme, renormalize_each_step=True, snapshot_stride=10
     )
-    trajectory = evolve(initial, pair_config, params, collect_diagnostics=False)
-    for state in trajectory.states:
-        assert_close(state.norms(), np.ones(2), 1e-14, f"{scheme} renormalized")
+    three = ModelConfig(coupling=1.0, frequencies=(0.2, 0.0, -0.2))
+    for initial, config in (
+        (gaussian_pair(grid64), pair_config),
+        (perturbed_gaussians(grid64, 3, seed=4), three),
+    ):
+        trajectory = evolve(initial, config, params, collect_diagnostics=False)
+        n = config.n_oscillators
+        for state in trajectory.states:
+            assert_close(state.norms(), np.ones(n), 1e-14, f"{scheme} renormalized, n = {n}")
 
 
 # n = 2 steps D as four Python complexes, n = 3 through numpy
