@@ -22,7 +22,7 @@ _EXPORTS = {
     for module, names in {
         "core": "GridSpec WaveField EnsembleState ModelConfig inner_product gram_matrix"
         " order_parameter coupling_term",
-        "correlations": "CorrelationState MacroCorrelation CorrelationSeries full_rhs two_rhs"
+        "correlations": "CorrelationState CorrelationSeries full_rhs two_rhs"
         " macro_rhs integrate integrate_batch random_correlation_matrix",
         "solver": "SolverParams Trajectory evolve samples with_records propagate_linear"
         " stability_report",

@@ -72,7 +72,7 @@ from .scenario import (
     resolved_frequencies,
 )
 from .snapshots import write_snapshot
-from .solver import SolverParams, Trajectory, samples, with_records
+from .solver import SolverParams, samples, with_records
 from .verification import run_checks
 
 __all__ = ["main"]
@@ -251,7 +251,7 @@ def cmd_simulate(sc: Scenario, args) -> int:
     def records():
         for state, rec in with_records(stream, config):
             last["state"], last["record"] = state, rec
-            kept.append(_Sample(rec.time, rec.pair_l2, rec.zeta_norm, rec.correlations.z[0, 1]))
+            kept.append(_Sample(rec.time, rec.pair_l2, rec.zeta_norm, rec.z[0, 1]))
             yield rec
 
     # closed on the way out, so a stepping child never outlives the run
@@ -519,7 +519,8 @@ def _sweep_point(task: tuple) -> dict:
             # records only: a cell keeps none of its fields
             with closing(samples(initial, config, solver)) as stream:
                 records = [rec for _, rec in with_records(stream, config)]
-            series = Trajectory(np.array([r.time for r in records]), [], records).gram_series()
+            times = np.array([r.time for r in records])
+            series = CorrelationSeries(times, np.stack([r.z for r in records]))
             result = classify_sync(records, CLASSIFY_TOL)
         else:
             result = classify_correlation_sync(series, CLASSIFY_TOL)

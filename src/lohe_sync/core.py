@@ -352,8 +352,10 @@ def gram_matrices(psi: np.ndarray, dv: float) -> np.ndarray:
 def coupling_term(psi: np.ndarray, dv: float) -> np.ndarray:
     """The mean-field pull zeta - <zeta, psi_j> psi_j on every member of an
     (N, *grid) stack, without its gain K/2; the model's only nonlinearity.
-    The N overlaps <zeta, psi_j> are one conj(zeta) @ psi^T."""
-    zeta = psi.mean(axis=0)
+    The N overlaps <zeta, psi_j> are one conj(zeta) @ psi^T. zeta is the sum
+    over the stack divided by N, the bits of psi.mean(axis=0) without its
+    per-call overhead."""
+    zeta = np.add.reduce(psi, axis=0) / psi.shape[0]
     flat = psi.reshape(psi.shape[0], -1)
     overlaps = dv * (np.conj(zeta.reshape(-1)) @ flat.T)
     return zeta - overlaps.reshape((-1,) + (1,) * (psi.ndim - 1)) * psi

@@ -11,12 +11,19 @@ that system (and its two-oscillator, macroscopic, and identical-frequency
 specializations) independently of any PDE machinery, so the two levels can be
 checked against each other.
 
-Derivatives are exposed in real/imaginary split form (r, s), matching the
-emitted file schemas. The full system has one cell runner, _cells: integrate
-runs one cell of it for "full" and "two", integrate_batch the B cells of one
-N. N >= 3 cells step together as a stack of complex matrices whose lower
-triangles are mirrored from the upper ones every step, so r_jk - r_kj and
-s_jk + s_kj are exactly zero along trajectories. At N = 2 the system is the
+One instant of the correlations is a plain N x N complex array z: the
+paper's right-hand sides (full_rhs, macro_rhs, zeta_norm_rhs, fg_rhs) take
+one and return (r, s) split derivatives, matching the emitted file schemas,
+and a diagnostics record carries one as rec.z (unit_correlations). The one
+container is CorrelationSeries, a (S, N, N) stack with r_tilde, s_tilde and
+the rest read off z (MacroCorrelation is gone); CorrelationState is only
+integrate's checked start.
+
+The full system has one cell runner, _cells: integrate runs one cell of it
+for "full" and "two", integrate_batch the B cells of one N. N >= 3 cells
+step together as a stack of complex matrices whose lower triangles are
+mirrored from the upper ones every step, so r_jk - r_kj and s_jk + s_kj are
+exactly zero along trajectories. At N = 2 the system is the
 single pair correlation z_01, which each cell steps alone through
 _pair_samples, one loop that carries z_01 as two Python floats, writes RK4's
 four stages out as the component formulas of CPython's complex arithmetic,
@@ -47,7 +54,6 @@ from .errors import (
 
 __all__ = [
     "CorrelationState",
-    "MacroCorrelation",
     "CorrelationSeries",
     "full_rhs",
     "two_rhs",
@@ -55,6 +61,7 @@ __all__ = [
     "fg_rhs",
     "zeta_norm_rhs",
     "random_correlation_matrix",
+    "unit_correlations",
     "mixing_flow",
     "pair_mixing_step",
     "pair_distance",
@@ -124,10 +131,10 @@ def _mirror(z: np.ndarray) -> np.ndarray:
 
 
 def _admissible(z) -> np.ndarray:
-    """The checked copy a CorrelationState holds, for every matrix of a
-    (..., N, N) stack at once: each check runs once on the whole stack (one
-    batched eigvalsh for the warning). The copy is symmetrized, mirrored
-    and given an exact unit diagonal."""
+    """The checked copy a CorrelationState or unit_correlations holds, for
+    every matrix of a (..., N, N) stack at once: each check runs once on the
+    whole stack (one batched eigvalsh for the warning). The copy is
+    symmetrized, mirrored and given an exact unit diagonal."""
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim < 2 or z.shape[-2] != z.shape[-1] or z.shape[-1] < 2:
         raise ConfigurationError(f"z must be square with N >= 2, got shape {z.shape}")
@@ -154,9 +161,19 @@ def _admissible(z) -> np.ndarray:
     return z
 
 
+def unit_correlations(gram) -> np.ndarray:
+    """The correlations of measured Gram matrices of near-unit states, for
+    every matrix of a (..., N, N) stack: each divided by the square roots of
+    its diagonal, so the mass drift is rescaled away, then checked and
+    copied by _admissible once for the whole stack."""
+    d = np.sqrt(np.abs(np.diagonal(gram, axis1=-2, axis2=-1)))
+    return _admissible(gram / (d[..., :, None] * d[..., None, :]))
+
+
 @dataclass
 class CorrelationState:
-    """N x N correlation matrix z_jk = r_jk + i s_jk at one instant.
+    """The checked start of integrate: an N x N correlation matrix z at one
+    instant.
 
     The constructor symmetrizes within a small tolerance and pins the
     diagonal to exactly 1; matrices further than that from admissibility are
@@ -172,77 +189,16 @@ class CorrelationState:
         self.z = _admissible(self.z)
 
     @classmethod
-    def from_gram(cls, time: float, z: np.ndarray) -> "CorrelationState":
-        """Correlations from the measured Gram matrix of near-unit states,
-        with the diagonal drift rescaled away."""
-        return cls.from_grams([time], np.asarray(z)[None])[0]
-
-    @classmethod
-    def from_grams(cls, times, z: np.ndarray) -> list["CorrelationState"]:
-        """from_gram of each matrix of a (B, N, N) stack: the constructor's
-        checks run once on the whole stack, then each matrix is wrapped
-        without checking it again."""
-        d = np.sqrt(np.abs(np.diagonal(z, axis1=-2, axis2=-1)))
-        z = _admissible(z / (d[..., :, None] * d[..., None, :]))
-        states = []
-        for time, zb in zip(times, z):
-            state = cls.__new__(cls)
-            state.time, state.z = time, zb
-            states.append(state)
-        return states
-
-    @classmethod
     def from_ensemble(cls, state: EnsembleState) -> "CorrelationState":
-        return cls.from_gram(state.time, gram_matrix(state))
-
-    @property
-    def n_oscillators(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.z.real
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.z.imag
+        """The unit_correlations of an ensemble's Gram matrix."""
+        return cls(state.time, unit_correlations(gram_matrix(state)))
 
 
-@dataclass
-class MacroCorrelation:
-    """Row-averaged correlations and their decay variables.
-
-    r_tilde_j + i s_tilde_j = (1/N) sum_l z_lj = <zeta, psi_j>; the decay
-    variables are f_j = 1 - r_tilde_j, g_j = -s_tilde_j, and pairwise
-    f_pair = 1 - r, g_pair = -s.
-    """
-
-    r_tilde: np.ndarray
-    s_tilde: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    f_pair: np.ndarray
-    g_pair: np.ndarray
-
-    @classmethod
-    def from_correlation(cls, state: CorrelationState) -> "MacroCorrelation":
-        w = state.z.mean(axis=0)
-        return cls(
-            r_tilde=w.real.copy(),
-            s_tilde=w.imag.copy(),
-            f=1.0 - w.real,
-            g=-w.imag,
-            f_pair=1.0 - state.z.real,
-            g_pair=-state.z.imag,
-        )
-
-    @property
-    def zeta_norm_sq(self) -> float:
-        return float(self.r_tilde.mean())
-
-    @property
-    def lyapunov(self) -> float:
-        return float(0.5 * np.mean(self.f**2 + self.g**2))
+def _checked(initial) -> np.ndarray:
+    """The z of an initial CorrelationState, or of one made from a raw matrix."""
+    if not isinstance(initial, CorrelationState):
+        initial = CorrelationState(0.0, initial)
+    return initial.z
 
 
 def _require_n(config: ModelConfig, n: int) -> None:
@@ -326,10 +282,11 @@ def pair_mixing_step(omega, coupling: float, dt: float):
     return step
 
 
-def full_rhs(state: CorrelationState, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative of the full pairwise system, split as (dr, ds)."""
-    _require_n(config, state.n_oscillators)
-    dz = _correlation_flow(np.asarray(config.frequencies), config.coupling)(state.z)
+def full_rhs(z: np.ndarray, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivative of the full pairwise system at the N x N correlation
+    matrix z, split as (dr, ds)."""
+    _require_n(config, len(z))
+    dz = _correlation_flow(np.asarray(config.frequencies), config.coupling)(z)
     return dz.real, dz.imag
 
 
@@ -343,15 +300,15 @@ def two_rhs(z: complex, omega: float, k_coupling: float) -> complex:
     return 2j * omega * z + 0.5 * k_coupling * (1.0 - z * z)
 
 
-def macro_rhs(state: CorrelationState, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative of (r_tilde, s_tilde).
+def macro_rhs(z: np.ndarray, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivative of (r_tilde, s_tilde), r_tilde_j + i s_tilde_j =
+    (1/N) sum_l z_lj = <zeta, psi_j>, at the N x N correlation matrix z.
 
-    The macroscopic system is not closed; pairwise entries are read from the
-    state. Equals the row average of full_rhs identically.
+    The macroscopic system is not closed; pairwise entries are read from z.
+    Equals the row average of full_rhs identically.
     """
-    _require_n(config, state.n_oscillators)
-    z = state.z
-    n = state.n_oscillators
+    n = len(z)
+    _require_n(config, n)
     omega = np.asarray(config.frequencies)
     w = z.mean(axis=0)
     dw = (
@@ -364,35 +321,35 @@ def macro_rhs(state: CorrelationState, config: ModelConfig) -> tuple[np.ndarray,
     return dw.real, dw.imag
 
 
-def fg_rhs(
-    macro: MacroCorrelation,
-    k_coupling: float,
-    frequencies=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative of the decay variables (f_j, g_j), identical oscillators.
+def fg_rhs(z: np.ndarray, k_coupling: float, frequencies=None) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivative of the decay variables f_j = 1 - r_tilde_j, g_j =
+    -s_tilde_j of identical oscillators at the N x N correlation matrix z.
 
     Valid only when every detuning vanishes; pass the config frequencies to
-    have that checked. Pairwise f_pair, g_pair are read from the input.
+    have that checked. The pairwise f_pair = 1 - r, g_pair = -s are read
+    from z.
     """
     if frequencies is not None and np.max(np.abs(np.asarray(frequencies))) > 0.0:
         raise ContractViolationError("the f/g reduction requires zero frequencies")
-    f, g = macro.f, macro.g
-    cross_f = np.mean(f[:, None] * macro.f_pair + g[:, None] * macro.g_pair, axis=0)
-    cross_g = np.mean(f[:, None] * macro.g_pair - g[:, None] * macro.f_pair, axis=0)
+    w = z.mean(axis=0)
+    f, g = 1.0 - w.real, -w.imag
+    f_pair, g_pair = 1.0 - z.real, -z.imag
+    cross_f = np.mean(f[:, None] * f_pair + g[:, None] * g_pair, axis=0)
+    cross_g = np.mean(f[:, None] * g_pair - g[:, None] * f_pair, axis=0)
     df = -0.5 * k_coupling * (2.0 * f - (f**2 - g**2) - cross_f)
     dg = -0.5 * k_coupling * (2.0 * g - 2.0 * f * g - cross_g)
     return df, dg
 
 
-def zeta_norm_rhs(state: CorrelationState, config: ModelConfig) -> float:
-    """Time derivative of the squared order-parameter norm (1/N) sum r_tilde."""
-    _require_n(config, state.n_oscillators)
+def zeta_norm_rhs(z: np.ndarray, config: ModelConfig) -> float:
+    """Time derivative of the squared order-parameter norm (1/N) sum r_tilde
+    at the N x N correlation matrix z."""
+    _require_n(config, len(z))
     omega = np.asarray(config.frequencies)
-    macro = MacroCorrelation.from_correlation(state)
-    zeta_sq = macro.zeta_norm_sq
+    w = z.mean(axis=0)
     return float(
-        2.0 * np.mean(omega * macro.s_tilde)
-        + config.coupling * (zeta_sq - np.mean(macro.r_tilde**2 - macro.s_tilde**2))
+        2.0 * np.mean(omega * w.imag)
+        + config.coupling * (w.real.mean() - np.mean(w.real**2 - w.imag**2))
     )
 
 
@@ -485,9 +442,6 @@ class CorrelationSeries:
     def lyapunov(self) -> np.ndarray:
         w = self.macroscopic
         return 0.5 * np.mean((1.0 - w.real) ** 2 + w.imag**2, axis=1)
-
-    def state_at(self, index: int) -> CorrelationState:
-        return CorrelationState(time=float(self.times[index]), z=self.z[index].copy())
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -641,9 +595,10 @@ def integrate(
     identical oscillators, stepped in the decay variables F = 1 - z).
     initial is a CorrelationState or raw matrix for "full"/"fg", a complex
     number for "two", which is not checked; every system returns an N x N
-    series. "full" and "two" run as one cell of integrate_batch, so at N = 2
-    both step z_01 through the pair loop and give the same series bit for
-    bit. Samples land every sample_stride steps plus the final time. A
+    series, whose first sample is the start itself (fg's too). "full" and
+    "two" run as one cell of integrate_batch, so at N = 2 both step z_01
+    through the pair loop and give the same series bit for bit. Samples
+    land every sample_stride steps plus the final time. A
     non-finite value raises DivergenceError. self_check = True repeats the
     run at twice the step and attaches a Richardson estimate of the terminal
     error.
@@ -658,9 +613,8 @@ def integrate(
         if config.n_oscillators != 2:
             raise ConfigurationError("the two-oscillator system needs exactly 2 frequencies")
     elif system in ("full", "fg"):
-        state = initial if isinstance(initial, CorrelationState) else CorrelationState(0.0, initial)
-        _require_n(config, state.n_oscillators)
-        z0 = state.z
+        z0 = _checked(initial)
+        _require_n(config, len(z0))
     else:
         raise ConfigurationError(f"unknown system {system!r}; expected full, two, or fg")
     if system == "fg":
@@ -674,7 +628,9 @@ def integrate(
     def run(step_dt, steps, stride):
         if system == "fg":
             sample_steps, f, (bad,) = _rk4_samples(1.0 - z0[None], deriv, step_dt, steps, stride)
-            outcome = _outcome(sample_steps, 1.0 - f[:, 0], bad, step_dt)
+            z = 1.0 - f[:, 0]
+            z[0] = z0  # the start itself, not 1 - (1 - z0)
+            outcome = _outcome(sample_steps, z, bad, step_dt)
         else:
             (outcome,) = _cells(z0[None], omega[None], [k], step_dt, steps, stride)
         if isinstance(outcome, DivergenceError):
@@ -703,15 +659,15 @@ def integrate_batch(z0s, configs, dt: float, t_end: float, sample_stride: int = 
     if sample_stride < 1:
         raise ConfigurationError("sample_stride must be >= 1")
     n_steps = step_count(dt, t_end)
-    states = [z if isinstance(z, CorrelationState) else CorrelationState(0.0, z) for z in z0s]
-    n = states[0].n_oscillators if states else 0
-    if not states or len(configs) != len(states) or any(s.n_oscillators != n for s in states):
+    z0s = [_checked(z) for z in z0s]
+    n = len(z0s[0]) if z0s else 0
+    if not z0s or len(configs) != len(z0s) or any(len(z) != n for z in z0s):
         raise ConfigurationError(
             f"need B >= 1 initial states of one N and a config for each; got "
-            f"{len(states)} states and {len(configs)} configs"
+            f"{len(z0s)} states and {len(configs)} configs"
         )
     for config in configs:
         _require_n(config, n)
     omega = [config.frequencies for config in configs]
     coupling = [config.coupling for config in configs]
-    return _cells(np.array([s.z for s in states]), omega, coupling, dt, n_steps, sample_stride)
+    return _cells(np.array(z0s), omega, coupling, dt, n_steps, sample_stride)

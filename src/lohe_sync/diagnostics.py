@@ -23,7 +23,7 @@ from .core import (
     gram_matrices,
     spectral_gradient,
 )
-from .correlations import CorrelationSeries, CorrelationState, _mirror, pair_distance
+from .correlations import CorrelationSeries, _mirror, pair_distance, unit_correlations
 from .errors import ContractViolationError, DivergenceError, SeriesTooShortError
 from .oracles import classify_pair
 
@@ -77,7 +77,7 @@ class DiagnosticsRecord:
     pair_l2: np.ndarray
     pair_h1: np.ndarray
     zeta_norm: float
-    correlations: CorrelationState
+    z: np.ndarray  # the N x N correlations, unit_correlations of the Gram
     energies: EnergyReport
     mass_drift: np.ndarray
     madelung_rho_l1: np.ndarray
@@ -269,14 +269,14 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
         v.tolist() for v in (total, relative, zeta_energy, zeta_norm)
     )
     diff_energy_two = diff_energy_two.tolist() or [None] * count
-    correlations = CorrelationState.from_grams(times, raw_gram)
+    z = unit_correlations(raw_gram)
     return [
         DiagnosticsRecord(
             time=times[i],
             pair_l2=pair_l2[i],
             pair_h1=pair_h1[i],
             zeta_norm=zeta_norm[i],
-            correlations=correlations[i],
+            z=z[i],
             energies=EnergyReport(
                 total=total[i],
                 per_osc=diag_b[i],

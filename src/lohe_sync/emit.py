@@ -218,7 +218,7 @@ def _diagnostics_vector(rec) -> np.ndarray:
     any entry is not finite: the half of write_diagnostics that reads the
     record."""
     en = rec.energies
-    z = rec.correlations.z
+    z = rec.z
     fields = (
         rec.time,
         rec.zeta_norm,

@@ -608,11 +608,9 @@ def build_ode_initial(sc: Scenario, config: ModelConfig):
             return regime.unstable_point
         return ode.z0
     if ode.gram == "ones":
-        return CorrelationState(0.0, np.ones((sc.n, sc.n), dtype=np.complex128))
+        return np.ones((sc.n, sc.n), dtype=np.complex128)
     if ode.gram == "random":
-        return CorrelationState(
-            0.0, random_correlation_matrix(sc.n, sc.seed, coherence=ode.coherence)
-        )
+        return random_correlation_matrix(sc.n, sc.seed, coherence=ode.coherence)
     if sc.initial_kind is not None:
         grid = build_grid(sc)
         return CorrelationState.from_ensemble(build_ensemble(sc, grid))

@@ -85,16 +85,17 @@ from .core import (
     ModelConfig,
     coupling_term,
     fourier_transforms,
+    gram_matrix,
     k_squared,
 )
 from .correlations import (
     CorrelationSeries,
-    CorrelationState,
     mixing_flow,
     pair_mixing_step,
     rk4_step,
     sample_intervals,
     step_count,
+    unit_correlations,
 )
 from .diagnostics import DiagnosticsRecord, compute_records
 from .errors import ConfigurationError, DivergenceError
@@ -221,9 +222,9 @@ class Trajectory:
         sample has a diagnostics record, the records' correlations are those
         values already, and are read instead of recomputed from the states."""
         if len(self.diagnostics_stream) == len(self.times):
-            z = np.stack([rec.correlations.z for rec in self.diagnostics_stream])
+            z = np.stack([rec.z for rec in self.diagnostics_stream])
         else:
-            z = np.stack([CorrelationState.from_ensemble(s).z for s in self.states])
+            z = unit_correlations(np.stack([gram_matrix(s) for s in self.states]))
         return CorrelationSeries(times=self.times.copy(), z=z)
 
 

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import ModelConfig, WaveField, coupling_term
-from .correlations import CorrelationSeries, CorrelationState, integrate, pair_distance
+from .correlations import CorrelationSeries, integrate, pair_distance
 from .diagnostics import (
     classify_correlation_sync,
     classify_sync,
@@ -180,7 +180,7 @@ def _check_pde_ode_closure(ctx: VerifyContext, tol: float) -> CheckResult:
     params = ctx.scenario.solver
     ode = integrate(
         "full",
-        CorrelationState(0.0, measured.z[0].copy()),
+        measured.z[0],
         ctx.config,
         params.dt,
         params.t_end,

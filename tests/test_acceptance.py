@@ -16,7 +16,6 @@ import pytest
 from lohe_sync import (
     CorrelationState,
     GridSpec,
-    MacroCorrelation,
     ModelConfig,
     SolverParams,
     classify_sync,
@@ -293,10 +292,9 @@ def test_criterion_08_scattering(run_scattering):
 
 def test_criterion_09_identical_ensemble(run_identical):
     cfg, traj = run_identical
-    macro0 = MacroCorrelation.from_correlation(traj.diagnostics_stream[0].correlations)
-    assert np.all(macro0.r_tilde > 0.0)  # descent needs r_tilde_j(0) > 0
-
     gs = traj.gram_series()
+    assert np.all(gs.r_tilde[0] > 0.0)  # descent needs r_tilde_j(0) > 0
+
     uphill = float(np.max(np.diff(gs.lyapunov)))
     line(
         "criterion 9a, Lyapunov descent",

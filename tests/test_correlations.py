@@ -11,7 +11,6 @@ from lohe_sync import (
     ConfigurationError,
     CorrelationState,
     DivergenceError,
-    MacroCorrelation,
     ModelConfig,
     SolverParams,
     integrate,
@@ -29,6 +28,7 @@ from lohe_sync.correlations import (
     rk4_step,
     sample_intervals,
     step_count,
+    unit_correlations,
     zeta_norm_rhs,
 )
 
@@ -393,28 +393,24 @@ def test_zeta_norm_rhs_matches_difference_quotient():
     dt = 1e-4
     series = integrate("full", z0, config, dt, 10 * dt)
     zeta_sq = series.zeta_norm_sq
-    mid = series.state_at(5)
     fd = (zeta_sq[6] - zeta_sq[4]) / (2 * dt)
-    assert abs(zeta_norm_rhs(mid, config) - fd) <= 1e-6
+    assert abs(zeta_norm_rhs(series.z[5], config) - fd) <= 1e-6
 
 
 def test_macro_rhs_is_row_average_of_full():
     z0 = random_correlation_matrix(4, seed=31, coherence=0.2)
     config = ModelConfig(coupling=1.1, frequencies=(0.3, -0.1, 0.2, -0.4))
-    state = CorrelationState(0.0, z0)
-    dr, ds = full_rhs(state, config)
+    dr, ds = full_rhs(z0, config)
     dz = dr + 1j * ds
-    dw_r, dw_s = macro_rhs(state, config)
+    dw_r, dw_s = macro_rhs(z0, config)
     assert_close(dw_r + 1j * dw_s, dz.mean(axis=0), 1e-13, "macro vs full")
 
 
 def test_fg_rhs_matches_full_rhs_algebra():
     z0 = random_correlation_matrix(3, seed=8, coherence=0.4)
-    state = CorrelationState(0.0, z0)
     config = config_for(3, coupling=1.5)
-    macro = MacroCorrelation.from_correlation(state)
-    df, dg = fg_rhs(macro, config.coupling, config.frequencies)
-    dw_r, dw_s = macro_rhs(state, config)
+    df, dg = fg_rhs(z0, config.coupling, config.frequencies)
+    dw_r, dw_s = macro_rhs(z0, config)
     # f = 1 - r_tilde, g = -s_tilde
     assert_close(df, -dw_r, 1e-13)
     assert_close(dg, -dw_s, 1e-13)
@@ -475,9 +471,9 @@ def test_stack_validation_raises_what_one_matrix_raises(bad):
     with pytest.raises(ConfigurationError) as one:
         CorrelationState(0.0, _BAD[bad])
     with pytest.raises(ConfigurationError) as gram:
-        CorrelationState.from_gram(0.0, _BAD[bad])
+        unit_correlations(_BAD[bad])
     with pytest.raises(ConfigurationError) as block:
-        CorrelationState.from_grams([0.0, 1.0, 2.0], stack)
+        unit_correlations(stack)
     assert str(block.value) == str(gram.value) == str(one.value)
 
 
@@ -489,12 +485,11 @@ def test_stack_validation_warns_on_a_non_psd_matrix_and_keeps_the_rest():
     with pytest.warns(UserWarning, match="not positive semidefinite") as one:
         expected = CorrelationState(0.0, bad).z
     with pytest.warns(UserWarning) as block:
-        states = CorrelationState.from_grams([0.0, 1.0, 2.0], np.stack([good, bad, good]))
+        z = unit_correlations(np.stack([good, bad, good]))
     assert [str(w.message) for w in block] == [str(w.message) for w in one]
-    assert [s.time for s in states] == [0.0, 1.0, 2.0]
-    assert np.array_equal(states[1].z, expected)
-    for state in (states[0], states[2]):
-        assert np.array_equal(state.z, CorrelationState.from_gram(0.0, good).z)
+    assert np.array_equal(z[1], expected)
+    for zb in (z[0], z[2]):
+        assert np.array_equal(zb, unit_correlations(good))
 
 
 def test_step_count_validation():

@@ -70,7 +70,7 @@ def test_orthogonal_pair_record(grid64):
     # <psi_1, psi_2> = 0: ||zeta||^2 = 1/2 and the distance is sqrt(2)
     assert rec.zeta_norm == pytest.approx(np.sqrt(0.5), abs=1e-12)
     assert rec.pair_l2[0, 1] == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    assert rec.correlations.z[0, 1] == pytest.approx(0.0, abs=1e-12)
+    assert rec.z[0, 1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_plane_wave_energies():
@@ -172,8 +172,8 @@ def test_madelung_rows_match_pair_loop_bitwise(dim, points, n, potential):
 def _record_values(rec):
     """Every number a diagnostics record holds, field by field."""
     en = rec.energies
-    values = [rec.time, rec.pair_l2, rec.pair_h1, rec.zeta_norm, rec.correlations.time]
-    values += [rec.correlations.z, en.total, en.per_osc, en.pair, en.relative, en.zeta_energy]
+    values = [rec.time, rec.pair_l2, rec.pair_h1, rec.zeta_norm]
+    values += [rec.z, en.total, en.per_osc, en.pair, en.relative, en.zeta_energy]
     values += [en.diff_energy_two, rec.mass_drift, rec.madelung_rho_l1, rec.madelung_current_l1]
     return [None if v is None else np.asarray(v) for v in values]
 
@@ -309,10 +309,10 @@ def test_pair_matrices_are_symmetric_bit_for_bit(dim, potential, path):
     if path == "fields":
         states = [_without_factors(state) for state in states]
     for rec in compute_records(states, config):
-        matrices = [rec.pair_l2, rec.madelung_rho_l1, rec.madelung_current_l1, rec.correlations.r]
+        matrices = [rec.pair_l2, rec.madelung_rho_l1, rec.madelung_current_l1, rec.z.real]
         matrices += [rec.pair_h1, rec.energies.pair]
         assert all(_symmetric_bits(m) for m in matrices)
-        s = rec.correlations.s
+        s = rec.z.imag
         assert _symmetric_bits(np.abs(s)) and np.array_equal(s, -s.T)
 
 
@@ -482,6 +482,29 @@ def test_detect_period():
     assert period == pytest.approx(np.pi, rel=1e-4)
     with pytest.raises(ContractViolationError):
         detect_period(t, np.ones_like(t))  # no dips at all
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda n: st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)),
+    st.floats(0.0, 3.0),
+    st.integers(0, 10_000),
+    st.integers(1, 100),
+)
+def test_record_correlations_follow_the_correlation_ode(omega, coupling, seed, steps):
+    # the records' z are the measured correlations, which close on
+    # themselves: integrate("full") from the first record's z gives every
+    # later one of a span and of a strang_rk4 run within pde_ode_closure's
+    # 1e-6
+    grid = GridSpec(dim=1, points=32, length=20.0)
+    config = ModelConfig(coupling, omega, cosine_potential(grid))
+    state = perturbed_gaussians(grid, len(omega), seed)
+    dt = 1e-2
+    for scheme in ("span", "strang_rk4"):
+        params = SolverParams(dt=dt, t_end=steps * dt, scheme=scheme, snapshot_stride=10)
+        z = np.stack([rec.z for rec in evolve(state, config, params).diagnostics_stream])
+        ode = integrate("full", z[0], config, dt, steps * dt, sample_stride=10)
+        assert_close(z, ode.z, 1e-6, f"{scheme} records' z")
 
 
 def _assert_relabeled(a, b, perm, label):

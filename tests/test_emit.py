@@ -12,7 +12,6 @@ import pytest
 
 from lohe_sync import (
     ConfigurationError,
-    CorrelationState,
     GridSpec,
     ModelConfig,
     SolverParams,
@@ -80,8 +79,8 @@ def _diagnostics_ndjson_reference(records) -> str:
             "mass_drift": _vector(rec.mass_drift),
             "pair_l2": _matrix(rec.pair_l2),
             "pair_h1": _matrix(rec.pair_h1),
-            "r": _matrix(rec.correlations.z.real),
-            "s": _matrix(rec.correlations.z.imag),
+            "r": _matrix(rec.z.real),
+            "s": _matrix(rec.z.imag),
             "energy_total": float(en.total),
             "energy_per_osc": _vector(en.per_osc),
             "energy_pair": _matrix(en.pair),
@@ -117,8 +116,8 @@ def _diagnostics_csv_reference(records) -> str:
         ]
         for matrix in (rec.pair_l2, rec.pair_h1, rec.madelung_rho_l1, rec.madelung_current_l1):
             row += [fmt_float(matrix[j, k]) for j, k in pairs]
-        row += [fmt_float(rec.correlations.z[j, k].real) for j, k in pairs]
-        row += [fmt_float(rec.correlations.z[j, k].imag) for j, k in pairs]
+        row += [fmt_float(rec.z[j, k].real) for j, k in pairs]
+        row += [fmt_float(rec.z[j, k].imag) for j, k in pairs]
         row += [fmt_float(v) for v in en.per_osc]
         rows.append(",".join(row) + "\n")
     return "".join(rows)
@@ -127,15 +126,12 @@ def _diagnostics_csv_reference(records) -> str:
 def _hand_built_record():
     """N = 2 with signed zeros, +-x pairs, one value repeated across fields
     and energy_diff_two set: the cases one repr per magnitude must get right."""
-    z = np.array([[complex(1.0, -0.0), 0.3 + 0.2j], [0.3 - 0.2j, complex(1.0, 0.0)]])
-    correlations = CorrelationState(0.5, z)
-    correlations.z = z  # keep the signed zeros the constructor would round away
     return DiagnosticsRecord(
         time=0.5,
         pair_l2=np.array([[0.0, 0.1], [0.1, -0.0]]),
         pair_h1=np.array([[0.0, 0.75], [0.75, 0.0]]),
         zeta_norm=0.75,
-        correlations=correlations,
+        z=np.array([[complex(1.0, -0.0), 0.3 + 0.2j], [0.3 - 0.2j, complex(1.0, 0.0)]]),
         energies=EnergyReport(
             total=0.75,
             per_osc=np.array([1.5, -1.5]),

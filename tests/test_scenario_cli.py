@@ -50,7 +50,7 @@ from lohe_sync.scenario import (
 )
 from lohe_sync.solver import _RECORD_BLOCK_BYTES
 
-from conftest import assert_close, assert_no_child_left, force_step_child
+from conftest import assert_no_child_left, force_step_child
 
 BASE = """
 [scenario]
@@ -1299,17 +1299,17 @@ def _first_correlation(tmp_path, text, tag):
 def test_ode_starts_from_the_scenarios_gram_choice(tmp_path, system):
     # full and fg start from gram = ones, from gram = random at the scenario's
     # seed and coherence, or from the Gram matrix of the [initial] ensemble;
-    # fg steps F = 1 - z, so its first sample is z0 to rounding
+    # fg steps F = 1 - z but writes z0 itself as its first sample
     base = ODE_START.format(system=system)
     z, _ = _first_correlation(tmp_path, base + "gram = ones\n", "ones")
     assert np.array_equal(z, np.ones((3, 3)))
     z, _ = _first_correlation(tmp_path, base + "gram = random\ncoherence = 0.5\n", "random")
-    assert_close(z, random_correlation_matrix(3, 5, coherence=0.5), 1e-15, "gram = random")
+    assert np.array_equal(z, random_correlation_matrix(3, 5, coherence=0.5))
     assert np.max(np.abs(z - random_correlation_matrix(3, 5))) > 0.1
     text = base + "[initial]\nkind = perturbed_gaussians\n"
     z, sc = _first_correlation(tmp_path, text, "initial")
     gram = CorrelationState.from_ensemble(build_ensemble(sc, build_grid(sc))).z
-    assert_close(z, gram, 1e-15, "the ensemble's Gram matrix")
+    assert np.array_equal(z, gram)
 
 
 def test_ode_refuses_a_full_start_it_cannot_build(tmp_path, capsys):
