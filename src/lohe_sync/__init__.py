@@ -21,7 +21,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "core": "GridSpec WaveField EnsembleState ModelConfig inner_product gram_matrix"
-        " order_parameter coupling_term",
+        " order_parameter mixing_flow",
         "correlations": "CorrelationState CorrelationSeries full_rhs two_rhs"
         " macro_rhs integrate integrate_batch random_correlation_matrix",
         "solver": "SolverParams Trajectory evolve samples with_records propagate_linear"

@@ -544,7 +544,7 @@ def _sweep_point(task: tuple) -> dict:
         # roundoff floor too soon to fit
         decays = []
         if result.kind == "phase_sync":
-            decays = [1.0 - series.r[:, j, k] for j, k in zip(*iu)]
+            decays = [1.0 - series.z.real[:, j, k] for j, k in zip(*iu)]
         elif row.get("regime") == "underdamped_sync":
             decays = [sync_distance_sq(series.z[:, 0, 1], regime.phi)]
         if decays:

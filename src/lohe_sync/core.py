@@ -11,6 +11,10 @@ inner product, conjugate linear in the first slot. The coupling term is
 tangent to the unit sphere, so every L2 norm is conserved exactly and
 unit-norm ensembles stay on the product of spheres.
 
+mixing_flow forms the detuning and coupling part of that right-hand side,
+on fields (cell volume grid.dv) and on the span scheme's coefficients D
+(dv = 1).
+
 All spatial operators here are pseudospectral on the uniform periodic grid;
 wavenumber tables are cached per grid.
 """
@@ -34,12 +38,10 @@ __all__ = [
     "order_parameter",
     "gram_matrix",
     "gram_matrices",
-    "coupling_term",
-    "wavenumbers",
+    "mixing_flow",
     "k_squared",
     "fourier_transforms",
     "spectral_gradient",
-    "spectral_laplacian",
 ]
 
 
@@ -104,12 +106,6 @@ def _axis_wavenumbers(points: int, length: float) -> np.ndarray:
     return k
 
 
-def wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Angular wavenumbers along each axis, in FFT order. Read-only views."""
-    k = _axis_wavenumbers(grid.points, grid.length)
-    return (k,) * grid.dim
-
-
 def _axis_shaped(k: np.ndarray, axis: int, dim: int) -> np.ndarray:
     shape = [1] * dim
     shape[axis] = k.size
@@ -157,10 +153,6 @@ def spectral_gradient(grid: GridSpec, values: np.ndarray) -> tuple[np.ndarray, .
     k = _axis_wavenumbers(grid.points, grid.length).copy()
     k[grid.points // 2] = 0.0
     return tuple(ifft(1j * _axis_shaped(k, axis, grid.dim) * fhat) for axis in range(grid.dim))
-
-
-def spectral_laplacian(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(-k_squared(grid) * np.fft.fftn(values))
 
 
 def _as_complex_field(grid: GridSpec, values) -> np.ndarray:
@@ -349,13 +341,30 @@ def gram_matrices(psi: np.ndarray, dv: float) -> np.ndarray:
     return z
 
 
-def coupling_term(psi: np.ndarray, dv: float) -> np.ndarray:
-    """The mean-field pull zeta - <zeta, psi_j> psi_j on every member of an
-    (N, *grid) stack, without its gain K/2; the model's only nonlinearity.
-    The N overlaps <zeta, psi_j> are one conj(zeta) @ psi^T. zeta is the sum
-    over the stack divided by N, the bits of psi.mean(axis=0) without its
-    per-call overhead."""
-    zeta = np.add.reduce(psi, axis=0) / psi.shape[0]
-    flat = psi.reshape(psi.shape[0], -1)
-    overlaps = dv * (np.conj(zeta.reshape(-1)) @ flat.T)
-    return zeta - overlaps.reshape((-1,) + (1,) * (psi.ndim - 1)) * psi
+def mixing_flow(omega, coupling: float, dv: float):
+    """The model's one coupling right-hand side, psi' = M(z) psi, as a
+    function of an (N, ...) stack psi whose rows are the N oscillators:
+    fields on a grid with cell volume dv, or the N x r coefficients D of
+    fields over r orthonormal basis fields, with dv = 1.
+
+    M(z) = -i diag(Omega) + (K/2)((1/N) 1 1^T - diag(w)), w_j = (1/N)
+    sum_l z_lj, gives row j the detuning and the mean-field pull,
+    -i Omega_j psi_j + (K/2)(zeta - <zeta, psi_j> psi_j), the model's only
+    nonlinearity. It only mixes the rows, which is why the correlations
+    close on themselves. With s the sum of the rows and g = K / (2N),
+    N w_j = <s, psi_j> = dv (psi_j . conj(s)), so M psi is
+    (-i Omega - g dv (psi . conj(s)))[:, None] psi + g s: two broadcasts,
+    with no N x N Gram matrix, diagonal or product. The linear part -1/2
+    Laplacian + V is the caller's.
+    """
+    rotation = -1j * np.asarray(omega)
+    gain = 0.5 * coupling / rotation.shape[-1]
+    pull = gain * dv
+
+    def deriv(psi):
+        flat = psi.reshape(len(psi), -1)
+        s = np.add.reduce(flat, axis=0)
+        out = (rotation - pull * (flat @ np.conj(s)))[:, None] * flat + gain * s
+        return out.reshape(psi.shape)
+
+    return deriv

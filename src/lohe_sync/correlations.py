@@ -30,8 +30,8 @@ four stages out as the component formulas of CPython's complex arithmetic,
 samples as it goes and gives the bits of rk4_step over two_rhs; it returns
 2 x 2 series. The "fg" system steps F = 1 - z as a stack of one.
 
-mixing_flow is the coupling on the fields' coefficients D over an orthonormal
-basis, which the solver's span scheme steps; at N = 2, pair_mixing_step steps
+The solver's span scheme steps the fields' coefficients D over an
+orthonormal basis through core.mixing_flow; at N = 2, pair_mixing_step steps
 D as four Python complexes, with Python's rounding (no fused multiply-add).
 """
 
@@ -62,7 +62,6 @@ __all__ = [
     "zeta_norm_rhs",
     "random_correlation_matrix",
     "unit_correlations",
-    "mixing_flow",
     "pair_mixing_step",
     "pair_distance",
     "rk4_step",
@@ -209,7 +208,7 @@ def _require_n(config: ModelConfig, n: int) -> None:
 
 
 def _correlation_flow(omega: np.ndarray, coupling):
-    """dz/dt = conj(M) z + z M^T (M as in mixing_flow) as a function of a
+    """dz/dt = conj(M) z + z M^T (M as in core.mixing_flow) as a function of a
     (..., N, N) stack, with the detuning matrix and the gain built once;
     omega is (..., N) and coupling a scalar or (..., 1, 1)."""
     detune = 1j * (omega[..., :, None] - omega[..., None, :])
@@ -223,32 +222,10 @@ def _correlation_flow(omega: np.ndarray, coupling):
     return dz
 
 
-def mixing_flow(omega: np.ndarray, coupling: float):
-    """dD/dt = M(conj(D) D^T) D as a function of an N x r coefficient matrix D.
-
-    The coupling and detuning flow of the fields is psi' = M(z) psi, row j of
-    psi being oscillator j, with M(z) = -i diag(Omega) + (K/2)((1/N) 1 1^T -
-    diag(w)), w_j = (1/N) sum_l z_lj; it only mixes the fields, which is why
-    the correlations close on themselves. Fields psi = D q over r orthonormal
-    basis fields q have the Gram matrix conj(D) D^T, so this is that flow
-    written on D. With s = 1^T D (the sum of D's rows) and g = K / (2N),
-    N w = D conj(s) and M D = (-i Omega - g N w)[:, None] D + g s: two
-    broadcasts, with no N x N Gram matrix, diagonal or product.
-    """
-    rotation = -1j * np.asarray(omega)
-    gain = 0.5 * coupling / rotation.shape[-1]
-
-    def deriv(d):
-        s = d.sum(axis=0)
-        return (rotation - gain * (d @ np.conj(s)))[:, None] * d + gain * s
-
-    return deriv
-
-
 def pair_mixing_step(omega, coupling: float, dt: float):
-    """The RK4 step of mixing_flow over dt at N = 2, as a function of D held as
-    four Python complex numbers (a0, a1, b0, b1), row by row. With s = a + b
-    and g = K/4:
+    """The RK4 step of core.mixing_flow (dv = 1) over dt at N = 2, as a
+    function of D held as four Python complex numbers (a0, a1, b0, b1), row
+    by row. With s = a + b and g = K/4:
 
         row_j' = c_j row_j + g s,  c_j = -i Omega_j - g (row_j . conj(s)).
 
@@ -412,14 +389,6 @@ class CorrelationSeries:
     @property
     def n_oscillators(self) -> int:
         return self.z.shape[1]
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.z.real
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.z.imag
 
     @property
     def macroscopic(self) -> np.ndarray:

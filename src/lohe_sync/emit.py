@@ -355,7 +355,7 @@ def write_diagnostics_files(paths: dict, records, n: int, samples: int) -> None:
             write_diagnostics(_opened(stack, paths), records)
         return
     data_r, data_w = os.pipe()
-    pid, report = forked.start(partial(_render_child, paths, data_r), close=(data_w,))
+    pid, report = forked.start(partial(_render_child, paths, data_r), keep=(data_r,))
     os.close(data_r)
     error = None
     try:

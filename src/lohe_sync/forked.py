@@ -24,12 +24,12 @@ __all__ = ["start", "reap", "running"]
 running: set[int] = set()  # the pids of this process's children not yet reaped
 
 
-def start(body, close=(), keep=None) -> tuple[int, int]:
-    """Fork a child that closes the descriptors in close (the parent's ends
-    of its pipes), or, given keep, every descriptor above 2 but those in
-    keep and its report pipe, then runs body() and exits: with code 0 when
-    body returns, else 1 after sending the error it raised down the report
-    pipe. Returns the child's pid and the read end of its report pipe."""
+def start(body, keep) -> tuple[int, int]:
+    """Fork a child that closes every descriptor above 2 but those in keep
+    (its ends of its pipes) and its report pipe, then runs body() and exits:
+    with code 0 when body returns, else 1 after sending the error it raised
+    down the report pipe. Returns the child's pid and the read end of its
+    report pipe."""
     report_r, report_w = os.pipe()
     with warnings.catch_warnings():
         # Python >= 3.12 warns that forking a process with threads may
@@ -41,15 +41,11 @@ def start(body, close=(), keep=None) -> tuple[int, int]:
         code = 1
         gc.disable()  # no object this process inherited is finalized in it
         try:
-            if keep is None:
-                for fd in (report_r, *close):
-                    os.close(fd)
-            else:
-                low = 3
-                for fd in sorted({*keep, report_w}):
-                    os.closerange(low, fd)
-                    low = fd + 1
-                os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+            low = 3
+            for fd in sorted({*keep, report_w}):
+                os.closerange(low, fd)
+                low = fd + 1
+            os.closerange(low, os.sysconf("SC_OPEN_MAX"))
             body()
             code = 0
         except BaseException as exc:

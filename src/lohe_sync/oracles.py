@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnsembleState, WaveField, coupling_term, inner_product, order_parameter
+from .core import EnsembleState, WaveField, inner_product, mixing_flow, order_parameter
 from .errors import ContractViolationError, ExcludedInitialStateError, UnsupportedRegimeError
 
 __all__ = [
@@ -202,7 +202,8 @@ def classify_fixed_point(state: EnsembleState, tol: float) -> FixedPointClass | 
     """
     op = order_parameter(state)
     n = state.n_oscillators
-    residual = coupling_term(state.psi, state.grid.dv)
+    # zero detuning and K = 2: the bare term zeta - <zeta, psi_j> psi_j
+    residual = mixing_flow(np.zeros(n), 2.0, state.grid.dv)(state.psi)
     axes = tuple(range(1, residual.ndim))
     res_norms = np.sqrt(state.grid.dv * np.sum(np.abs(residual) ** 2, axis=axes))
     if float(res_norms.max()) > tol:

@@ -2,10 +2,10 @@
 
 Every oscillator has the same linear part H = -Laplacian/2 + V, and the
 coupling and detuning only mix the N fields: psi' = -i H psi + M(z) psi with
-M as in correlations.mixing_flow. The linear flow U(t) = exp(-i t H) is
-unitary and commutes with any mixing of the fields, so the semidiscrete system
-is exactly psi(t) = U(t - t0) D(t) q, where q holds r <= N orthonormal basis
-fields of span(psi0), psi0 = D(t0) q, and the N x r coefficient matrix obeys
+M as in core.mixing_flow. The linear flow U(t) = exp(-i t H) is unitary and
+commutes with any mixing of the fields, so the semidiscrete system is exactly
+psi(t) = U(t - t0) D(t) q, where q holds r <= N orthonormal basis fields of
+span(psi0), psi0 = D(t0) q, and the N x r coefficient matrix obeys
 D' = M(conj(D) D^T) D. Three schemes share one sampling loop, samples:
 
   span         the default. RK4 steps D alone; the linear flow is applied to
@@ -18,9 +18,10 @@ D' = M(conj(D) D^T) D. Three schemes share one sampling loop, samples:
                At N = 2, D is four Python complexes (a zero column pads
                r = 1) stepped by correlations.pair_mixing_step, with Python's
                rounding (no fused multiply-add); N >= 3 steps the numpy D
-               through mixing_flow. When r < N, each sample carries D and
-               the r caught-up basis fields as its factors, from which
-               diagnostics.compute_records forms its record.
+               through core.mixing_flow with dv = 1. When r < N, each
+               sample carries D and the r caught-up basis fields as its
+               factors, from which diagnostics.compute_records forms its
+               record.
   strang_rk4   grid reference: exact kinetic half-steps in Fourier space
                around one RK4 step of the local sub-flow d psi_j/dt =
                -i (V + Omega_j) psi_j + (K/2)(zeta - <zeta, psi_j> psi_j).
@@ -36,11 +37,12 @@ D' = M(conj(D) D^T) D. Three schemes share one sampling loop, samples:
                imaginary-axis stability limit.
 
 The grid references do not use the correlation closure, so they are what
-tests it. In them the coupling sub-flow, (K/2) core.coupling_term, which has
-no closed form (the inner products make it nonlocal), rides along with the
-potential inside RK4; its magnitude is bounded by K, which keeps that
-sub-step mild. Inner products are recomputed from the stage fields at every
-stage; lagging them would break the mass-flux identity at O(dt).
+tests it. In them the coupling and detuning sub-flow, core.mixing_flow on
+the fields, which has no closed form (the inner products make it nonlocal),
+rides along with the potential inside RK4; its magnitude is bounded by K,
+which keeps that sub-step mild. Inner products are recomputed from the stage
+fields at every stage; lagging them would break the mass-flux identity at
+O(dt).
 
 samples loops over sample intervals, not steps: a stepper advances a whole
 interval per call, checking every step for non-finite values, and forms the
@@ -83,14 +85,13 @@ from .core import (
     EnsembleState,
     GridSpec,
     ModelConfig,
-    coupling_term,
     fourier_transforms,
     gram_matrix,
     k_squared,
+    mixing_flow,
 )
 from .correlations import (
     CorrelationSeries,
-    mixing_flow,
     pair_mixing_step,
     rk4_step,
     sample_intervals,
@@ -268,11 +269,8 @@ class _GridStepper(_Stepper):
         self.dt = params.dt
         self.scheme = params.scheme
         self.renormalize = params.renormalize_each_step
-        self.gain = 0.5 * config.coupling
-        linear = np.asarray(config.frequencies).reshape((-1,) + (1,) * grid.dim)
-        if config.potential is not None:
-            linear = linear + config.potential
-        self.linear = -1j * linear  # -i (Omega_j + V)
+        self.mixing = mixing_flow(config.frequencies, config.coupling, grid.dv)
+        self.minus_iv = None if config.potential is None else -1j * config.potential
         if params.scheme == "strang_rk4":
             self.half = _kinetic(grid.dim, grid.points, grid.length, 0.5 * params.dt)
             self.whole = _kinetic(grid.dim, grid.points, grid.length, params.dt)
@@ -282,7 +280,12 @@ class _GridStepper(_Stepper):
         self.pending = False  # strang_rk4 owes psi its closing kinetic half-step
 
     def _local_rhs(self, psi: np.ndarray) -> np.ndarray:
-        return self.linear * psi + self.gain * coupling_term(psi, self.dv)
+        """-i (V + Omega_j) psi_j + (K/2)(zeta - <zeta, psi_j> psi_j): the
+        mixing flow, and -i V psi as its own term."""
+        rhs = self.mixing(psi)
+        if self.minus_iv is not None:
+            rhs += self.minus_iv * psi
+        return rhs
 
     def _full_rhs(self, psi: np.ndarray) -> np.ndarray:
         kinetic = self.ifft(-0.5j * self.k2 * self.fft(psi))
@@ -348,7 +351,7 @@ class _SpanStepper(_Stepper):
             self.d = tuple(np.pad(self.d, ((0, 0), (0, 2 - r))).ravel().tolist())
             self.pair_step = pair_mixing_step(omega, config.coupling, params.dt)
         else:
-            self.deriv = mixing_flow(omega, config.coupling)
+            self.deriv = mixing_flow(omega, config.coupling, 1.0)
         self.dependent = r < n
         if self.dependent:
             self.factors = (self._coefficients(), self.phi)

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ModelConfig, WaveField, coupling_term
+from .core import ModelConfig, WaveField, mixing_flow
 from .correlations import CorrelationSeries, integrate, pair_distance
 from .diagnostics import (
     classify_correlation_sync,
@@ -311,15 +311,15 @@ def scattering_state(
     """Asymptotic free profile psi~ with psi_j(t) ~ exp(-iHt) psi~, H = -1/2 Lap + V.
 
     Duhamel gives psi~ = psi_j(0) + integral_0^inf exp(iHs) G(s) ds with
-    G = -i Omega_j psi_j + (K/2)(zeta - <zeta, psi_j> psi_j), the model's own
-    coupling term (core.coupling_term), and ||G(s)|| decays like e^{-rate s}
-    in the synchronizing regime. The integral is evaluated by composite
-    trapezoid over the stored samples; a backward recursion applies exp(iHh)
-    once per sample instead of building each exp(iHs_n) anew. The neglected
-    tail is bounded by the measured final integrand norm divided by the
-    contraction rate and must come in under tail_tol, otherwise the
-    trajectory is too short to certify. The pair may be listed in either
-    order, but must be centered.
+    G = -i Omega_j psi_j + (K/2)(zeta - <zeta, psi_j> psi_j), row j of the
+    model's one coupling right-hand side (core.mixing_flow), and ||G(s)||
+    decays like e^{-rate s} in the synchronizing regime. The integral is
+    evaluated by composite trapezoid over the stored samples; a backward
+    recursion applies exp(iHh) once per sample instead of building each
+    exp(iHs_n) anew. The neglected tail is bounded by the measured final
+    integrand norm divided by the contraction rate and must come in under
+    tail_tol, otherwise the trajectory is too short to certify. The pair may
+    be listed in either order, but must be centered.
     """
     if config.n_oscillators != 2:
         raise ContractViolationError("scattering profile is defined for the pair system")
@@ -347,13 +347,8 @@ def scattering_state(
 
     grid = trajectory.states[0].grid
     dv = grid.dv
-    k = config.coupling
-    omega_j = config.frequencies[oscillator]
-
-    integrands = [
-        0.5 * k * coupling_term(s.psi, dv)[oscillator] - 1j * omega_j * s.psi[oscillator]
-        for s in trajectory.states
-    ]
+    flow = mixing_flow(config.frequencies, config.coupling, dv)
+    integrands = [flow(s.psi)[oscillator] for s in trajectory.states]
     final_norm = float(np.sqrt(dv * np.sum(np.abs(integrands[-1]) ** 2)))
     tail = final_norm / regime.rate
     if tail > tail_tol:

@@ -15,20 +15,13 @@ from lohe_sync import (
     ModelConfig,
     SolverParams,
     WaveField,
-    coupling_term,
     evolve,
     gram_matrix,
     inner_product,
     order_parameter,
     samples,
 )
-from lohe_sync.core import (
-    fourier_transforms,
-    k_squared,
-    spectral_gradient,
-    spectral_laplacian,
-    wavenumbers,
-)
+from lohe_sync.core import fourier_transforms, k_squared, mixing_flow, spectral_gradient
 from lohe_sync.initial_data import gaussian, perturbed_gaussians
 from lohe_sync.solver import _GridStepper, step
 
@@ -76,8 +69,7 @@ def test_grid_geometry():
 
 
 def test_wavenumbers_match_fft_convention():
-    k = wavenumbers(GRID)[0]
-    assert_close(k, 2 * np.pi * np.fft.fftfreq(GRID.points, GRID.dx), 1e-14)
+    k = 2 * np.pi * np.fft.fftfreq(GRID.points, GRID.dx)
     assert_close(k_squared(GRID), k**2, 1e-14)
 
 
@@ -88,7 +80,6 @@ def test_spectral_derivatives_on_plane_wave():
     f = np.exp(1j * k * x)
     (grad,) = spectral_gradient(GRID, f)
     assert_close(grad, 1j * k * f, 1e-12)
-    assert_close(spectral_laplacian(GRID, f), -(k**2) * f, 1e-11)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -101,7 +92,7 @@ def test_fourier_transforms_match_fftn_over_the_trailing_axes(dim):
     fft, ifft = fourier_transforms(dim)
     assert np.array_equal(fft(stack), np.fft.fftn(stack, axes=axes))
     assert np.array_equal(ifft(stack), np.fft.ifftn(stack, axes=axes))
-    k = wavenumbers(grid)[0].copy()
+    k = 2 * np.pi * np.fft.fftfreq(grid.points, grid.dx)
     k[grid.points // 2] = 0.0
     hat = np.fft.fftn(stack, axes=axes)
     for axis, grad in enumerate(spectral_gradient(grid, stack)):
@@ -163,23 +154,29 @@ def test_rhs_conserves_mass(n, seed):
     assert float(np.max(np.abs(flux.real))) <= 1e-12
 
 
-def _pairwise_coupling(state):
-    """Reference: (1/N) sum_l (psi_l - <psi_l, psi_j> psi_j), pair by pair."""
+def _pairwise_rhs(state, config):
+    """Reference: -i Omega_j psi_j + (K/2)(zeta - <zeta, psi_j> psi_j), with
+    zeta - <zeta, psi_j> psi_j = (1/N) sum_l (psi_l - <psi_l, psi_j> psi_j),
+    pair by pair."""
     n = state.n_oscillators
     z = gram_matrix(state)
     out = np.zeros_like(state.psi)
     for j in range(n):
         for l in range(n):
             out[j] += state.psi[l] - z[l, j] * state.psi[j]
-    return out / n
+        out[j] *= 0.5 * config.coupling / n
+        out[j] -= 1j * config.frequencies[j] * state.psi[j]
+    return out
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10_000))
 def test_rhs_forms_agree(n, seed):
+    # the one coupling right-hand side on fields, with the grid's cell volume
     state = random_ensemble(n, seed)
-    a = coupling_term(state.psi, state.grid.dv)
-    assert_close(a, _pairwise_coupling(state), 1e-13, "coupling forms")
+    config = random_config(n, seed, coupling=1.7)
+    rhs = mixing_flow(config.frequencies, config.coupling, state.grid.dv)(state.psi)
+    assert_close(rhs, _pairwise_rhs(state, config), 1e-13, "coupling forms")
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,13 +18,13 @@ from lohe_sync import (
     random_correlation_matrix,
     two_rhs,
 )
+from lohe_sync.core import mixing_flow
 from lohe_sync.correlations import (
     _correlation_flow,
     _pair_matrices,
     fg_rhs,
     full_rhs,
     macro_rhs,
-    mixing_flow,
     rk4_step,
     sample_intervals,
     step_count,
@@ -526,5 +526,10 @@ def test_mixing_flow_is_the_coupling_generator_applied_to_d(n, r):
     d = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
     d /= np.linalg.norm(d, axis=1)[:, None]
     omega = rng.uniform(-1.0, 1.0, n)
-    expected = _coupling_generator(np.conj(d) @ d.T, omega, 1.7) @ d
-    assert_close(mixing_flow(omega, 1.7)(d), expected, 1e-14, "mixing flow")
+    z = np.conj(d) @ d.T
+    d_dot = mixing_flow(omega, 1.7, 1.0)(d)
+    assert_close(d_dot, _coupling_generator(z, omega, 1.7) @ d, 1e-14, "mixing flow")
+    # one level up: z' = conj(D') D^T + conj(D) D'^T is the correlation ODE at z
+    dr, ds = full_rhs(z, ModelConfig(coupling=1.7, frequencies=tuple(omega)))
+    z_dot = np.conj(d_dot) @ d.T + np.conj(d) @ d_dot.T
+    assert_close(z_dot, dr + 1j * ds, 1e-13, "D flow vs correlation ODE")

@@ -16,7 +16,6 @@ from lohe_sync import (
     ModelConfig,
     SeriesTooShortError,
     SolverParams,
-    WaveField,
     classify_correlation_sync,
     compute_record,
     compute_records,

@@ -28,7 +28,7 @@ from lohe_sync import (
     two_rhs,
     z_exact,
 )
-from lohe_sync.core import WaveField, gram_matrix, inner_product
+from lohe_sync.core import WaveField, gram_matrix
 from lohe_sync.diagnostics import fit_rate
 from lohe_sync.initial_data import gaussian, gaussian_pair, incoherent_pair, overlap_pair
 

@@ -24,11 +24,11 @@ from lohe_sync import (
     stability_report,
 )
 from lohe_sync import solver
-from lohe_sync.core import k_squared
-from lohe_sync.correlations import mixing_flow, rk4_step
+from lohe_sync.core import k_squared, mixing_flow
+from lohe_sync.correlations import rk4_step
 from lohe_sync.diagnostics import compute_records
 from lohe_sync.emit import _diagnostics_vector
-from lohe_sync.initial_data import gaussian, gaussian_pair, incoherent_pair, perturbed_gaussians
+from lohe_sync.initial_data import gaussian_pair, incoherent_pair, perturbed_gaussians
 from lohe_sync.potentials import cosine_potential
 from lohe_sync.solver import _checked_stepper, _norms_finite, step
 
@@ -462,7 +462,7 @@ def _matrix_path_d(d, config, params, n_steps):
     row renormalization when params asks for it; None once it goes
     non-finite or its squared row norms, the fields' squared norms,
     overflow, with the step it did so."""
-    deriv = mixing_flow(np.asarray(config.frequencies), config.coupling)
+    deriv = mixing_flow(config.frequencies, config.coupling, 1.0)
     with np.errstate(invalid="ignore", over="ignore"):
         for n in range(1, n_steps + 1):
             d = rk4_step(d, deriv, params.dt)
