@@ -60,7 +60,6 @@ from .errors import (
     LoheSyncError,
 )
 from .oracles import classify_pair, sync_distance_sq, sync_limits_two, z_exact
-from .potentials import build_potential
 from .scenario import (
     Scenario,
     build_ensemble,
@@ -73,19 +72,12 @@ from .scenario import (
 )
 from .snapshots import write_snapshot
 from .solver import SolverParams, samples, with_records
-from .verification import run_checks
+from .verification import VerifyContext, run_checks
 
 __all__ = ["main"]
 
 # classification tolerance for summary reporting; verify checks carry their own
 CLASSIFY_TOL = 1e-3
-
-
-def _worker_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,17 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=("ndjson", "csv"),
             help="emit only this format, overriding [outputs]",
         )
-        # only sweep runs workers; the other subcommands take 1 and refuse more
         cmd.add_argument(
-            "--threads",
-            type=_worker_count,
-            default=1,
-            choices=None if name == "sweep" else (1,),
-            help="parallel workers for the pde cells of a sweep; ode cells run in "
-            "this process: n = 2 cells one at a time, n >= 3 cells of one n as one stack. "
-            "simulate takes 1, and renders a large run's diagnostics in one forked child "
-            "while it steps; a long span run of a pair steps its D in one forked child; "
-            "this counts neither",
+            "--threads", type=int, choices=(1,), help="only 1: no subcommand runs workers"
         )
     return parser
 
@@ -486,14 +469,25 @@ def _ode_series(sc: Scenario, cells: list) -> list:
     return outcomes
 
 
-def _sweep_point(task: tuple) -> dict:
-    """One sweep cell. An ode cell arrives with its correlation series, or
-    the error that stopped it, from _ode_series. pde cells run here, on the
-    scenario's grid, potential and [initial] family (perturbed_gaussians when
-    it has none), with the cell's n and seed substituted, and with the
-    [solver] scheme and renormalize setting when the scenario has one."""
-    (sc, coupling, omega, n, seed, series) = task
+def _pde_cell(sc: Scenario, coupling: float, omega: float, n: int, seed: int):
+    """A pde cell's correlation series and classification, from verify's
+    records loop on the cell's own scenario (see the scenario module)."""
+    config = _cell_config(coupling, omega, n)
     dt, t_end = sc.sweep.dt, sc.sweep.t_end
+    solver = replace(
+        sc.solver or SolverParams(dt, t_end), dt=dt, t_end=t_end, snapshot_stride=_sweep_stride(sc)
+    )
+    cell = replace(sc, n=n, seed=seed, coupling=coupling, frequencies=config.frequencies, lam=None)
+    kind = cell.initial_kind or "perturbed_gaussians"
+    ctx = VerifyContext(replace(cell, initial_kind=kind, solver=solver, checks=()))
+    return ctx.gram_series, classify_sync(ctx.trajectory.diagnostics_stream, CLASSIFY_TOL)
+
+
+def _sweep_row(sc: Scenario, cell: tuple, series) -> dict:
+    """One sweep row, for ode and pde cells alike, from the cell's correlation
+    series and classification: an ode cell's series (or the error that
+    stopped it) from _ode_series, a pde cell's (series None) from _pde_cell."""
+    coupling, omega, n, seed = cell
     row: dict = {
         "coupling": coupling,
         "omega": omega,
@@ -505,23 +499,8 @@ def _sweep_point(task: tuple) -> dict:
     try:
         if isinstance(series, LoheSyncError):
             raise series
-        if sc.sweep.mode == "pde":
-            config = _cell_config(coupling, omega, n)
-            stride = _sweep_stride(sc)
-            grid = build_grid(sc)
-            potential = build_potential(grid, sc.potential_kind, **sc.potential_params)
-            config = replace(config, potential=potential)
-            kind = sc.initial_kind or "perturbed_gaussians"
-            initial = build_ensemble(replace(sc, n=n, seed=seed, initial_kind=kind), grid)
-            solver = replace(
-                sc.solver or SolverParams(dt, t_end), dt=dt, t_end=t_end, snapshot_stride=stride
-            )
-            # records only: a cell keeps none of its fields
-            with closing(samples(initial, config, solver)) as stream:
-                records = [rec for _, rec in with_records(stream, config)]
-            times = np.array([r.time for r in records])
-            series = CorrelationSeries(times, np.stack([r.z for r in records]))
-            result = classify_sync(records, CLASSIFY_TOL)
+        if series is None:
+            series, result = _pde_cell(sc, *cell)
         else:
             result = classify_correlation_sync(series, CLASSIFY_TOL)
         row["classification"] = result.kind
@@ -575,18 +554,8 @@ def cmd_sweep(sc: Scenario, args) -> int:
         for seed in sorted(spec.seeds)
     ]
     series = _ode_series(sc, cells) if spec.mode == "ode" else [None] * len(cells)
-    tasks = [(sc, *cell, s) for cell, s in zip(cells, series)]
-    # ode cells arrive integrated: what is left of them costs less than
-    # starting a worker pool
-    if spec.mode == "pde" and args.threads > 1 and len(tasks) > 1:
-        # imported here: only this branch pays for concurrent.futures
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
-    rows.sort(key=lambda r: (r["coupling"], r["omega"], r["n"], r["seed"]))
+    # the cells, and so the rows, are in the order of their parameter tuples
+    rows = [_sweep_row(sc, cell, s) for cell, s in zip(cells, series)]
 
     run_dir = _run_dir(args, sc.name)
     _write_manifest(run_dir, sc)

@@ -71,10 +71,11 @@ walk, so a rendered manifest parses back to the scenario it came from; the
     t_end = 20.0                 # default 20.0
     dt = 1e-3                    # default 1e-3
 
-A pde sweep runs each cell on the scenario's [grid], potential and [initial]
-family (perturbed_gaussians when it has none) with the cell's n and seed. It
-takes scheme and renormalize from [solver] when that section is present;
-dt and t_end always come from [sweep].
+Each cell of a pde sweep runs as a scenario of its own: this one with the
+cell's n, seed, coupling and frequencies ((omega, -omega) at n = 2, all 0
+above), its [initial] family (perturbed_gaussians when it has none), no
+checks, and a solver that takes scheme and renormalize from [solver] when
+that section is present, and dt, t_end and about 200 samples from [sweep].
 
 Values follow Python literal conventions for floats and complex numbers.
 """

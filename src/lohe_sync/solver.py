@@ -71,7 +71,6 @@ import cmath
 import math
 import os
 import struct
-import sys
 import warnings
 from collections.abc import Iterator
 from contextlib import closing, contextmanager
@@ -129,8 +128,7 @@ _RECORD_BLOCK_BYTES = 1 << 17
 # 21 samples lose up to 1.4 ms, and 41 samples of 20 000 steps lose 0.9 ms
 # at 1-D/64. The child is not started on a single CPU, where it lost 3.6 to
 # 5.6 ms of 20 000 steps; nor beside another child such as emit's render
-# child, where it lost 1.7% of a 2000-step, 2001-sample simulate; nor in a
-# pde sweep's worker, where it lost 5% of an eight-cell sweep on 2 workers.
+# child, where it lost 1.7% of a 2000-step, 2001-sample simulate.
 _STEP_CHILD_STEPS = 2000
 _STEP_CHILD_SAMPLES = 100
 
@@ -545,17 +543,14 @@ def _step_child_pays(stepper, params: SolverParams) -> bool:
     """Whether a forked child stepping D pays for itself (see
     _STEP_CHILD_STEPS): a pair's span run of _STEP_CHILD_STEPS steps and
     _STEP_CHILD_SAMPLES samples or more, with a second CPU that no other
-    process of the run takes. So not beside another child of this process
-    (emit's render child), nor in a process that multiprocessing started (a
-    pde sweep's worker, whose siblings take the CPUs)."""
-    mp = sys.modules.get("multiprocessing")
+    process of the run takes, so not beside another child of this process
+    (emit's render child)."""
     return (
         stepper.pair
         and params.n_steps >= _STEP_CHILD_STEPS
         and params.n_samples >= _STEP_CHILD_SAMPLES
         and not forked.running
         and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
-        and (mp is None or mp.parent_process() is None)
     )
 
 

@@ -89,8 +89,8 @@ _STATE_CHECKS = frozenset({"scattering"})
 class VerifyContext:
     """Runs and caches whatever artifacts the selected checks need, on first
     use, so one scenario drives many checks without repeating the simulation.
-    The PDE run keeps a diagnostics record per sample, and its states only
-    when a requested check reads them."""
+    The PDE run (a pde sweep cell's too) keeps a diagnostics record per
+    sample, and its states only when a requested check reads them."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario

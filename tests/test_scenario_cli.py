@@ -461,26 +461,19 @@ def test_oracle_times_increase_to_t_end(tmp_path, dt, t_end):
     assert times[-1] == t_end
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_threads_below_one_is_rejected(tmp_path, capsys, scenario_file, threads):
+@pytest.mark.parametrize("command", ["simulate", "verify", "ode", "oracle", "sweep"])
+def test_threads_takes_only_one(tmp_path, capsys, command):
+    # no subcommand runs workers; the flag still parses 1
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(BASE + "[sweep]\nomega = 0.2\ndt = 0.01\nt_end = 1.0\n")
     out = tmp_path / "o"
-    with pytest.raises(SystemExit) as exc:
-        run_cli("sweep", "--scenario", scenario_file, "--out", str(out), "--threads", threads)
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["simulate", "verify", "ode", "oracle"])
-def test_threads_above_one_outside_sweep_is_rejected(tmp_path, capsys, scenario_file, command):
-    # only sweep spreads work over processes; the others would ignore the flag
-    out = tmp_path / "o"
-    with pytest.raises(SystemExit) as exc:
-        run_cli(command, "--scenario", scenario_file, "--out", str(out), "--threads", "2")
-    assert exc.value.code == 2
-    assert "argument --threads: invalid choice: 2 (choose from 1)" in capsys.readouterr().err
-    assert not out.exists()
-    assert run_cli(command, "--scenario", scenario_file, "--out", str(out), "--threads", "1") == 0
+    for threads in ("0", "-2", "2"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--scenario", str(cfg), "--out", str(out), "--threads", threads)
+        assert exc.value.code == 2
+        assert "argument --threads: invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+    assert run_cli(command, "--scenario", str(cfg), "--out", str(out), "--threads", "1") == 0
 
 
 @pytest.mark.parametrize("kind, key", [("cosine", "foo"), ("zero", "amplitude")])
@@ -522,10 +515,6 @@ def test_sweep_csv(tmp_path):
     assert [r["regime"] for r in rows] == ["underdamped_sync", "periodic"]
     assert all(r["status"] == "ok" for r in rows)
     assert float(rows[0]["lam"]) == pytest.approx(0.4)
-    # parallel workers produce the identical file
-    out2 = tmp_path / "o2"
-    assert run_cli("sweep", "--scenario", str(cfg), "--out", str(out2), "--threads", "2") == 0
-    assert (out / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
 def _sweep_rows(tmp_path, tag, sweep_body):
@@ -633,21 +622,40 @@ def test_pde_sweep_builds_the_scenario_ensemble(tmp_path):
     assert "3 frequencies but the ensemble has 2 fields" in rows[0]["detail"]
 
 
-def test_pde_sweep_threads_write_the_same_table(tmp_path):
-    # --threads only spreads pde cells over workers
-    cfg = tmp_path / "sweep_pde_threads.cfg"
+def test_pde_sweep_cell_is_its_own_scenario(tmp_path):
+    # a pde cell is the sweep's scenario with the cell's n, seed, coupling and
+    # frequencies, perturbed_gaussians for want of an [initial], and a
+    # [solver] of [sweep]'s dt and t_end at the sweep's stride (100 steps: 1);
+    # simulate on that scenario, written out here, must report what the row does
+    sections = "[grid]\npoints = 64\n[model]\n{model}potential = cosine\n"
+    cfg = tmp_path / "cells.cfg"
     cfg.write_text(
-        "[scenario]\nname = swt\n[grid]\npoints = 64\n"
-        "[sweep]\ncoupling = 1.0\nomega = 0.0, 0.2\nn = 2\nseeds = 0\nmode = pde\n"
-        "dt = 0.01\nt_end = 0.6\n"
+        "[scenario]\nname = cells\nseed = 2\n" + sections.format(model="")
+        + "[sweep]\ncoupling = 1.5\nomega = 0.0, 0.3\nn = 2, 3\nseeds = 4\nmode = pde\n"
+        "dt = 0.01\nt_end = 1.0\n"
     )
-    tables = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        assert run_cli("sweep", "--scenario", str(cfg), "--out", str(out), "--threads", threads) == 0
-        tables.append((out / "sweep.csv").read_bytes())
-    assert tables[0] == tables[1]
-    assert tables[0].count(b",ok,") == 2
+    assert run_cli("sweep", "--scenario", str(cfg), "--out", str(tmp_path / "sweep")) == 0
+    with open(tmp_path / "sweep" / "sweep.csv") as fh:
+        rows = {(r["omega"], r["n"]): r for r in csv.DictReader(fh)}
+    for omega, n, frequencies in (("0.3", "2", "0.3, -0.3"), ("0.0", "3", "0.0, 0.0, 0.0")):
+        row = rows[omega, n]
+        assert row["status"] == "ok"
+        cell = tmp_path / f"cell{n}.cfg"
+        model = f"n = {n}\ncoupling = 1.5\nfrequencies = {frequencies}\n"
+        cell.write_text(
+            "[scenario]\nname = cell\nseed = 4\n" + sections.format(model=model)
+            + "[initial]\nkind = perturbed_gaussians\n"
+            "[solver]\ndt = 0.01\nt_end = 1.0\nsnapshot_stride = 1\n"
+        )
+        out = tmp_path / f"cell{n}"
+        assert run_cli("simulate", "--scenario", str(cell), "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert row["classification"] == summary["classification"]["kind"]
+        # the row reads ||zeta|| of the unit-normalized correlations, the
+        # summary of the fields: they differ by at most max | ||psi_j|| - 1 |
+        final = summary["final"]
+        gap = abs(float(row["zeta_norm_final"]) - final["zeta_norm"])
+        assert gap <= final["mass_drift_max"] + 1e-15, (gap, final["mass_drift_max"])
 
 
 def test_pde_sweep_honours_solver(tmp_path):
@@ -1037,16 +1045,6 @@ def test_simulate_memory_is_flat_in_the_sample_count(tmp_path):
     assert json.loads((tmp_path / "o1" / "summary.json").read_text())["samples"] == 100
     one_sample = 2 * 4096 * 16
     assert long - short < one_sample, (short, long)
-
-
-def test_cli_import_leaves_the_process_pool_out():
-    # only a pde sweep with --threads > 1 imports concurrent.futures
-    code = (
-        "import sys, lohe_sync.cli\n"
-        "assert 'concurrent.futures.process' not in sys.modules, 'pool imported'\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
