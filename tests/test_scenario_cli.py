@@ -461,6 +461,16 @@ def test_oracle_times_increase_to_t_end(tmp_path, dt, t_end):
     assert times[-1] == t_end
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_rejected(tmp_path, capsys, scenario_file, threads):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--scenario", scenario_file, "--out", str(out), "--threads", threads)
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify", "ode", "oracle", "sweep"])
 def test_threads_takes_only_one(tmp_path, capsys, command):
     # no subcommand runs workers; the flag still parses 1
