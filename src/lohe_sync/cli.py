@@ -486,7 +486,10 @@ def _pde_cell(sc: Scenario, coupling: float, omega: float, n: int, seed: int):
 def _sweep_row(sc: Scenario, cell: tuple, series) -> dict:
     """One sweep row, for ode and pde cells alike, from the cell's correlation
     series and classification: an ode cell's series (or the error that
-    stopped it) from _ode_series, a pde cell's (series None) from _pde_cell."""
+    stopped it) from _ode_series, a pde cell's (series None) from _pde_cell.
+    zeta_norm_final is ||zeta|| of the unit-normalized correlations z, not
+    simulate's final.zeta_norm of the fields; they differ by at most the
+    run's mass drift."""
     coupling, omega, n, seed = cell
     row: dict = {
         "coupling": coupling,

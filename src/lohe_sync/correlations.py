@@ -330,22 +330,16 @@ def zeta_norm_rhs(z: np.ndarray, config: ModelConfig) -> float:
     )
 
 
-def random_correlation_matrix(
-    n: int,
-    seed: int,
-    ambient_dim: int | None = None,
-    coherence: float = 0.0,
-) -> np.ndarray:
-    """Gram matrix of n random unit vectors: always a valid initial z.
+def random_correlation_matrix(n: int, seed: int, coherence: float = 0.0) -> np.ndarray:
+    """Gram matrix of n random unit vectors in C^(4n): always a valid
+    initial z.
 
     coherence > 0 biases all vectors toward a common direction, raising every
     r_tilde_j above zero (the generic basin of the synchronization results).
     """
     if n < 2:
         raise ConfigurationError("need n >= 2")
-    m = ambient_dim if ambient_dim is not None else 4 * n
-    if m < n:
-        raise ConfigurationError("ambient_dim must be >= n for a full-rank Gram matrix")
+    m = 4 * n
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n, m, 2))
     v = v[..., 0] + 1j * v[..., 1]

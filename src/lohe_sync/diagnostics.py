@@ -91,8 +91,9 @@ def compute_record(state: EnsembleState, config: ModelConfig) -> DiagnosticsReco
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
     """Each matrix of a (B, N, N) stack with its lower triangle mirrored from
-    the upper one and a real diagonal, in place, as gram_matrices forms its
-    matrices, so the pair matrices made from it are symmetric bit for bit."""
+    the upper one and a real diagonal, in place, so the pair matrices made
+    from it are symmetric bit for bit. A Gram of gram_matrices, formed that
+    way already, keeps its bits."""
     _mirror(m)
     diagonal = range(m.shape[-1])
     m[:, diagonal, diagonal] = m[:, diagonal, diagonal].real
@@ -105,47 +106,33 @@ def _stacked(arrays) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _field_forms(states, grid, potential):
-    """(Gram, gradient Gram, potential Gram, fields, *gradients) of a block
-    from its fields: N FFT gradients and N x N products over the grid, the
-    forms mirrored from their upper triangles; fields and gradients as
-    (B, N, M)."""
-    count, n, dv = len(states), states[0].n_oscillators, grid.dv
-    psi = _stacked([s.psi for s in states])
-    flat = psi.reshape(count, n, -1)
-    grads = [g.reshape(count, n, -1) for g in spectral_gradient(grid, psi)]
-    grad_gram = np.zeros((count, n, n), dtype=np.complex128)
+def _forms(states, grid, potential):
+    """(Gram, gradient Gram, potential Gram, fields, *gradients) of a block,
+    the forms mirrored from their upper triangles; fields and gradients as
+    (B, N, M). The basis is the fields, or a span sample's r basis fields phi
+    when it carries factors psi = D phi: FFT gradients and three forms over
+    the grid, each form of phi entering as conj(D) form D^T and the fields'
+    gradients as D grad(phi)."""
+    count, dv = len(states), grid.dv
+    factored = states[0].factors is not None
+    basis = _stacked([s.factors[1] if factored else s.psi for s in states])
+    r = basis.shape[1]
+    flat = basis.reshape(count, r, -1)
+    grads = [g.reshape(count, r, -1) for g in spectral_gradient(grid, basis)]
+    grad_gram = np.zeros((count, r, r), dtype=np.complex128)
     for g in grads:
         grad_gram += dv * (np.conj(g) @ np.swapaxes(g, 1, 2))
     if potential is None:
-        pot_gram = np.zeros((count, n, n), dtype=np.complex128)
+        pot_gram = np.zeros((count, r, r), dtype=np.complex128)
     else:
         pot_gram = dv * (np.conj(flat) * potential.reshape(-1)) @ np.swapaxes(flat, 1, 2)
-    return (gram_matrices(psi, dv), _hermitian(grad_gram), _hermitian(pot_gram), flat, *grads)
-
-
-def _factor_forms(states, grid, potential):
-    """_field_forms from each sample's span factors psi = D phi: r
-    FFT gradients and three r x r forms of phi, each entering as conj(D)
-    form D^T, mirrored; the fields' gradients are D grad(phi). The fields
-    themselves are read only for their norms and the Madelung densities and
-    currents."""
-    count, dv = len(states), grid.dv
-    d = _stacked([s.factors[0] for s in states])
-    phi = _stacked([s.factors[1] for s in states])
-    r = phi.shape[1]
-    flat = phi.reshape(count, r, -1)
-    grads = [g.reshape(count, r, -1) for g in spectral_gradient(grid, phi)]
-    forms = np.zeros((count, 3, r, r), dtype=np.complex128)
-    forms[:, 0] = np.conj(flat) @ np.swapaxes(flat, 1, 2)
-    for g in grads:
-        forms[:, 1] += np.conj(g) @ np.swapaxes(g, 1, 2)
-    if potential is not None:
-        forms[:, 2] = (np.conj(flat) * potential.reshape(-1)) @ np.swapaxes(flat, 1, 2)
-    forms = np.conj(d)[:, None] @ (dv * forms) @ np.swapaxes(d, 1, 2)[:, None]
-    gram, grad_gram, pot_gram = (_hermitian(forms[:, i]) for i in range(3))
-    psi = _stacked([s.psi for s in states]).reshape(count, states[0].n_oscillators, -1)
-    return (gram, grad_gram, pot_gram, psi, *(d @ g for g in grads))
+    forms = (gram_matrices(basis, dv), grad_gram, pot_gram)
+    if factored:
+        d = _stacked([s.factors[0] for s in states])
+        forms = [np.conj(d) @ form @ np.swapaxes(d, 1, 2) for form in forms]
+        grads = [d @ g for g in grads]
+        flat = _stacked([s.psi for s in states]).reshape(d.shape[:2] + (-1,))
+    return (*(_hermitian(form) for form in forms), flat, *grads)
 
 
 def _madelung(dens, dv):
@@ -184,19 +171,19 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     pass over a leading sample axis, in O(B N^2 M) time (M grid points).
 
     Every quadratic quantity comes from three Hermitian N x N forms of the
-    fields: the Gram matrix, the gradient form and the potential form. A
-    state without span factors forms them over the grid: N FFT gradients
-    and N x N products, the Gram mirrored from its upper triangle
-    (gram_matrices). A sample of a span run with r < N carries factors
-    (D, phi) and forms the r x r forms of its r basis fields phi instead,
-    each entering as conj(D) form D^T, mirrored from its upper triangle, so
-    all its pair matrices are symmetric bit for bit: r FFT gradients, and
-    the currents from D grad(phi). Which path a sample takes depends on its
-    own state alone, never on the block. The pairwise Madelung L1 distances
-    are reduced one row at a time, so the extra memory is O(B N M), not
-    O(B N^2 M), and solver.with_records keeps B N M under a fixed field
-    budget. Every sample goes through the same arithmetic in any block, so
-    its record has the same bits whichever block it is computed in.
+    fields: the Gram matrix, the gradient form and the potential form. One
+    kernel, _forms, makes them over the grid from a basis: the fields (N FFT
+    gradients, N x N products), or, for a sample of a span run with r < N,
+    which carries factors (D, phi), its r basis fields phi (r FFT gradients,
+    r x r forms, each entering as conj(D) form D^T, and the currents from
+    D grad(phi)). Every form is mirrored from its upper triangle, so all
+    pair matrices are symmetric bit for bit. Which basis a sample takes
+    depends on its own state alone, never on the block. The pairwise
+    Madelung L1 distances are reduced one row at a time, so the extra memory
+    is O(B N M), not O(B N^2 M), and solver.with_records keeps B N M under a
+    fixed field budget. Every sample goes through the same arithmetic in any
+    block, so its record has the same bits whichever block it is computed
+    in.
 
     Fields can be finite while a quadratic or quartic form of them
     overflows: a sample whose record would hold a non-finite value raises
@@ -209,8 +196,7 @@ def compute_records(states, config: ModelConfig) -> list[DiagnosticsRecord]:
     grid = states[0].grid
     n = states[0].n_oscillators
     count = len(states)
-    forms = _field_forms if ranks == {None} else _factor_forms
-    raw_gram, grad_gram, pot_gram, psi, *grads = forms(states, grid, config.potential)
+    raw_gram, grad_gram, pot_gram, psi, *grads = _forms(states, grid, config.potential)
     # the Madelung density and currents, (B, N, M) each: in 1-D written into
     # one (2, B, N, M) array, which _madelung reduces in one pass per row
     if len(grads) == 1:
@@ -503,19 +489,18 @@ def interpolate_series(times, values, t: float):
     return out
 
 
-def detect_period(times, values, threshold: float | None = None) -> float:
+def detect_period(times, values) -> float:
     """Period of a nonnegative signal that dips to ~0 once per cycle.
 
-    Finds all interior local minima below threshold (default: a tenth of the
-    signal maximum), refines each by parabolic interpolation, and returns the
-    median spacing. Needs at least two qualifying minima.
+    Finds all interior local minima below a tenth of the signal maximum,
+    refines each by parabolic interpolation, and returns the median spacing.
+    Needs at least two qualifying minima.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(times) < 5:
         raise SeriesTooShortError("period detection needs at least 5 samples")
-    if threshold is None:
-        threshold = 0.1 * float(values.max())
+    threshold = 0.1 * float(values.max())
     minima = []
     for i in range(1, len(values) - 1):
         if values[i] <= values[i - 1] and values[i] < values[i + 1] and values[i] < threshold:

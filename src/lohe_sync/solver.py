@@ -22,7 +22,8 @@ D' = M(conj(D) D^T) D. Three schemes share one sampling loop, samples:
                sample carries D and the r caught-up basis fields as its
                factors, from which diagnostics.compute_records forms its
                record.
-  strang_rk4   grid reference: exact kinetic half-steps in Fourier space
+  strang_rk4   grid reference: exact kinetic half-steps, the V = 0 linear
+               flow of span and propagate_linear (one Fourier multiplier),
                around one RK4 step of the local sub-flow d psi_j/dt =
                -i (V + Omega_j) psi_j + (K/2)(zeta - <zeta, psi_j> psi_j).
                The closing half-step of one step is merged with the opening
@@ -75,7 +76,7 @@ import warnings
 from collections.abc import Iterator
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -227,15 +228,6 @@ class Trajectory:
         return CorrelationSeries(times=self.times.copy(), z=z)
 
 
-@lru_cache(maxsize=16)
-def _kinetic(dim: int, points: int, length: float, h: float) -> np.ndarray:
-    """Fourier multiplier of the exact kinetic flow over time h."""
-    k2 = k_squared(GridSpec(dim, points, length))
-    mult = np.exp(-0.5j * h * k2)
-    mult.flags.writeable = False
-    return mult
-
-
 class _Stepper:
     factors = None  # (D, phi) of the last formed sample, span with r < N only
     pair = False  # span at N = 2: D is four Python complexes
@@ -254,15 +246,15 @@ class _GridStepper(_Stepper):
     """strang_rk4 and full_rk4: the fields themselves are stepped, with the
     multipliers and config views cached per run.
 
-    strang_rk4 merges the closing kinetic half-step of one step with the
-    opening one of the next, so a step costs one FFT pair: pending records
-    that the closing half-step is owed, and fields() pays it."""
+    strang_rk4's kinetic half and whole steps are _linear_flow's exact
+    multipliers at V = 0. It merges the closing half-step of one step with
+    the opening one of the next, so a step costs one FFT pair: pending
+    records that the closing half-step is owed, and fields() pays it."""
 
     def __init__(self, initial: EnsembleState, config: ModelConfig, params: SolverParams):
         grid = initial.grid
         self.grid = grid
         self.axes = tuple(range(1, grid.dim + 1))
-        self.fft, self.ifft = fourier_transforms(grid.dim)
         self.dv = grid.dv
         self.dt = params.dt
         self.scheme = params.scheme
@@ -270,9 +262,10 @@ class _GridStepper(_Stepper):
         self.mixing = mixing_flow(config.frequencies, config.coupling, grid.dv)
         self.minus_iv = None if config.potential is None else -1j * config.potential
         if params.scheme == "strang_rk4":
-            self.half = _kinetic(grid.dim, grid.points, grid.length, 0.5 * params.dt)
-            self.whole = _kinetic(grid.dim, grid.points, grid.length, params.dt)
+            self.half = _linear_flow(grid, None, 0.5 * params.dt, 1)
+            self.whole = _linear_flow(grid, None, params.dt, 1)
         else:
+            self.fft, self.ifft = fourier_transforms(grid.dim)
             self.k2 = k_squared(grid)
         self.psi = initial.psi
         self.pending = False  # strang_rk4 owes psi its closing kinetic half-step
@@ -289,16 +282,13 @@ class _GridStepper(_Stepper):
         kinetic = self.ifft(-0.5j * self.k2 * self.fft(psi))
         return kinetic + self._local_rhs(psi)
 
-    def _kinetic_step(self, mult: np.ndarray) -> np.ndarray:
-        return self.ifft(mult * self.fft(self.psi))
-
     def step(self) -> bool:
         """Advance one dt; returns whether the fields stayed finite."""
         # blow-up shows as non-finite fields; silence the transient nan/inf
         # arithmetic warnings on the way there
         with np.errstate(invalid="ignore", over="ignore"):
             if self.scheme == "strang_rk4":
-                psi = self._kinetic_step(self.whole if self.pending else self.half)
+                psi = (self.whole if self.pending else self.half)(self.psi)
                 psi = rk4_step(psi, self._local_rhs, self.dt)
                 self.pending = True
             else:
@@ -312,7 +302,7 @@ class _GridStepper(_Stepper):
 
     def fields(self) -> np.ndarray:
         if self.pending:
-            self.psi = self._kinetic_step(self.half)
+            self.psi = self.half(self.psi)
             self.pending = False
         return self.psi.copy()
 

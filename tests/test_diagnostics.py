@@ -254,7 +254,8 @@ def test_factor_records_match_field_records(case, potential, monkeypatch):
     # a detuned span run on dependent fields: every sample, the initial one
     # included, carries (D, phi) with r < N, and its record from the factors
     # matches the record of the same fields by 1e-12. The factor path alone
-    # runs; mixed with factorless copies, each sample keeps its own bits
+    # runs: every gradient of a factored block is taken of r fields, not N.
+    # Mixed with factorless copies, each sample keeps its own bits
     initial = _factor_cases()[case]
     grid, n = initial.grid, initial.n_oscillators
     config = ModelConfig(
@@ -271,9 +272,16 @@ def test_factor_records_match_field_records(case, potential, monkeypatch):
         assert_close(np.tensordot(d, phi, 1), state.psi, 1e-14, "psi = D phi")
     fields = [_without_factors(state) for state in states]
     expected = compute_records(fields, config)
+    gradient_rows = []
+
+    def gradient(grid, values):
+        gradient_rows.append(values.shape[1])
+        return spectral_gradient(grid, values)
+
     with monkeypatch.context() as patch:
-        patch.setattr(diagnostics, "_field_forms", None)
+        patch.setattr(diagnostics, "spectral_gradient", gradient)
         records = compute_records(states, config)
+    assert gradient_rows and set(gradient_rows) == {rank}
     for rec, ref in zip(records, expected):
         for value, reference in zip(_record_values(rec), _record_values(ref)):
             if reference is None:
