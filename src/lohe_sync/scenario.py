@@ -227,7 +227,8 @@ def _z0(raw: str) -> complex | str:
 
 
 def _axis(raw: str, integer: bool = False) -> tuple:
-    """One sweep axis: a comma list, or an inclusive start:stop:step range."""
+    """One sweep axis: a comma list, or an inclusive start:stop:step range,
+    of at least one value (an axis of none would sweep no cells)."""
     raw = raw.strip()
     if ":" in raw:
         parts = raw.split(":")
@@ -244,6 +245,8 @@ def _axis(raw: str, integer: bool = False) -> tuple:
         vals = tuple(round(start + i * step, 12) for i in range(max(count, 0)))
     else:
         vals = _FLOATS[0](raw)
+    if not vals:
+        raise ValueError("expected at least one value")
     if integer:
         for v in vals:
             if abs(v - round(v)) > 1e-9:

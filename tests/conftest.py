@@ -1,10 +1,13 @@
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from lohe_sync import GridSpec, ModelConfig, solver
+from lohe_sync.cli import main
 from lohe_sync.initial_data import gaussian_pair, perturbed_gaussians
 
 # every run of the suite draws the same examples; a property that sets its
@@ -64,3 +67,33 @@ def assert_no_child_left():
     # no child of this process is left, running or unreaped
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def shipped(section):
+    """One pytest param per shipped scenario that has a [section]."""
+    return [
+        pytest.param(path, id=path.stem)
+        for path in sorted(SCENARIOS.glob("*.cfg"))
+        if re.search(rf"^\[{section}\]", path.read_text(), re.M)
+    ]
+
+
+def assert_same_files(a, b):
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in os.listdir(a):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def assert_replays(out, command, cfg):
+    """Run command on the scenario file cfg into out/a, then on the
+    manifest.cfg it wrote into out/b: both runs exit 0 and leave no child
+    process, and both write the same files. Returns out/a."""
+    a, b = out / "a", out / "b"
+    for scenario, run in ((cfg, a), (a / "manifest.cfg", b)):
+        assert main([command, "--scenario", str(scenario), "--out", str(run)]) == 0
+        assert_no_child_left()
+    assert_same_files(a, b)
+    return a

@@ -50,7 +50,13 @@ from lohe_sync.scenario import (
 )
 from lohe_sync.solver import _RECORD_BLOCK_BYTES
 
-from conftest import assert_no_child_left, force_step_child
+from conftest import (
+    assert_no_child_left,
+    assert_replays,
+    assert_same_files,
+    force_step_child,
+    shipped,
+)
 
 BASE = """
 [scenario]
@@ -287,12 +293,22 @@ def test_malformed_values():
         parse_scenario("[scenario]\nname = x\n[ode]\nsystem = seven\nt_end = 1\n")
 
 
-def test_sweep_axis_grammar():
+def test_sweep_axis_grammar(tmp_path, capsys):
     sc = parse_scenario(
         "[scenario]\nname = x\n[sweep]\ncoupling = 0:1:0.25\nomega = 0.3\nn = 2\nseeds = 1, 2\nt_end = 1.0\n"
     )
     assert sc.sweep.coupling == (0.0, 0.25, 0.5, 0.75, 1.0)
     assert sc.sweep.seeds == (1, 2)
+    # an axis of no values would sweep no cells, and the manifest, which
+    # renders no empty axis, would replay the default cell instead
+    for key, raw in (("omega", "1:0:0.1"), ("omega", ","), ("seeds", ",")):
+        with pytest.raises(ConfigurationError, match=rf"\[sweep\] {key}: expected at least one value"):
+            parse_scenario(f"[scenario]\nname = x\n[sweep]\n{key} = {raw}\n")
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("[scenario]\nname = empty\n[sweep]\nomega = 1:0:0.1\n")
+    assert run_cli("sweep", "--scenario", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "[sweep] omega: expected at least one value" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # -- snapshot format ------------------------------------------------------------
@@ -362,13 +378,14 @@ def test_simulate_is_deterministic(tmp_path, scenario_file):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_manifest_reproduces_run(tmp_path, scenario_file):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    assert run_cli("simulate", "--scenario", scenario_file, "--out", str(a)) == 0
-    assert run_cli("simulate", "--scenario", str(a / "manifest.cfg"), "--out", str(b)) == 0
-    for name in sorted(os.listdir(a)):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+@pytest.mark.parametrize("cfg", [pytest.param(None, id="base"), *shipped("solver")])
+def test_manifest_reproduces_run(tmp_path, scenario_file, cfg):
+    # byte determinism on the dense-output scenarios: a simulate run replayed
+    # from the manifest.cfg it wrote must write the same files. critical_pair's
+    # 40 000 pair steps in 1001 samples are above the thresholds at which a
+    # span run of a pair steps its D in a forked child while it forms fields
+    # and records (on two CPUs or more), and no child may be left
+    assert_replays(tmp_path, "simulate", cfg or scenario_file)
 
 
 def test_overrides_land_in_manifest(tmp_path, scenario_file):
@@ -887,17 +904,11 @@ def _simulate_with_render_child(cfg, out):
     )
 
 
-def _assert_same_files(a, b):
-    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
-    for name in os.listdir(a):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-
 def test_simulate_with_render_child_writes_the_same_files(tmp_path, scenario_file):
     child = _simulate_with_render_child(scenario_file, tmp_path / "child")
     assert child.returncode == 0, child.stderr
     assert run_cli("simulate", "--scenario", scenario_file, "--out", str(tmp_path / "o")) == 0
-    _assert_same_files(tmp_path / "child", tmp_path / "o")
+    assert_same_files(tmp_path / "child", tmp_path / "o")
 
 
 def test_diverging_simulate_with_render_child_keeps_its_finite_samples(
@@ -913,7 +924,7 @@ def test_diverging_simulate_with_render_child_keeps_its_finite_samples(
         assert capsys.readouterr().err == message
         with pytest.raises(ChildProcessError):  # no child left, running or unreaped
             os.waitpid(-1, os.WNOHANG)
-    _assert_same_files(tmp_path / "child", tmp_path / "o")
+    assert_same_files(tmp_path / "child", tmp_path / "o")
     lines = (tmp_path / "child" / "diagnostics.ndjson").read_text().splitlines()
     assert [json.loads(line)["t"] for line in lines] == [0.0, 0.01]
 
@@ -951,7 +962,7 @@ def test_cli_with_a_stepping_child_writes_the_same_files_and_leaves_none(
         assert child[1].err == in_process[1].err
         moved = child[1].out.replace(str(tmp_path / "child"), str(tmp_path / "in_process"))
         assert moved == in_process[1].out
-        _assert_same_files(tmp_path / "child" / name, tmp_path / "in_process" / name)
+        assert_same_files(tmp_path / "child" / name, tmp_path / "in_process" / name)
 
 
 def test_cli_whose_stepping_child_fails_exits_with_its_error(
@@ -1029,32 +1040,110 @@ def test_diverging_run_whose_records_overflow_exits_3(
     assert err.value.partial.n_samples == kept
 
 
+FLAT_10 = """\
+[scenario]
+name = flat
+seed = 3
+[grid]
+points = 4096
+length = 40.0
+[model]
+n = 4
+coupling = 1.0
+[initial]
+kind = perturbed_gaussians
+[solver]
+dt = 0.01
+t_end = 2.0
+snapshot_stride = 10
+[outputs]
+formats = ndjson, csv
+[verify]
+checks = mass:1e-9, order_identity:1e-10
+"""
+
+PAIR_10 = """\
+[scenario]
+name = pair
+seed = 3
+[grid]
+points = 256
+length = 20.0
+[model]
+n = 2
+coupling = 1.0
+lam = 0.75
+[initial]
+kind = perturbed_gaussians
+[solver]
+dt = 0.01
+t_end = 10.0
+snapshot_stride = 10
+[outputs]
+formats = ndjson, csv
+[verify]
+checks = mass:1e-9, order_identity:1e-10
+"""
+
+
 def test_simulate_memory_is_flat_in_the_sample_count(tmp_path):
     # 10 and 100 samples of the same 99 steps: simulate keeps a few numbers
     # per sample, far less than one sample's fields (2 x 4096 complex)
     import tracemalloc
 
-    def peak(stride):
-        cfg = tmp_path / f"flat{stride}.cfg"
-        cfg.write_text(
-            "[scenario]\nname = flat\nseed = 5\n[grid]\npoints = 4096\nlength = 40.0\n"
-            "[model]\nn = 2\ncoupling = 1.0\nlam = 0.5\n[initial]\nkind = perturbed_gaussians\n"
-            f"[solver]\ndt = 0.01\nt_end = 0.99\nsnapshot_stride = {stride}\n"
-            "[outputs]\nformats = ndjson, csv\nfinal_snapshot = true\n"
-        )
-        out = tmp_path / f"o{stride}"
+    def run(command, text, out):
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(text)
+        assert run_cli(command, "--scenario", str(cfg), "--out", str(tmp_path / out)) == 0
+
+    def peak(command, text, out):
         tracemalloc.start()
         try:
-            assert run_cli("simulate", "--scenario", str(cfg), "--out", str(out)) == 0
+            run(command, text, out)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak(11)  # caches and first-call allocations
-    short, long = peak(11), peak(1)
+    flat = (
+        "[scenario]\nname = flat\nseed = 5\n[grid]\npoints = 4096\nlength = 40.0\n"
+        "[model]\nn = 2\ncoupling = 1.0\nlam = 0.5\n[initial]\nkind = perturbed_gaussians\n"
+        "[solver]\ndt = 0.01\nt_end = 0.99\nsnapshot_stride = {stride}\n"
+        "[outputs]\nformats = ndjson, csv\nfinal_snapshot = true\n"
+    )
+    run("simulate", flat.format(stride=11), "o11")  # caches and first-call allocations
+    short = peak("simulate", flat.format(stride=11), "o11")
+    long = peak("simulate", flat.format(stride=1), "o1")
     assert json.loads((tmp_path / "o1" / "summary.json").read_text())["samples"] == 100
     one_sample = 2 * 4096 * 16
     assert long - short < one_sample, (short, long)
+
+    # simulate streams its samples: 201 samples of a 1-D/4096, N = 4 run
+    # against 21 (a stored state is 256 kB, so 180 of them would add 46 MB).
+    # Those samples make one-sample record blocks, so a 1-D/256, N = 2 run
+    # (16-sample blocks) also runs 1001 samples against 101 (900 stored 8 kB
+    # states would add 7 MB). verify keeps one record per sample, so either
+    # command may grow by the extra samples' records, plus less than one
+    # sample's fields. A record is weighed as a one-sample block makes it,
+    # which holds at least a sample's share of a larger block
+    for text in (FLAT_10, PAIR_10):
+        dense = text.replace("snapshot_stride = 10", "snapshot_stride = 1")
+        sc = parse_scenario(text)
+        extra = parse_scenario(dense).solver.n_samples - sc.solver.n_samples
+        grid = build_grid(sc)
+        state, config = build_ensemble(sc, grid), build_model(sc, grid)
+        compute_record(state, config)  # caches and first-call allocations
+        tracemalloc.start()
+        try:
+            records = [compute_record(state, config) for _ in range(10)]
+            bound = state.psi.nbytes + extra * tracemalloc.get_traced_memory()[0] / 10
+        finally:
+            tracemalloc.stop()
+        del records
+        for command in ("simulate", "verify"):
+            run(command, text, f"{sc.name}-{command}-warm")
+            short = peak(command, text, f"{sc.name}-{command}-10")
+            long = peak(command, dense, f"{sc.name}-{command}-1")
+            assert long - short < bound, (sc.name, command, short, long, bound)
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -1080,6 +1169,70 @@ def test_command_line_pins_blas_to_one_thread_before_numpy_loads():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     env.update({var: "2" for var in _BLAS_VARS})
     subprocess.run([sys.executable, "-c", code], check=True, env=env, stdout=subprocess.DEVNULL)
+
+
+BLAS_2D = """\
+[scenario]
+name = blas_2d
+seed = 673916727
+[grid]
+dim = 2
+points = 128
+length = 20.0
+[model]
+n = 4
+coupling = 1.0
+[initial]
+kind = perturbed_gaussians
+epsilon = 0.25
+[solver]
+dt = 0.001
+t_end = 0.1
+snapshot_stride = 50
+[outputs]
+formats = ndjson
+"""
+
+BLAS_3D = """\
+[scenario]
+name = blas_3d
+seed = 4
+[grid]
+dim = 3
+points = 32
+length = 12.0
+[model]
+n = 4
+coupling = 1.0
+[initial]
+kind = perturbed_gaussians
+epsilon = 0.25
+[solver]
+scheme = span
+dt = 0.005
+t_end = 0.5
+snapshot_stride = 10
+[outputs]
+formats = ndjson, csv
+"""
+
+
+@pytest.mark.parametrize("text", [BLAS_2D, BLAS_3D], ids=["2d", "3d"])
+def test_simulate_writes_the_same_bytes_at_1_and_2_blas_threads(tmp_path, text):
+    # the command line runs BLAS on one thread whatever the environment
+    # says, so a run's bytes do not depend on OPENBLAS_NUM_THREADS: a 2-D
+    # 128^2 run shaped like the benchmark's pde_grid and a 3-D/32^3 span
+    # run, whose matrix products are large enough for OpenBLAS to split
+    # across two threads, must write the same files at 1 and 2 threads.
+    # A fresh process each: the variable is read when numpy loads
+    cfg = tmp_path / "blas.cfg"
+    cfg.write_text(text)
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads)
+        argv = [sys.executable, "-m", "lohe_sync", "simulate", "--scenario", str(cfg)]
+        argv += ["--out", str(tmp_path / threads)]
+        subprocess.run(argv, check=True, env=env, stdout=subprocess.DEVNULL, timeout=300)
+    assert_same_files(tmp_path / "1", tmp_path / "2")
 
 
 def test_cli_module_run_as_a_script_refuses():
@@ -1158,6 +1311,22 @@ def test_uncentered_pair_reports_like_the_centered_one(tmp_path):
     assert float(np.max(np.abs(energy - energy_shifted))) <= 1e-12
 
 
+OWN_FRAME = """\
+[scenario]
+name = own_frame
+[model]
+n = 2
+coupling = 1.0
+frequencies = -0.375, 0.375
+[ode]
+system = two
+z0 = 0.2+0.1j
+dt = 0.002
+t_end = 40.0
+sample_stride = 100
+"""
+
+
 def test_pair_listed_in_either_order_reports_like_its_twin(tmp_path):
     # (-Omega, Omega) is (Omega, -Omega) with its labels swapped, which
     # conjugates z_01; with the mirror-symmetric gaussian_pair and a
@@ -1225,6 +1394,20 @@ def test_pair_listed_in_either_order_reports_like_its_twin(tmp_path):
                 assert swapped[level][key] == pytest.approx(value, rel=1e-9), (level, key)
     assert None not in twin["energy_diff_two"]
     assert swapped["energy_diff_two"] == pytest.approx(twin["energy_diff_two"], abs=1e-12)
+    # a pair listed as (w0, w1) = (-Omega, Omega) is read in its own labels:
+    # the oracle's stable point is where the ode's z_01 ends up, in the lower
+    # half plane, and phi < 0. The swapped twin's z_01 is still 1.8e-6 away
+    # at t = 20, so this run goes on to t = 40
+    cfg = tmp_path / "own_frame.cfg"
+    cfg.write_text(OWN_FRAME)
+    for command in ("oracle", "ode"):
+        assert run_cli(command, "--scenario", str(cfg), "--out", str(tmp_path / command)) == 0
+    regime = json.loads((tmp_path / "oracle" / "oracle.json").read_text())["regime"]
+    final = json.loads((tmp_path / "ode" / "correlations.ndjson").read_text().splitlines()[-1])
+    point = complex(regime["stable_point"]["re"], regime["stable_point"]["im"])
+    z01 = complex(final["r"][0][1], final["s"][0][1])
+    assert abs(point - z01) <= 1e-6, (point, z01)
+    assert regime["phi"] < 0
 
 
 def test_unstable_z0_needs_a_pair(tmp_path, capsys):

@@ -47,6 +47,19 @@ def test_bench_and_scripts_import_only_names_that_exist():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["two_oscillator_regimes.py"], ["identical_sync_demo.py"], ["identical_sync_demo.py", "--potential"]],
+    ids=["two_oscillator_regimes", "identical_sync_demo", "identical_sync_demo_potential"],
+)
+def test_demo_script_runs(tmp_path, argv):
+    # the demo scripts read gram_series and the diagnostics records end to
+    # end, which no other test does; any non-zero exit fails
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    script = [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]]
+    subprocess.run(script, check=True, env=env, cwd=tmp_path, stdout=subprocess.DEVNULL, timeout=300)
+
+
+@pytest.mark.parametrize(
     "module",
     ["lohe_sync"] + [f"lohe_sync.{m.name}" for m in pkgutil.iter_modules(lohe_sync.__path__)],
 )
